@@ -17,7 +17,6 @@ from .grids import (
     constant,
     cumulative_integral,
     derivative,
-    pointwise_combine,
     sample,
 )
 
@@ -38,6 +37,5 @@ __all__ = [
     "constant",
     "cumulative_integral",
     "derivative",
-    "pointwise_combine",
     "sample",
 ]

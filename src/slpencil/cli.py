@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ExpressionError, SLPencilError, SolverError
 from .expressions import evaluate_on_grid, parse as parse_expr
-from .grids import Grid, SampledFunction, constant
+from .grids import Grid, constant
 from .problems import (
     CharacteristicSeries,
     DiracSpec,
@@ -52,8 +52,8 @@ from .spps import (
 )
 from .zakharov import (
     PotentialSpec,
-    ZSProblem,
     materialize_potential,
+    zs_dispersion,
     zs_dispersion_tail,
     zs_particular_solution,
     zs_to_pencil,
@@ -69,7 +69,11 @@ DEFAULTS = {
     "require_certified": False,
     "keep_radius": None,
     "boundary": {"left": [1.0, 0.0], "right": [1.0, 0.0]},
-    "u0": {"mode": "auto"},
+}
+# keys with no default: required ones, and blocks that are off when absent
+CONFIG_KEYS = frozenset(DEFAULTS) | {
+    "problem", "interval", "coefficients", "potential", "search_region",
+    "surface", "sweep", "output",
 }
 
 PROBLEM_KINDS = ("pencil", "string", "zakharov_shabat", "dirac")
@@ -144,7 +148,18 @@ def load_config(path: str) -> dict:
     return validate_config(raw)
 
 
+def _reject_unknown(cfg: dict, known, path: str):
+    for key in cfg:
+        if key not in known:
+            _fail(path, f"unknown key {key!r}")
+
+
 def validate_config(raw: dict) -> dict:
+    _reject_unknown(raw, CONFIG_KEYS, "config")
+    tol = raw.get("tolerances", {})
+    if not isinstance(tol, dict):
+        _fail("config.tolerances", "expected an object")
+    _reject_unknown(tol, DEFAULTS["tolerances"], "config.tolerances")
     cfg = _merge_defaults(raw)
     kind = _require(cfg, "problem", str, "config")
     if kind not in PROBLEM_KINDS:
@@ -220,10 +235,6 @@ def validate_config(raw: dict) -> dict:
             cfg["coefficients"]["energy"] = list(
                 _c_pair(_as_complex(coeffs.get("energy", 0.0),
                                     "config.coefficients.energy")))
-        if "x0" in cfg and float(cfg["x0"]) != float(interval[0]):
-            _fail("config.x0", "two-point problems anchor the series at the "
-                  "left endpoint; set x0 to interval[0] or omit it")
-        cfg["x0"] = float(interval[0])
 
     bnd = cfg["boundary"]
     for side in ("left", "right"):
@@ -325,7 +336,7 @@ class _Assembly:
     base_pencil: PencilSpec
     anchor: float
     initial_u0: ParticularSolution
-    series_from_table: callable  # (table, lam0) -> CharacteristicSeries
+    series_from_table: callable  # (table, center) -> CharacteristicSeries
     tail_fn: callable            # (series, lam_abs) -> float
     back_map_scale: complex | None
 
@@ -339,26 +350,10 @@ def _build_assembly(cfg: dict, potential_override: dict | None = None) -> _Assem
             pot.update(potential_override)
         spec = _potential_spec(pot)
         zs = materialize_potential(spec, n_nodes=cfg["n_nodes"])
-        pencil = zs_to_pencil(zs)
-        v0a_index = -1
-
-        def series_from_table(table, lam0):
-            v0 = table.u0
-            v0a = v0.u0.values[v0a_index]
-            v0pa = v0.u0_prime.values[v0a_index]
-            qa = zs.Q.values[v0a_index]
-            coeffs = np.empty(table.truncation + 1, dtype=np.complex128)
-            for k in range(table.truncation + 1):
-                lag = table.x_end[2 * k - 1] if k >= 1 else 0.0
-                coeffs[k] = (v0a * ((v0pa + lam0 * v0a) * table.x_end[2 * k + 1]
-                                    + v0a * lag) + qa * table.x_end[2 * k])
-            return CharacteristicSeries(lam0, coeffs, "zs",
-                                        meta={"table": table, "v0": v0, "zs": zs})
-
         return _Assembly(
-            base_pencil=pencil, anchor=zs.grid.a,
+            base_pencil=zs_to_pencil(zs), anchor=zs.grid.a,
             initial_u0=zs_particular_solution(zs, truncation=m),
-            series_from_table=series_from_table,
+            series_from_table=lambda table, center: zs_dispersion(table, zs, center),
             tail_fn=zs_dispersion_tail,
             back_map_scale=zs.back_map_scale,
         )
@@ -386,29 +381,18 @@ def _build_assembly(cfg: dict, potential_override: dict | None = None) -> _Assem
     left = tuple(cfg["boundary"]["left"])
     right = tuple(cfg["boundary"]["right"])
 
-    u0cfg = cfg["u0"]
-    if u0cfg.get("mode") == "expression":
-        u0 = ParticularSolution.from_samples(
-            evaluate_on_grid(parse_expr(u0cfg["u0"]), grid),
-            evaluate_on_grid(parse_expr(u0cfg["u0_prime"]), grid),
-            pencil.p, pencil.q)
-    elif np.max(np.abs(pencil.q.values)) == 0.0:
+    if np.max(np.abs(pencil.q.values)) == 0.0:
         u0 = ParticularSolution(constant(grid, 1.0), constant(grid, 0.0),
                                 "closed-form", 0.0, 1.0)
     else:
         u0 = build_particular_solution(pencil.p, pencil.q, truncation=m)
 
-    def series_from_table(table, lam0):
-        return two_point_series(table, left=left, right=right, center=lam0,
-                                provenance="string" if kind == "string"
-                                else "custom-boundary")
-
-    def tail_fn(series, lam_abs):
-        return two_point_tail(series.meta["table"], lam_abs, left=left, right=right)
-
-    return _Assembly(base_pencil=pencil, anchor=grid.a, initial_u0=u0,
-                     series_from_table=series_from_table, tail_fn=tail_fn,
-                     back_map_scale=None)
+    return _Assembly(
+        base_pencil=pencil, anchor=grid.a, initial_u0=u0,
+        series_from_table=lambda table, center: two_point_series(
+            table, left=left, right=right, center=center),
+        tail_fn=two_point_tail, back_map_scale=None,
+    )
 
 
 def _potential_spec(pot: dict) -> PotentialSpec:
@@ -529,10 +513,8 @@ def _solve_single(cfg: dict, potential_override: dict | None
 
     all_records: list[EigenvalueRecord] = []
     spurious: list[dict] = []
-    u0 = asm.initial_u0
+    pencil, u0 = asm.base_pencil, asm.initial_u0
     for j, center in enumerate(centers):
-        pencil = (asm.base_pencil if center == 0
-                  else shift_pencil(asm.base_pencil, center).pencil)
         next_rel = centers[j + 1] - center if j + 1 < len(centers) else None
         eval_points = (next_rel,) if next_rel is not None else ()
         table = build_formal_powers(pencil, u0, asm.anchor, m,
@@ -549,9 +531,10 @@ def _solve_single(cfg: dict, potential_override: dict | None
         all_records.extend(recs)
 
         if next_rel is not None:
-            nxt = shift_pencil(asm.base_pencil, centers[j + 1]).pencil
+            # the next center's pencil, and its u0 chained from this table
+            pencil = shift_pencil(asm.base_pencil, centers[j + 1])
             u0 = chain_particular_solution(SolutionPair(table), next_rel,
-                                           nxt.p, nxt.q)
+                                           pencil.p, pencil.q)
 
     final, excluded = [], 0
     for rec, rel_res in _merge_records(all_records, merge_eps):
@@ -755,14 +738,14 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"surface written to {target}", file=sys.stderr)
             return 0
 
-        cfg = load_config(args.config)
         override = None
         if args.out:
             override = {"csv": args.out + ".csv", "report": args.out + ".json"}
         rs = run_solve(args.config, threads=args.threads,
                        output_override=override)
+        cfg = rs.metadata["resolved_config"]
 
-        if not (cfg.get("output") or args.out):
+        if not cfg.get("output"):
             if args.format == "csv":
                 print("\n".join(_csv_lines(rs)))
             else:

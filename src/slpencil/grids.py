@@ -21,7 +21,7 @@ from .errors import GridError, NodeValueError
 #: subintervals covered by one 6-point stencil
 _PANEL = 5
 
-DIV_FLOOR_DEFAULT = 1e-300
+DIV_FLOOR = 1e-300
 
 # 80-bit extended accumulator where the platform provides one (x86 Linux does);
 # harmlessly the same as complex128 elsewhere
@@ -195,15 +195,12 @@ class SampledFunction:
     def abs_max(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def abs_min(self) -> float:
-        return float(np.min(np.abs(self.values)))
 
-
-def _check_divisor(values: np.ndarray, floor: float = DIV_FLOOR_DEFAULT):
+def _check_divisor(values: np.ndarray):
     mags = np.abs(values)
-    if mags.min() < floor:
+    if mags.min() < DIV_FLOOR:
         raise NodeValueError(
-            f"division by value of modulus below {floor}", int(np.argmin(mags))
+            f"division by value of modulus below {DIV_FLOOR}", int(np.argmin(mags))
         )
 
 
@@ -214,29 +211,6 @@ def sample(grid: Grid, fn) -> SampledFunction:
 
 def constant(grid: Grid, value: complex) -> SampledFunction:
     return SampledFunction(grid, np.full(grid.n_nodes, complex(value)))
-
-
-def pointwise_combine(f: SampledFunction, g, op: str,
-                      div_floor: float = DIV_FLOOR_DEFAULT) -> SampledFunction:
-    """Nodewise arithmetic on sampled functions.
-
-    op is one of "add", "mul", "div", "scale"; for "scale", g is a complex
-    scalar.  Division checks every divisor node against div_floor and reports
-    the offending node index.
-    """
-    if op == "scale":
-        return SampledFunction(f.grid, f.values * complex(g))
-    if not isinstance(g, SampledFunction):
-        raise GridError(f"op {op!r} needs two sampled functions")
-    f._check_same_grid(g)
-    if op == "add":
-        return SampledFunction(f.grid, f.values + g.values)
-    if op == "mul":
-        return SampledFunction(f.grid, f.values * g.values)
-    if op == "div":
-        _check_divisor(g.values, div_floor)
-        return SampledFunction(f.grid, f.values / g.values)
-    raise ValueError(f"unknown op {op!r}")
 
 
 def _cumulative_values(h: float, v: np.ndarray) -> np.ndarray:
@@ -271,14 +245,6 @@ def cumulative_integral(f: SampledFunction) -> SampledFunction:
     subinterval, with stencils clamped at the boundaries.
     """
     return SampledFunction(f.grid, _cumulative_values(f.grid.h, f.values))
-
-
-def integral_from(f: SampledFunction, anchor_index: int) -> SampledFunction:
-    """Antiderivative vanishing at the given node instead of node 0."""
-    F = cumulative_integral(f)
-    if anchor_index == 0:
-        return F
-    return SampledFunction(f.grid, F.values - F.values[anchor_index])
 
 
 def derivative(f: SampledFunction) -> SampledFunction:

@@ -1,10 +1,12 @@
 """Problem-level assembly: spectral shift, two-point characteristic series,
-the damped-string front end, and the Dirac-system reduction.
+the damped-string pencil and the Dirac-system reduction.
 
 A spectral shift re-centers the power series at lambda0 by transforming the
 pencil coefficients; the series variable becomes Lambda = lambda - lambda0.
-Characteristic series collect the boundary functional of the SPPS solutions as
-Taylor coefficients, so eigenvalues become polynomial roots downstream.
+A characteristic series applies a boundary functional to a built formal-power
+table and collects its Taylor coefficients, so eigenvalues become polynomial
+roots downstream.  The damped string is a two-point Dirichlet problem for
+StringProblem.pencil.
 """
 
 from __future__ import annotations
@@ -16,34 +18,13 @@ import numpy as np
 
 from .errors import GridError, NodeValueError
 from .grids import Grid, SampledFunction, constant, derivative
-from .spps import (
-    FormalPowerTable,
-    ParticularSolution,
-    PencilSpec,
-    SolutionPair,
-    build_formal_powers,
-    build_particular_solution,
-    tail_components,
-)
+from .spps import FormalPowerTable, ParticularSolution, PencilSpec, tail_components
 
 
-@dataclass(frozen=True)
-class ShiftedPencil:
-    """Pencil re-centered at lambda0: L0 u = u * sum_k Lambda^k r_eff[k-1]."""
+def shift_pencil(spec: PencilSpec, lam0: complex) -> PencilSpec:
+    """Pencil re-centered at lambda0 by binomial expansion of the right-hand side.
 
-    base: PencilSpec
-    lam0: complex
-    q_eff: SampledFunction
-    r_eff: tuple[SampledFunction, ...]
-
-    @property
-    def pencil(self) -> PencilSpec:
-        return PencilSpec(p=self.base.p, q=self.q_eff, r=self.r_eff)
-
-
-def shift_pencil(spec: PencilSpec, lam0: complex) -> ShiftedPencil:
-    """Binomial re-centering of the polynomial right-hand side.
-
+    L0 u = u * sum_k Lambda^k r_eff[k-1] with
     r_eff[k] = sum_{l=0}^{N-k} C(k+l, l) lam0^l r_{k+l};
     q_eff = q - sum_k lam0^k r_k.
     """
@@ -58,9 +39,7 @@ def shift_pencil(spec: PencilSpec, lam0: complex) -> ShiftedPencil:
         for ell in range(0, N - k + 1):
             acc += math.comb(k + ell, ell) * (lam0 ** ell) * spec.r[k + ell - 1].values
         r_eff.append(SampledFunction(spec.grid, acc))
-    return ShiftedPencil(base=spec, lam0=lam0,
-                         q_eff=SampledFunction(spec.grid, q_eff),
-                         r_eff=tuple(r_eff))
+    return PencilSpec(p=spec.p, q=SampledFunction(spec.grid, q_eff), r=tuple(r_eff))
 
 
 @dataclass
@@ -68,12 +47,12 @@ class CharacteristicSeries:
     """Taylor coefficients of the characteristic function about ``center``.
 
     The eigenvalue condition is sum_k coeffs[k] (lambda - center)^k = 0.
-    meta carries non-serialized build artifacts (the solution pair, scales).
+    meta carries the non-serialized build artifacts the tail bounds read
+    (the formal-power table and the boundary data).
     """
 
     center: complex
     coeffs: np.ndarray
-    provenance: str
     meta: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -141,7 +120,6 @@ class DiracSpec:
 
     v: SampledFunction
     energy: complex
-    v_prime: SampledFunction | None = None
 
     def __post_init__(self):
         shifted = self.v.values - complex(self.energy)
@@ -154,12 +132,12 @@ def dirac_to_pencil(d: DiracSpec) -> PencilSpec:
     """Second-order pencil for w = y2 + y1:
     (w'/(v-E))' + (v-E) w = lambda^2 w/(v-E) + lambda (1/(v-E))' w.
 
-    r1 uses the analytic identity (1/(v-E))' = -v'/(v-E)^2, with v' supplied
-    or 6th-order finite-differenced.
+    r1 uses the analytic identity (1/(v-E))' = -v'/(v-E)^2, with v'
+    6th-order finite-differenced.
     """
     g = d.v.grid
     vmE = SampledFunction(g, d.v.values - complex(d.energy))
-    vp = d.v_prime if d.v_prime is not None else derivative(d.v)
+    vp = derivative(d.v)
     r1 = SampledFunction(g, -vp.values / (vmE.values ** 2))
     inv = SampledFunction(g, 1.0 / vmE.values)
     return PencilSpec(p=inv, q=vmE, r=(r1, inv))
@@ -198,8 +176,7 @@ def _boundary_combination(u0: ParticularSolution, p: SampledFunction,
 def two_point_series(table: FormalPowerTable, *,
                      left: tuple[complex, complex] = (1.0, 0.0),
                      right: tuple[complex, complex] = (1.0, 0.0),
-                     center: complex = 0.0,
-                     provenance: str = "custom-boundary") -> CharacteristicSeries:
+                     center: complex = 0.0) -> CharacteristicSeries:
     """Series whose zeros are eigenvalues of the separated boundary problem.
 
     The left condition alpha1 u + alpha2 (p u') = 0 at x0 fixes the solution
@@ -227,79 +204,25 @@ def two_point_series(table: FormalPowerTable, *,
         a_n += c2 * (b1 * u0b * x_odd + b2 * pu0pb * x_odd + b2 * x_even / u0b)
         coeffs[n] = a_n
     return CharacteristicSeries(
-        center=center, coeffs=coeffs, provenance=provenance,
+        center=center, coeffs=coeffs,
         meta={"table": table, "combination": (c1, c2), "right": (b1, b2)},
     )
 
 
-def two_point_tail(table: FormalPowerTable, lam_abs: float, *,
-                   left: tuple[complex, complex] = (1.0, 0.0),
-                   right: tuple[complex, complex] = (1.0, 0.0)) -> float:
-    """Rigorous bound for the truncation tail of the two-point series.
+def two_point_tail(series: CharacteristicSeries, lam_abs: float) -> float:
+    """Rigorous bound for the truncation tail of a two-point series.
 
     lam_abs bounds |lambda - center| on the region of interest.
     """
+    table: FormalPowerTable = series.meta["table"]
     pencil = table.pencil
     comps = tail_components(pencil, table.u0, lam_abs, table.truncation)
     iend = table.end_index
     u0b = abs(table.u0.u0.values[iend])
     pu0pb = abs(pencil.p.values[iend] * table.u0.u0_prime.values[iend])
-    b1, b2 = (abs(complex(v)) for v in right)
-    c1, c2 = (abs(v) for v in
-              _boundary_combination(table.u0, pencil.p, table.x0_index, left))
+    b1, b2 = (abs(v) for v in series.meta["right"])
+    c1, c2 = (abs(v) for v in series.meta["combination"])
     bound = c1 * ((b1 * u0b + b2 * pu0pb) * comps.even
                   + b2 * comps.lagged_xtilde / u0b)
     bound += c2 * ((b1 * u0b + b2 * pu0pb) * comps.odd_x + b2 * comps.even / u0b)
     return bound
-
-
-# ---------------------------------------------------------------------------
-# damped string
-STRING_DEFAULT_TRUNCATION = 100
-
-
-def string_u0(sp: StringProblem, lam0: complex = 0.0, *,
-              chain_from: SolutionPair | None = None,
-              truncation: int = 100) -> ParticularSolution:
-    """u0 for the (possibly shifted) string pencil; u0 = 1 when lam0 = 0."""
-    from .spps import chain_particular_solution
-
-    g = sp.grid
-    if lam0 == 0:
-        return ParticularSolution(constant(g, 1.0), constant(g, 0.0),
-                                  "closed-form", 0.0, 1.0)
-    shifted = shift_pencil(sp.pencil, lam0)
-    if chain_from is not None:
-        return chain_particular_solution(chain_from, lam0, shifted.base.p,
-                                         shifted.q_eff)
-    return build_particular_solution(shifted.base.p, shifted.q_eff,
-                                     truncation=truncation)
-
-
-def string_characteristic(sp: StringProblem, x0: float = 0.0,
-                          truncation: int = STRING_DEFAULT_TRUNCATION,
-                          lam0: complex = 0.0, *,
-                          u0: ParticularSolution | None = None,
-                          store: str = "endpoint",
-                          eval_points: tuple[complex, ...] = ()
-                          ) -> CharacteristicSeries:
-    """Dirichlet characteristic series of the damped string.
-
-    At lam0 = 0 with u0 = 1 the coefficients reduce to X^(2n+1)(L).
-    """
-    if x0 != 0.0:
-        raise GridError("the string boundary condition anchors the series at x0 = 0")
-    lam0 = complex(lam0)
-    pencil = sp.pencil if lam0 == 0 else shift_pencil(sp.pencil, lam0).pencil
-    if u0 is None:
-        u0 = string_u0(sp, lam0)
-    table = build_formal_powers(pencil, u0, 0.0, truncation, store=store,
-                                eval_points=eval_points)
-    series = two_point_series(table, left=(1.0, 0.0), right=(1.0, 0.0),
-                              center=lam0, provenance="string")
-    return series
-
-
-def string_tail(series: CharacteristicSeries, lam_abs: float) -> float:
-    """Truncation-tail bound for a string characteristic series."""
-    return two_point_tail(series.meta["table"], lam_abs)

@@ -11,7 +11,7 @@ bijection with true eigenvalues inside the rectangle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
@@ -22,6 +22,7 @@ from .problems import CharacteristicSeries
 BOUNDARY_ABS_FLOOR = 1e-280
 MAX_PHASE_STEP = math.pi / 2
 MAX_LOCAL_REFINES = 10  # per-segment density doublings before giving up
+POLISH_DPS = 50
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,6 @@ class EigenvalueRecord:
     method: str  # "poly_roots" | "arg_principle"
     certified: bool
     residual: float
-    back_map: complex | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +98,8 @@ def poly_roots(series: CharacteristicSeries) -> list[complex]:
     return [complex(z) + series.center for z in roots]
 
 
-def newton_polish(series: CharacteristicSeries, z0: complex, *, steps: int = 5,
-                  dps: int = 50) -> complex:
+def newton_polish(series: CharacteristicSeries, z0: complex, *,
+                  steps: int = 5) -> complex:
     """Newton iteration in extended working precision on the double-precision
     coefficients; falls back to the input if the residual does not improve."""
     coeffs = [mpmath.mpc(c) for c in series.coeffs]
@@ -111,7 +111,7 @@ def newton_polish(series: CharacteristicSeries, z0: complex, *, steps: int = 5,
             acc = acc * z + c
         return acc
 
-    with mpmath.workdps(dps):
+    with mpmath.workdps(POLISH_DPS):
         center = mpmath.mpc(series.center)
         z = mpmath.mpc(z0) - center
         best = z
@@ -175,8 +175,8 @@ def _refine_step(series, z1: complex, z2: complex, v1: complex, v2: complex,
             + _refine_step(series, zm, z2, vm, v2, depth + 1))
 
 
-def winding_number(series, rect: Rectangle, samples_per_contour: int = 4000, *,
-                   abs_floor: float = BOUNDARY_ABS_FLOOR) -> WindingResult:
+def winding_number(series, rect: Rectangle,
+                   samples_per_contour: int = 4000) -> WindingResult:
     """Winding of the series image of the rectangle boundary around 0.
 
     Computed by summing phase differences along the sampled contour; any pair
@@ -186,7 +186,7 @@ def winding_number(series, rect: Rectangle, samples_per_contour: int = 4000, *,
     pts = _boundary_points(rect, samples_per_contour)
     vals = np.asarray(series(pts), dtype=np.complex128)
     min_abs = float(np.min(np.abs(vals)))
-    if min_abs < abs_floor:
+    if min_abs < BOUNDARY_ABS_FLOOR:
         raise RootLocalizationError(
             f"zero on the contour of {rect}: boundary |Phi| = {min_abs:g}"
         )

@@ -23,10 +23,11 @@ from .grids import (
     _cumulative_values,
     constant,
     cumulative_integral,
-    sample,
 )
 
 U0_FLOOR_RATIO = 1e-12
+TAIL_REL_CUTOFF = 1e-18
+TAIL_MAX_TERMS = 200000
 
 
 @dataclass(frozen=True)
@@ -72,13 +73,12 @@ class ParticularSolution:
     def from_samples(u0: SampledFunction, u0_prime: SampledFunction,
                      p: SampledFunction, q: SampledFunction,
                      provenance: str = "user-supplied",
-                     x0_index: int = 0,
-                     floor_ratio: float = U0_FLOOR_RATIO) -> "ParticularSolution":
+                     x0_index: int = 0) -> "ParticularSolution":
         ratio = _min_modulus_ratio(u0)
-        if ratio < floor_ratio:
+        if ratio < U0_FLOOR_RATIO:
             i = int(np.argmin(np.abs(u0.values)))
             raise ParticularSolutionError(
-                f"u0 modulus falls below {floor_ratio:g} of its maximum at node {i} "
+                f"u0 modulus falls below {U0_FLOOR_RATIO:g} of its maximum at node {i} "
                 f"(x = {u0.grid.nodes[i]!r}); supply a different u0 or use a spectral shift"
             )
         res = _ode_residual(u0, u0_prime, p, q, x0_index)
@@ -125,14 +125,11 @@ class FormalPowerTable:
 
     pencil: PencilSpec
     u0: ParticularSolution
-    x0: float
     x0_index: int
     truncation: int
     end_index: int
     xtilde_end: np.ndarray  # Xtilde^(n)(end), n = 0..2M+1
     x_end: np.ndarray       # X^(n)(end)
-    xtilde_start: np.ndarray  # same columns at the grid's first node
-    x_start: np.ndarray
     xtilde: list[np.ndarray] | None
     x: list[np.ndarray] | None
     sums: dict[complex, PowerSums] = field(default_factory=dict)
@@ -147,8 +144,8 @@ def _run_family(grid, i0: int, end: int, n_top: int, N: int, full: bool,
                 inv_u0sq_p: np.ndarray, eval_points: tuple[complex, ...]):
     """One recursion chain (the Xtilde family has r_on_odd=True, X has False).
 
-    Returns (history-or-window, endpoint column, start column, series sums at
-    the eval points split by parity).
+    Returns (history-or-window, endpoint column, series sums at the eval
+    points split by parity).
     """
     n_nodes = grid.n_nodes
     h = grid.h
@@ -156,8 +153,7 @@ def _run_family(grid, i0: int, end: int, n_top: int, N: int, full: bool,
     hist: list[np.ndarray] = [one]
     window = 2 * N
     col_end = np.empty(n_top + 1, dtype=np.complex128)
-    col_start = np.empty(n_top + 1, dtype=np.complex128)
-    col_end[0] = col_start[0] = 1.0
+    col_end[0] = 1.0
     even_sums = {complex(lam): one.copy() for lam in eval_points}
     odd_sums = {complex(lam): np.zeros(n_nodes, dtype=np.complex128)
                 for lam in eval_points}
@@ -179,7 +175,6 @@ def _run_family(grid, i0: int, end: int, n_top: int, N: int, full: bool,
         if i0 != 0:
             F -= F[i0]
         col_end[n] = F[end]
-        col_start[n] = F[0]
         for lam in even_sums:
             if n % 2 == 0:
                 lam_power[lam] *= lam
@@ -189,20 +184,18 @@ def _run_family(grid, i0: int, end: int, n_top: int, N: int, full: bool,
         hist.append(F)
         if not full and len(hist) > window:
             del hist[0]
-    return hist, col_end, col_start, even_sums, odd_sums
+    return hist, col_end, even_sums, odd_sums
 
 
 def build_formal_powers(spec: PencilSpec, u0: ParticularSolution, x0: float,
                         truncation: int, *, store: str = "full",
-                        eval_points: tuple[complex, ...] = (),
-                        end_index: int | None = None,
-                        parallel: bool = True) -> FormalPowerTable:
+                        eval_points: tuple[complex, ...] = ()) -> FormalPowerTable:
     """Run the recursive-integral scheme up to index 2*truncation + 1.
 
     Odd Xtilde integrates u0^2 * sum_k Xtilde^(n-2k+1) r_k, even Xtilde
     integrates Xtilde^(n-1)/(u0^2 p); the X family swaps the parities.
     Negative indices contribute nothing, Xtilde^(0) = X^(0) = 1.  The two
-    families are independent chains and run on separate threads by default.
+    families are independent chains and run on separate threads on large grids.
     """
     if store not in ("full", "endpoint"):
         raise ValueError(f"unknown storage mode {store!r}")
@@ -218,13 +211,13 @@ def build_formal_powers(spec: PencilSpec, u0: ParticularSolution, x0: float,
         raise NodeValueError("u0^2 * p vanishes", int(np.argmin(mags)))
     inv_u0sq_p = 1.0 / denom
     weighted_r = [u0sq * rk.values for rk in spec.r]
-    end = grid.n_nodes - 1 if end_index is None else end_index
+    end = grid.n_nodes - 1
     full = store == "full"
     eval_points = tuple(complex(lam) for lam in eval_points)
 
     args = (grid, i0, end, n_top, N, full)
     tail = (weighted_r, inv_u0sq_p, eval_points)
-    if parallel and grid.n_nodes >= 20000:
+    if grid.n_nodes >= 20000:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=2) as pool:
@@ -235,15 +228,14 @@ def build_formal_powers(spec: PencilSpec, u0: ParticularSolution, x0: float,
         xt_res = _run_family(*args, True, *tail)
         x_res = _run_family(*args, False, *tail)
 
-    xt_hist, xtilde_end, xtilde_start, st_even, st_odd = xt_res
-    x_hist, x_end, x_start, s_even, s_odd = x_res
+    xt_hist, xtilde_end, st_even, st_odd = xt_res
+    x_hist, x_end, s_even, s_odd = x_res
     sums = {lam: PowerSums(lam, st_even[lam], st_odd[lam],
                            s_even[lam], s_odd[lam]) for lam in eval_points}
 
     return FormalPowerTable(
-        pencil=spec, u0=u0, x0=x0, x0_index=i0, truncation=truncation,
+        pencil=spec, u0=u0, x0_index=i0, truncation=truncation,
         end_index=end, xtilde_end=xtilde_end, x_end=x_end,
-        xtilde_start=xtilde_start, x_start=x_start,
         xtilde=xt_hist if full else None,
         x=x_hist if full else None,
         sums=sums,
@@ -305,31 +297,23 @@ class SolutionPair:
         return u, up
 
 
-def evaluate_solution(pair: SolutionPair, lam: complex, c1: complex, c2: complex
-                      ) -> tuple[SampledFunction, SampledFunction]:
-    """Functional form of SolutionPair.evaluate."""
-    return pair.evaluate(lam, c1, c2)
-
-
 def build_particular_solution(p: SampledFunction, q: SampledFunction, *,
-                              x0: float | None = None, truncation: int = 100,
-                              floor_ratio: float = U0_FLOOR_RATIO) -> ParticularSolution:
+                              truncation: int = 100) -> ParticularSolution:
     """Construct a non-vanishing u0 for (p u')' + q u = 0.
 
     Rewrites the equation as (p v')' = lambda (-q) v, seeds the recursion with
-    the trivial solution v = 1 of (p v')' = 0, evaluates at lambda = 1 and
-    returns u1 + i u2.  For real p, q the two real solutions cannot vanish
-    simultaneously; for complex coefficients the result is checked numerically.
+    the trivial solution v = 1 of (p v')' = 0 anchored at the grid's left end,
+    evaluates at lambda = 1 and returns u1 + i u2.  For real p, q the two real
+    solutions cannot vanish simultaneously; for complex coefficients the result
+    is checked numerically.
     """
     grid = p.grid
-    if x0 is None:
-        x0 = grid.a
     seed = ParticularSolution(
         u0=constant(grid, 1.0), u0_prime=constant(grid, 0.0),
         provenance="closed-form", residual=0.0, min_modulus_ratio=1.0,
     )
     aux = PencilSpec(p=p, q=constant(grid, 0.0), r=(-q,))
-    table = build_formal_powers(aux, seed, x0, truncation,
+    table = build_formal_powers(aux, seed, grid.a, truncation,
                                 store="endpoint", eval_points=(1.0 + 0.0j,))
     pair = SolutionPair(table)
     u1, u1p = pair.evaluate(1.0, 1.0, 0.0)
@@ -337,14 +321,12 @@ def build_particular_solution(p: SampledFunction, q: SampledFunction, *,
     u0 = SampledFunction(grid, u1.values + 1j * u2.values)
     u0_prime = SampledFunction(grid, u1p.values + 1j * u2p.values)
     return ParticularSolution.from_samples(
-        u0, u0_prime, p, q, provenance="spps-built",
-        x0_index=grid.index_of(x0), floor_ratio=floor_ratio,
-    )
+        u0, u0_prime, p, q, provenance="spps-built")
 
 
 def chain_particular_solution(pair: SolutionPair, lam: complex,
-                              p: SampledFunction, q_eff: SampledFunction, *,
-                              floor_ratio: float = U0_FLOOR_RATIO) -> ParticularSolution:
+                              p: SampledFunction, q_eff: SampledFunction
+                              ) -> ParticularSolution:
     """Particular solution at a new series center, evaluated from an earlier pair.
 
     Tries the combinations u1 + i u2, u1 - i u2 and u1 and keeps the one whose
@@ -361,7 +343,7 @@ def chain_particular_solution(pair: SolutionPair, lam: complex,
         if ratio > best_ratio:
             best_ratio = ratio
             best = (u, up)
-    if best_ratio < floor_ratio:
+    if best_ratio < U0_FLOOR_RATIO:
         raise ParticularSolutionError(
             f"no non-vanishing combination found at center {lam}; "
             f"best modulus ratio {best_ratio:.3e}"
@@ -369,8 +351,7 @@ def chain_particular_solution(pair: SolutionPair, lam: complex,
     u, up = best
     return ParticularSolution.from_samples(
         u, up, p, q_eff, provenance="spps-built",
-        x0_index=pair.table.x0_index, floor_ratio=floor_ratio,
-    )
+        x0_index=pair.table.x0_index)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +367,7 @@ def majorant_scale(spec: PencilSpec, u0: ParticularSolution) -> float:
     return m
 
 
-def tail_series(m_hat: float, truncation: int, degree: int, *,
-                rel_cutoff: float = 1e-18, max_terms: int = 200000) -> float:
+def tail_series(m_hat: float, truncation: int, degree: int) -> float:
     """sum_{n > truncation} m_hat^n / (2*floor(n/degree))!, or inf on overflow.
 
     The terms eventually decay factorially, so the sum is finite whenever the
@@ -404,7 +384,7 @@ def tail_series(m_hat: float, truncation: int, degree: int, *,
         return math.inf
     term = math.exp(log_term)
     total = 0.0
-    for _ in range(max_terms):
+    for _ in range(TAIL_MAX_TERMS):
         total += term
         n += 1
         term *= m_hat
@@ -413,22 +393,9 @@ def tail_series(m_hat: float, truncation: int, degree: int, *,
             term /= (2 * q) * (2 * q - 1)
         if not np.isfinite(term) or not np.isfinite(total):
             return math.inf
-        if term < rel_cutoff * total:
+        if term < TAIL_REL_CUTOFF * total:
             return total + term
     return math.inf
-
-
-def tail_bound(spec: PencilSpec, u0: ParticularSolution, lam_abs: float,
-               truncation: int) -> float:
-    """Rigorous sup-norm bound for the tail of sum lam^n Xtilde^(2n) past order M.
-
-    Also valid for the X family: both even-index sequences satisfy the same
-    factorial majorant with m_hat = |lambda| ((m (b-a))^2 + 1).
-    """
-    m = majorant_scale(spec, u0)
-    length = spec.grid.b - spec.grid.a
-    m_hat = lam_abs * ((m * length) ** 2 + 1.0)
-    return tail_series(m_hat, truncation, spec.degree)
 
 
 @dataclass(frozen=True)
@@ -449,6 +416,11 @@ class TailComponents:
 
 def tail_components(spec: PencilSpec, u0: ParticularSolution, lam_abs: float,
                     truncation: int) -> TailComponents:
+    """Rigorous tail bounds for |lambda| <= lam_abs past order M = truncation.
+
+    Every even-index family (tilde or not) obeys the factorial majorant
+    sum_{n>M} m_hat^n / (2*floor(n/N))! with m_hat = lam_abs ((m (b-a))^2 + 1).
+    """
     m = majorant_scale(spec, u0)
     length = spec.grid.b - spec.grid.a
     N = spec.degree

@@ -3,10 +3,11 @@
 Eliminating v1 turns the system into a quadratic pencil for v2, so the SPPS
 machinery applies directly.  For a potential compactly supported on [-a, a]
 the Jost boundary conditions reduce the eigenvalue problem to the zeros (with
-Re lambda > 0) of an explicit dispersion series, optionally re-centered by a
-spectral shift.  A catalog of standard test potentials (a truncated parabola
-and two semiclassical sech profiles) is included; semiclassical potentials are
-solved in the lambda = -(i/eps) Lambda frame and reported in both coordinates.
+Re lambda > 0) of an explicit dispersion series, which this module builds from
+a formal-power table of the pencil, optionally re-centered by a spectral
+shift.  A catalog of standard test potentials (a truncated parabola and two
+semiclassical sech profiles) is included; semiclassical potentials are solved
+in the lambda = -(i/eps) Lambda frame and reported in both coordinates.
 """
 
 from __future__ import annotations
@@ -18,15 +19,13 @@ import numpy as np
 from .errors import GridError, NodeValueError
 from .expressions import NonHolomorphicError, differentiate, evaluate_on_grid, parse
 from .grids import Grid, SampledFunction, cumulative_integral, derivative
-from .problems import CharacteristicSeries, shift_pencil
+from .problems import CharacteristicSeries
 from .spps import (
     FormalPowerTable,
     ParticularSolution,
     PencilSpec,
     SolutionPair,
-    build_formal_powers,
     build_particular_solution,
-    chain_particular_solution,
     tail_components,
 )
 
@@ -41,7 +40,6 @@ class ZSProblem:
     P: SampledFunction
     Q_prime: SampledFunction
     back_map_scale: complex | None = None  # Lambda = back_map_scale * lambda
-    label: str = "custom"
 
     def __post_init__(self):
         g = self.Q.grid
@@ -111,44 +109,28 @@ def jost_constants(v0: ParticularSolution) -> tuple[complex, complex]:
     return 0.0, -complex(v0.u0.values[0])
 
 
-def zs_dispersion(zs: ZSProblem, truncation: int, lam0: complex = 0.0, *,
-                  v0: ParticularSolution | None = None,
-                  chain_from: SolutionPair | None = None,
-                  eval_points: tuple[complex, ...] = (),
-                  store: str = "endpoint") -> CharacteristicSeries:
+def zs_dispersion(table: FormalPowerTable, zs: ZSProblem,
+                  center: complex = 0.0) -> CharacteristicSeries:
     """Dispersion series whose zeros (Re lambda > 0) are the ZS eigenvalues.
 
-    Coefficient k collects v0(a) ((v0'(a) + lam0 v0(a)) X^(2k+1)(a)
-    + v0(a) X^(2k-1)(a)) + Q(a) X^(2k)(a), with the formal powers of the
-    lam0-shifted pencil anchored at x0 = -a.
+    table holds the formal powers of the ZS pencil shifted to center, anchored
+    at x0 = -a, with v0 = table.u0.  Coefficient k collects
+    v0(a) ((v0'(a) + center v0(a)) X^(2k+1)(a) + v0(a) X^(2k-1)(a))
+    + Q(a) X^(2k)(a).
     """
-    lam0 = complex(lam0)
-    base = zs_to_pencil(zs)
-    pencil = base if lam0 == 0 else shift_pencil(base, lam0).pencil
-    if v0 is None:
-        if chain_from is not None:
-            v0 = chain_particular_solution(chain_from, lam0, pencil.p, pencil.q)
-        elif lam0 == 0:
-            v0 = zs_particular_solution(zs, truncation=truncation)
-        else:
-            v0 = build_particular_solution(pencil.p, pencil.q,
-                                           truncation=truncation)
-    table = build_formal_powers(pencil, v0, zs.grid.a, truncation,
-                                store=store, eval_points=eval_points)
+    center = complex(center)
+    v0 = table.u0
     v0a = v0.u0.values[-1]
     v0pa = v0.u0_prime.values[-1]
     Qa = zs.Q.values[-1]
-    M = truncation
-    coeffs = np.empty(M + 1, dtype=np.complex128)
-    for k in range(M + 1):
+    coeffs = np.empty(table.truncation + 1, dtype=np.complex128)
+    for k in range(table.truncation + 1):
         x_odd = table.x_end[2 * k + 1]
         x_lag = table.x_end[2 * k - 1] if k >= 1 else 0.0
-        coeffs[k] = (v0a * ((v0pa + lam0 * v0a) * x_odd + v0a * x_lag)
+        coeffs[k] = (v0a * ((v0pa + center * v0a) * x_odd + v0a * x_lag)
                      + Qa * table.x_end[2 * k])
-    return CharacteristicSeries(
-        center=lam0, coeffs=coeffs, provenance="zs",
-        meta={"table": table, "v0": v0, "pencil": pencil, "zs": zs},
-    )
+    return CharacteristicSeries(center=center, coeffs=coeffs,
+                                meta={"table": table, "zs": zs})
 
 
 def zs_dispersion_tail(series: CharacteristicSeries, lam_abs: float) -> float:
@@ -206,8 +188,8 @@ class PotentialSpec:
         return Grid(-self.half_width, self.half_width, n_nodes)
 
 
-def _semiclassical(grid: Grid, eps: float, amp, amp_prime, phase, phase_prime,
-                   label: str) -> ZSProblem:
+def _semiclassical(grid: Grid, eps: float, amp, amp_prime, phase,
+                   phase_prime) -> ZSProblem:
     """Q = (i/eps) A e^(-i S/eps) and P = Q* for q = A e^(i S/eps), A, S real."""
     x = grid.nodes
     A = amp(x)
@@ -222,7 +204,6 @@ def _semiclassical(grid: Grid, eps: float, amp, amp_prime, phase, phase_prime,
         P=SampledFunction(grid, np.conj(Q)),
         Q_prime=SampledFunction(grid, Qp),
         back_map_scale=1j * eps,
-        label=label,
     )
 
 
@@ -239,14 +220,12 @@ def materialize_potential(spec: PotentialSpec, grid: Grid | None = None, *,
         s = spec.params["s"]
         x = grid.nodes
         Q = SampledFunction(grid, s * (-1.0 + 3 * np.pi / 4 + 3 * x**2))
-        return ZSProblem(Q=Q, P=Q, Q_prime=SampledFunction(grid, 6.0 * s * x),
-                         label=f"klaus_shaw(s={s})")
+        return ZSProblem(Q=Q, P=Q, Q_prime=SampledFunction(grid, 6.0 * s * x))
     if spec.kind == "bronski":
         eps = spec.params["epsilon"]
         sech2 = lambda x: 1.0 / np.cosh(2 * x)
         dsech2 = lambda x: -2.0 * np.tanh(2 * x) / np.cosh(2 * x)
-        return _semiclassical(grid, eps, sech2, dsech2, sech2, dsech2,
-                              f"bronski(eps={eps})")
+        return _semiclassical(grid, eps, sech2, dsech2, sech2, dsech2)
     if spec.kind == "tovbis":
         mu = spec.params["mu"]
         eps = spec.params["epsilon"]
@@ -254,8 +233,7 @@ def materialize_potential(spec: PotentialSpec, grid: Grid | None = None, *,
         amp_p = lambda x: np.tanh(x) / np.cosh(x)
         phase = lambda x: -mu * np.log(np.cosh(x))
         phase_p = lambda x: -mu * np.tanh(x)
-        return _semiclassical(grid, eps, amp, amp_p, phase, phase_p,
-                              f"tovbis(mu={mu}, eps={eps})")
+        return _semiclassical(grid, eps, amp, amp_p, phase, phase_p)
     if spec.kind == "expression":
         q_expr = parse(spec.params["Q"])
         Q = evaluate_on_grid(q_expr, grid)
@@ -267,5 +245,5 @@ def materialize_potential(spec: PotentialSpec, grid: Grid | None = None, *,
             P = evaluate_on_grid(parse(spec.params["P"]), grid)
         else:
             P = Q.conj()
-        return ZSProblem(Q=Q, P=P, Q_prime=Qp, label="expression")
+        return ZSProblem(Q=Q, P=P, Q_prime=Qp)
     raise ValueError(f"unknown potential kind {spec.kind!r}")

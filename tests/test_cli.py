@@ -63,6 +63,25 @@ class TestConfigValidation:
         assert main(["solve", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("u0", {"mode": "auto"}),
+        ("x0", 0.0),
+    ])
+    def test_removed_key_rejected(self, tmp_path, capsys, key, value):
+        path = intro_cfg(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            load_config(path)
+        assert main(["solve", path]) == 1
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"truncaton": 30}, "truncaton"),
+        ({"tolerances": {"residul": 1e-6}}, "residul"),
+    ])
+    def test_misspelled_key_rejected(self, tmp_path, overrides, key):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            load_config(intro_cfg(tmp_path, **overrides))
+
     def test_unknown_potential_parameter_sweep(self, tmp_path):
         cfg = {
             "problem": "zakharov_shabat", "n_nodes": 501, "truncation": 10,
@@ -153,6 +172,34 @@ class TestSolve:
         rs = run_solve(cfg)
         assert len(rs.records) == 1
         assert abs(complex(rs.records[0]["re"], rs.records[0]["im"])) < 1e-8
+
+    @pytest.mark.parametrize("problem,modes", [
+        # constant damping, y'' = 2 lambda y + lambda^2 y: -1 +- i sqrt(n^2 pi^2 - 1);
+        # the center at -1+6i gets its u0 chained from the center-0 table
+        ({"problem": "string",
+          "coefficients": {"damping": "1", "density": "1"},
+          "spectral_shifts": [[-1.0, 6.0]],
+          "search_region": {"re": [-2.0, 0.5], "im": [-10.0, 10.0]}},
+         [complex(-1.0, s * math.sqrt(n**2 * math.pi**2 - 1))
+          for n in (1, 2, 3) for s in (1, -1)]),
+        # Dirac system with v = 3, E = 0: +- i sqrt(n^2 pi^2 - 9)
+        ({"problem": "dirac",
+          "coefficients": {"v": "3", "energy": 0.0},
+          "search_region": {"re": [-1.0, 1.0], "im": [-10.0, 10.0]}},
+         [complex(0.0, s * math.sqrt(n**2 * math.pi**2 - 9))
+          for n in (1, 2, 3) for s in (1, -1)]),
+    ], ids=["string", "dirac"])
+    def test_dirichlet_closed_form_modes(self, tmp_path, problem, modes):
+        path = write_config(tmp_path, "c.json", {
+            "interval": [0.0, 1.0], "n_nodes": 5001, "truncation": 60,
+            "method": "poly_roots",
+            "tolerances": {"residual": 1e-6, "merge": 1e-6}, **problem,
+        })
+        rs = run_solve(path)
+        assert len(rs.records) == len(modes)
+        for lam in modes:
+            best = min(abs(complex(r["re"], r["im"]) - lam) for r in rs.records)
+            assert best < 1e-10
 
 
 class TestOutputs:

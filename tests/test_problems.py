@@ -11,9 +11,6 @@ from slpencil.problems import (
     dirac_first_component,
     dirac_to_pencil,
     shift_pencil,
-    string_characteristic,
-    string_tail,
-    string_u0,
     two_point_series,
     two_point_tail,
 )
@@ -42,8 +39,8 @@ class TestShiftPencil:
     def test_zero_shift_is_identity(self):
         spec = intro_pencil(101)
         sh = shift_pencil(spec, 0.0)
-        assert np.array_equal(sh.q_eff.values, spec.q.values)
-        for a, b in zip(sh.r_eff, spec.r):
+        assert np.array_equal(sh.q.values, spec.q.values)
+        for a, b in zip(sh.r, spec.r):
             assert np.array_equal(a.values, b.values)
 
     def test_degree_two_closed_form(self):
@@ -54,9 +51,9 @@ class TestShiftPencil:
         spec = PencilSpec(p=constant(g, 1.0), q=q, r=(r1, r2))
         lam0 = 0.3 - 1.2j
         sh = shift_pencil(spec, lam0)
-        assert np.allclose(sh.r_eff[0].values, r1.values + 2 * lam0 * r2.values)
-        assert np.array_equal(sh.r_eff[1].values, r2.values)
-        assert np.allclose(sh.q_eff.values,
+        assert np.allclose(sh.r[0].values, r1.values + 2 * lam0 * r2.values)
+        assert np.array_equal(sh.r[1].values, r2.values)
+        assert np.allclose(sh.q.values,
                            q.values - lam0 * r1.values - lam0**2 * r2.values)
 
     def test_shift_then_unshift_roundtrip(self):
@@ -67,8 +64,8 @@ class TestShiftPencil:
                              sample(g, lambda x: np.cos(x)),
                              constant(g, 0.5)))
         lam0 = 0.7 + 0.2j
-        once = shift_pencil(spec, lam0).pencil
-        back = shift_pencil(once, -lam0).pencil
+        once = shift_pencil(spec, lam0)
+        back = shift_pencil(once, -lam0)
         assert np.max(np.abs(back.q.values - spec.q.values)) < 1e-12
         for a, b in zip(back.r, spec.r):
             assert np.max(np.abs(a.values - b.values)) < 1e-12
@@ -86,8 +83,8 @@ class TestShiftPencil:
 
         lam0 = 1.0
         sh = shift_pencil(spec, lam0)
-        u0s = chain_particular_solution(pair0, lam0, spec.p, sh.q_eff)
-        pair1 = SolutionPair(build_formal_powers(sh.pencil, u0s, 0.0, 40))
+        u0s = chain_particular_solution(pair0, lam0, sh.p, sh.q)
+        pair1 = SolutionPair(build_formal_powers(sh, u0s, 0.0, 40))
         # match the initial conditions u(0) = 1, u'(0) = 0 in the shifted frame
         c1 = 1.0 / u0s.u0.values[0]
         c2 = -c1 * u0s.u0_prime.values[0] * u0s.u0.values[0] * spec.p.values[0]
@@ -95,6 +92,15 @@ class TestShiftPencil:
 
         assert abs(u_direct.values[-1] - exact) < 1e-10
         assert abs(u_shift.values[-1] - u_direct.values[-1]) <= 1e-9
+
+
+def string_series(sp, truncation, center=0.0, u0=None):
+    """The Dirichlet series `slpencil solve` builds for a string at one center:
+    the string pencil, shifted to center, through two_point_series."""
+    pencil = sp.pencil if center == 0 else shift_pencil(sp.pencil, center)
+    table = build_formal_powers(pencil, u0 or unit_u0(sp.grid), 0.0, truncation,
+                                store="endpoint")
+    return two_point_series(table, center=center)
 
 
 def string_eigen_errors(series, count, lam_exact):
@@ -111,13 +117,13 @@ class TestStringCharacteristic:
         g = Grid(0.0, 1.0, 5001)
         sp = StringProblem(damping=sample(g, lambda x: np.cos(x)),
                            density=sample(g, lambda x: 1 + x**2))
-        series = string_characteristic(sp, truncation=10)
+        series = string_series(sp, 10)
         assert abs(series.coeffs[0] - 1.0) < 1e-13  # X^(1)(L) = L = 1
 
     def test_constant_damping_eigenvalues(self):
         g = Grid(0.0, 1.0, 20001)
         sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
-        series = string_characteristic(sp, truncation=100)
+        series = string_series(sp, 100)
         exact = [-1 + np.sqrt(complex(1 - n**2 * np.pi**2)) for n in range(1, 8)]
         exact += [-1 - np.sqrt(complex(1 - n**2 * np.pi**2)) for n in range(1, 8)]
         errs = string_eigen_errors(series, 14, exact)
@@ -129,18 +135,24 @@ class TestStringCharacteristic:
     def test_undamped_string_spectrum(self):
         g = Grid(0.0, 1.0, 20001)
         sp = StringProblem(damping=constant(g, 0.0), density=constant(g, 1.0))
-        series = string_characteristic(sp, truncation=60)
+        series = string_series(sp, 60)
         exact = [1j * n * np.pi for n in (1, 2, 3)] + [-1j * n * np.pi for n in (1, 2, 3)]
         errs = string_eigen_errors(series, 6, exact)
         assert max(errs) < 1e-10
 
     def test_shift_consistency_constant_damping(self):
-        """Eigenvalues through the shifted series agree with the unshifted ones."""
+        """Eigenvalues through the shifted series, with u0 chained from the
+        unshifted table, agree with the unshifted ones."""
         g = Grid(0.0, 1.0, 20001)
         sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
-        base = string_characteristic(sp, truncation=100)
         lam0 = -1.0 - 3.0j
-        shifted = string_characteristic(sp, truncation=100, lam0=lam0)
+        table = build_formal_powers(sp.pencil, unit_u0(g), 0.0, 100,
+                                    store="endpoint", eval_points=(lam0,))
+        base = two_point_series(table)
+        pencil = shift_pencil(sp.pencil, lam0)
+        u0 = chain_particular_solution(SolutionPair(table), lam0,
+                                       pencil.p, pencil.q)
+        shifted = string_series(sp, 100, lam0, u0)
         exact = [-1 + np.sqrt(complex(1 - np.pi**2)),
                  -1 - np.sqrt(complex(1 - np.pi**2))]
         for lam in exact:
@@ -154,8 +166,7 @@ class TestStringCharacteristic:
         g = Grid(0.0, 1.0, 10001)
         sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
         lam1 = complex(-1 + np.sqrt(complex(1 - np.pi**2)))
-        u0 = string_u0(sp)
-        table = build_formal_powers(sp.pencil, u0, 0.0, 60,
+        table = build_formal_powers(sp.pencil, unit_u0(g), 0.0, 60,
                                     store="endpoint", eval_points=(lam1,))
         y, _ = SolutionPair(table).evaluate(lam1, 0.0, 1.0)
         assert abs(y.values[-1]) <= 1e-6 * np.max(np.abs(y.values))
@@ -163,10 +174,10 @@ class TestStringCharacteristic:
     def test_certification_of_first_mode(self):
         g = Grid(0.0, 1.0, 10001)
         sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
-        series = string_characteristic(sp, truncation=100)
+        series = string_series(sp, 100)
         lam1 = complex(-1 + np.sqrt(complex(1 - np.pi**2)))
         rect = Rectangle.around(lam1, 0.5)
-        tail = string_tail(series, rect.max_abs_from(0.0))
+        tail = two_point_tail(series, rect.max_abs_from(0.0))
         assert np.isfinite(tail)
         from slpencil.rootfinding import EigenvalueRecord
         rec = EigenvalueRecord(lam1, 1, "poly_roots", False, 0.0)
@@ -175,11 +186,11 @@ class TestStringCharacteristic:
     def test_tail_dominates_actual_truncation_error(self):
         g = Grid(0.0, 1.0, 5001)
         sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
-        s40 = string_characteristic(sp, truncation=40)
-        s80 = string_characteristic(sp, truncation=80)
+        s40 = string_series(sp, 40)
+        s80 = string_series(sp, 80)
         for lam in (0.5 + 0.5j, -1 + 2j, 2.0):
             observed = abs(complex(s80(lam)) - complex(s40(lam)))
-            assert observed <= string_tail(s40, abs(lam))
+            assert observed <= two_point_tail(s40, abs(lam))
 
 
 class TestTwoPointSeries:
@@ -202,7 +213,8 @@ class TestTwoPointSeries:
         spec = PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0),
                           r=(constant(g, 1.0),))
         table = build_formal_powers(spec, unit_u0(g), 0.0, 30)
-        t = two_point_tail(table, 2.0, left=(1.0, 0.0), right=(0.5, 1.5))
+        series = two_point_series(table, left=(1.0, 0.0), right=(0.5, 1.5))
+        t = two_point_tail(series, 2.0)
         assert 0 < t < 1e-10
 
 

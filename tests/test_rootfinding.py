@@ -24,27 +24,27 @@ def series_from_roots(roots, center=0.0):
     coeffs = np.array([1.0 + 0.0j])
     for r in roots:
         coeffs = np.convolve(coeffs, np.array([-(r - center), 1.0]))
-    return CharacteristicSeries(center=center, coeffs=coeffs, provenance="custom-boundary")
+    return CharacteristicSeries(center=center, coeffs=coeffs)
 
 
 class TestPolyRoots:
     def test_quadratic_string_mode(self):
-        s = CharacteristicSeries(0.0, np.array([np.pi**2, 2.0, 1.0]), "custom-boundary")
+        s = CharacteristicSeries(0.0, np.array([np.pi**2, 2.0, 1.0]))
         roots = sorted(poly_roots(s), key=lambda z: z.imag)
         expect = sorted([-1 + 1j * math.sqrt(np.pi**2 - 1),
                          -1 - 1j * math.sqrt(np.pi**2 - 1)], key=lambda z: z.imag)
         assert np.allclose(roots, expect)
 
     def test_linear(self):
-        s = CharacteristicSeries(0.0, np.array([0.0, 1.0]), "custom-boundary")
+        s = CharacteristicSeries(0.0, np.array([0.0, 1.0]))
         assert poly_roots(s) == [0.0 + 0.0j]
 
     def test_difference_of_squares(self):
-        s = CharacteristicSeries(0.0, np.array([-1.0, 0.0, 1.0]), "custom-boundary")
+        s = CharacteristicSeries(0.0, np.array([-1.0, 0.0, 1.0]))
         assert sorted(z.real for z in poly_roots(s)) == pytest.approx([-1.0, 1.0])
 
     def test_all_zero_rejected(self):
-        s = CharacteristicSeries(0.0, np.array([0.0, 0.0, 0.0]), "custom-boundary")
+        s = CharacteristicSeries(0.0, np.array([0.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             poly_roots(s)
 
@@ -55,7 +55,7 @@ class TestPolyRoots:
 
 class TestWinding:
     def test_identity_map(self):
-        s = CharacteristicSeries(0.0, np.array([0.0, 1.0]), "custom-boundary")
+        s = CharacteristicSeries(0.0, np.array([0.0, 1.0]))
         w = winding_number(s, Rectangle(-1, 1, -1, 1))
         assert w.winding == 1
 
@@ -102,7 +102,7 @@ class TestWinding:
 
 class TestLocalize:
     def test_quadratic_upper_half(self):
-        s = CharacteristicSeries(0.0, np.array([np.pi**2, 2.0, 1.0]), "custom-boundary")
+        s = CharacteristicSeries(0.0, np.array([np.pi**2, 2.0, 1.0]))
         recs = localize(s, Rectangle(-2.0, 0.0, 0.0, 4.0), tol=1e-10)
         assert len(recs) == 1
         assert recs[0].multiplicity == 1

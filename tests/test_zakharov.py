@@ -5,8 +5,9 @@ import pytest
 
 from slpencil import Grid, NodeValueError, SampledFunction, constant, sample
 from slpencil.grids import cumulative_integral
+from slpencil.problems import shift_pencil
 from slpencil.rootfinding import newton_polish, poly_roots
-from slpencil.spps import SolutionPair, build_formal_powers
+from slpencil.spps import SolutionPair, build_formal_powers, chain_particular_solution
 from slpencil.zakharov import (
     PotentialSpec,
     ZSProblem,
@@ -24,6 +25,14 @@ def constant_zs(c=2.0, a=1.0, n=501):
     g = Grid(-a, a, n)
     return ZSProblem(Q=constant(g, c), P=constant(g, c),
                      Q_prime=constant(g, 0.0))
+
+
+def dispersion(zs, truncation, eval_points=()):
+    """The dispersion series `slpencil solve` builds at center 0."""
+    v0 = zs_particular_solution(zs, truncation=truncation)
+    table = build_formal_powers(zs_to_pencil(zs), v0, zs.grid.a, truncation,
+                                store="endpoint", eval_points=eval_points)
+    return zs_dispersion(table, zs)
 
 
 class TestPencilReduction:
@@ -172,16 +181,16 @@ class TestSolution:
 class TestDispersion:
     def test_leading_coefficient_formula(self):
         zs = materialize_potential(PotentialSpec.klaus_shaw(0.8), n_nodes=1001)
-        series = zs_dispersion(zs, truncation=5)
+        series = dispersion(zs, 5)
         table = series.meta["table"]
-        v0 = series.meta["v0"]
+        v0 = table.u0
         expected = (v0.u0.values[-1] * v0.u0_prime.values[-1] * table.x_end[1]
                     + zs.Q.values[-1])
         assert abs(series.coeffs[0] - expected) < 1e-14
 
     def test_klaus_shaw_complex_pair(self):
         zs = materialize_potential(PotentialSpec.klaus_shaw(0.956), n_nodes=2001)
-        series = zs_dispersion(zs, truncation=100)
+        series = dispersion(zs, 100)
         roots = np.array(poly_roots(series))
         adm = roots[(roots.real > 0) & (np.abs(roots) < 2.5)]
         for e in (0.0000544585364 - 0.6265762379200j,
@@ -191,16 +200,22 @@ class TestDispersion:
 
     def test_conjugate_symmetry_for_real_potential(self):
         zs = materialize_potential(PotentialSpec.klaus_shaw(0.97), n_nodes=2001)
-        series = zs_dispersion(zs, truncation=100)
+        series = dispersion(zs, 100)
         roots = np.array(poly_roots(series))
         adm = roots[(roots.real > 1e-4) & (np.abs(roots) < 2.0)]
         for r in adm:
             assert np.min(np.abs(adm - np.conj(r))) < 1e-8
 
     def test_shift_consistency(self):
+        """Roots of the series at center 0.03, with v0 chained from the
+        center-0 table as the solve loop does, agree with the unshifted ones."""
         zs = materialize_potential(PotentialSpec.klaus_shaw(0.9999), n_nodes=2001)
-        base = zs_dispersion(zs, truncation=100)
-        shifted = zs_dispersion(zs, truncation=100, lam0=0.03)
+        base = dispersion(zs, 100, eval_points=(0.03,))
+        pencil = shift_pencil(zs_to_pencil(zs), 0.03)
+        v0 = chain_particular_solution(SolutionPair(base.meta["table"]), 0.03,
+                                       pencil.p, pencil.q)
+        table = build_formal_powers(pencil, v0, zs.grid.a, 100, store="endpoint")
+        shifted = zs_dispersion(table, zs, 0.03)
         assert shifted.center == 0.03
         b_roots = np.array(poly_roots(base))
         s_roots = np.array(poly_roots(shifted))
@@ -212,7 +227,7 @@ class TestDispersion:
 
     def test_tail_bound_finite_for_compact_nonvanishing_potential(self):
         zs = materialize_potential(PotentialSpec.klaus_shaw(0.956), n_nodes=1001)
-        series = zs_dispersion(zs, truncation=400)
+        series = dispersion(zs, 400)
         tail = zs_dispersion_tail(series, 1.8)
         assert np.isfinite(tail)
         assert tail < 1e-20
@@ -258,7 +273,7 @@ class TestTovbisOracle:
     def test_exact_spectrum_row(self):
         mu, eps = 0.5, 0.5
         zs = materialize_potential(PotentialSpec.tovbis(mu, eps), n_nodes=10001)
-        series = zs_dispersion(zs, truncation=150)
+        series = dispersion(zs, 150)
         roots = np.array(poly_roots(series))
         adm = roots[(roots.real > 0.01) & (np.abs(roots.imag) < 0.5)
                     & (roots.real < 1.2 / eps)]
