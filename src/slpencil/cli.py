@@ -83,6 +83,11 @@ _POTENTIAL_PARAMS = {
     "tovbis": ("mu", "epsilon"),
     "expression": ("Q",),
 }
+_COEFFICIENT_KEYS = {
+    "pencil": ("p", "q", "r"),
+    "string": ("damping", "density"),
+    "dirac": ("v", "energy"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +161,11 @@ def _reject_unknown(cfg: dict, known, path: str):
 
 def validate_config(raw: dict) -> dict:
     _reject_unknown(raw, CONFIG_KEYS, "config")
-    tol = raw.get("tolerances", {})
-    if not isinstance(tol, dict):
-        _fail("config.tolerances", "expected an object")
-    _reject_unknown(tol, DEFAULTS["tolerances"], "config.tolerances")
+    for block in ("tolerances", "boundary"):
+        sub = raw.get(block, {})
+        if not isinstance(sub, dict):
+            _fail(f"config.{block}", "expected an object")
+        _reject_unknown(sub, DEFAULTS[block], f"config.{block}")
     cfg = _merge_defaults(raw)
     kind = _require(cfg, "problem", str, "config")
     if kind not in PROBLEM_KINDS:
@@ -200,6 +206,7 @@ def validate_config(raw: dict) -> dict:
     if cfg["certify"] not in (False, True) and not isinstance(cfg["certify"], dict):
         _fail("config.certify", "expected false, true or {\"half_width\": h}")
     if isinstance(cfg["certify"], dict):
+        _reject_unknown(cfg["certify"], ("half_width",), "config.certify")
         hw = cfg["certify"].get("half_width", 0.5)
         if not isinstance(hw, (int, float)) or hw <= 0:
             _fail("config.certify.half_width", "expected a positive number")
@@ -215,6 +222,7 @@ def validate_config(raw: dict) -> dict:
         if kind == "string" and interval[0] != 0.0:
             _fail("config.interval", "string problems start at 0")
         coeffs = _require(cfg, "coefficients", dict, "config")
+        _reject_unknown(coeffs, _COEFFICIENT_KEYS[kind], "config.coefficients")
         if kind == "pencil":
             for key in ("p", "q"):
                 _as_expression(_require(coeffs, key, str, "config.coefficients"),
@@ -250,6 +258,7 @@ def validate_config(raw: dict) -> dict:
         surf = cfg["surface"]
         if not isinstance(surf, dict):
             _fail("config.surface", "expected an object")
+        _reject_unknown(surf, ("region", "nx", "ny", "cap"), "config.surface")
         surf["region"] = _parse_region(surf.get("region"), "config.surface.region")
         for key in ("nx", "ny"):
             v = surf.get(key)
@@ -267,6 +276,7 @@ def validate_config(raw: dict) -> dict:
         if (not isinstance(sweep, dict) or "parameter" not in sweep
                 or not isinstance(sweep.get("values"), list) or not sweep["values"]):
             _fail("config.sweep", "expected {\"parameter\": name, \"values\": [...]}")
+        _reject_unknown(sweep, ("parameter", "values"), "config.sweep")
         allowed = _POTENTIAL_PARAMS[cfg["potential"]["kind"]]
         if sweep["parameter"] not in allowed:
             _fail("config.sweep.parameter",
@@ -290,6 +300,11 @@ def _validate_potential(cfg: dict):
     kind = _require(pot, "kind", str, "config.potential")
     if kind not in _POTENTIAL_PARAMS:
         _fail("config.potential.kind", f"unknown potential {kind!r}")
+    # every kind reads half_width (klaus_shaw only accepts 1.0 below), and an
+    # expression potential an optional P
+    optional = ("half_width", "P") if kind == "expression" else ("half_width",)
+    _reject_unknown(pot, ("kind", *_POTENTIAL_PARAMS[kind], *optional),
+                    "config.potential")
     for key in _POTENTIAL_PARAMS[kind]:
         if key == "Q":
             _as_expression(_require(pot, "Q", str, "config.potential"),

@@ -158,7 +158,9 @@ def _run_family(grid, i0: int, end: int, n_top: int, N: int, full: bool,
     odd_sums = {complex(lam): np.zeros(n_nodes, dtype=np.complex128)
                 for lam in eval_points}
     lam_power = {complex(lam): 1.0 + 0.0j for lam in eval_points}
+    # buffers for the integrand and for one product, reused across orders
     acc = np.empty(n_nodes, dtype=np.complex128)
+    term = np.empty(n_nodes, dtype=np.complex128)
 
     for n in range(1, n_top + 1):
         r_turn = (n % 2 == 1) == r_on_odd
@@ -167,20 +169,19 @@ def _run_family(grid, i0: int, end: int, n_top: int, N: int, full: bool,
             for k in range(1, min(N, (n + 1) // 2) + 1):
                 # reach back to entry n - 2k + 1 of the (possibly trimmed) history
                 prev = hist[len(hist) - 2 * k + 1]
-                acc += prev * weighted_r[k - 1]
-            integrand = acc
+                acc += np.multiply(prev, weighted_r[k - 1], out=term)
         else:
-            integrand = hist[-1] * inv_u0sq_p
-        F = _cumulative_values(h, integrand)
+            np.multiply(hist[-1], inv_u0sq_p, out=acc)
+        F = _cumulative_values(h, acc)
         if i0 != 0:
             F -= F[i0]
         col_end[n] = F[end]
         for lam in even_sums:
             if n % 2 == 0:
                 lam_power[lam] *= lam
-                even_sums[lam] += lam_power[lam] * F
+                even_sums[lam] += np.multiply(lam_power[lam], F, out=term)
             else:
-                odd_sums[lam] += lam_power[lam] * F
+                odd_sums[lam] += np.multiply(lam_power[lam], F, out=term)
         hist.append(F)
         if not full and len(hist) > window:
             del hist[0]

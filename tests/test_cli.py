@@ -2,12 +2,16 @@
 
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from slpencil import ConfigError
 from slpencil.cli import emit_surface, load_config, main, run_solve
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(tmp_path, name, cfg):
@@ -90,6 +94,39 @@ class TestConfigValidation:
         }
         with pytest.raises(ConfigError, match="parameter"):
             load_config(write_config(tmp_path, "c.json", cfg))
+
+    ZS = {"problem": "zakharov_shabat", "potential": {"kind": "klaus_shaw", "s": 0.9}}
+
+    @pytest.mark.parametrize("overrides,path,key", [
+        ({"certify": {"half_widht": 0.1}}, "certify", "half_widht"),
+        ({"surface": {"region": {"re": [0, 1], "im": [0, 1]}, "nx": 3, "ny": 3,
+                      "kap": 5.0}}, "surface", "kap"),
+        ({"boundary": {"left": [1, 0], "rigth": [1, 0]}}, "boundary", "rigth"),
+        ({"coefficients": {"p": "1", "q": "0", "r": ["1"], "damping": "1"}},
+         "coefficients", "damping"),
+        ({"problem": "string", "coefficients": {"damping": "1", "density": "1",
+                                                "p": "1"}}, "coefficients", "p"),
+        ({"problem": "dirac", "coefficients": {"v": "1", "enrgy": 0.0}},
+         "coefficients", "enrgy"),
+        ({**ZS, "sweep": {"parameter": "s", "values": [0.9], "valeus": [0.95]}},
+         "sweep", "valeus"),
+        ({**ZS, "potential": {"kind": "klaus_shaw", "s": 0.9, "epsilon": 0.2}},
+         "potential", "epsilon"),
+        ({**ZS, "potential": {"kind": "bronski", "epsilon": 0.2, "P": "x"}},
+         "potential", "P"),
+    ])
+    def test_unknown_key_in_block_rejected(self, tmp_path, capsys, overrides,
+                                           path, key):
+        cfg_path = intro_cfg(tmp_path, **overrides)
+        message = f"config.{path}: unknown key '{key}'"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(cfg_path)
+        assert main(["solve", cfg_path]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+    def test_shipped_config_loads(self, name):
+        load_config(str(CONFIGS / name))
 
 
 class TestSolve:

@@ -1,8 +1,11 @@
 """Grid representation and cumulative-integration accuracy checks."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from slpencil import grids
 from slpencil import (
     Grid,
     GridError,
@@ -116,6 +119,49 @@ class TestCumulativeIntegral:
             errs.append(np.max(np.abs(F.values - anti(g.nodes))))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 5.5
+
+
+class TestPrefixSum:
+    """The running sum inside _cumulative_values against exact summation of
+    the increments it was given (blocks of 64: fewer than 2 blocks, a ragged
+    last block, an exact block multiple)."""
+
+    EPS = np.finfo(np.float64).eps
+
+    @staticmethod
+    def run(monkeypatch, n):
+        seen = []
+        real = grids._prefix_sum
+
+        def spy(a):
+            seen.append(a.copy())
+            real(a)
+
+        monkeypatch.setattr(grids, "_prefix_sum", spy)
+        x = np.linspace(0.0, 1.0, n)
+        v = (1.0 + x**2) * np.exp(5j * x) + 0.5 * np.cos(40.0 * x)
+        F = grids._cumulative_values(1.0 / (n - 1), v)
+        (inc,) = seen
+        return F, inc
+
+    @pytest.mark.parametrize("n", [11, 261, 1001, 1281])
+    def test_matches_exact_fraction_sum(self, monkeypatch, n):
+        F, inc = self.run(monkeypatch, n)
+        assert F[0] == 0.0
+        re = im = Fraction(0)
+        err = 0.0
+        for k, z in enumerate(inc):
+            re += Fraction(z.real)
+            im += Fraction(z.imag)
+            err = max(err, abs(complex(F[k + 1].real - float(re),
+                                       F[k + 1].imag - float(im))))
+        assert err <= 4 * self.EPS * np.max(np.abs(F))
+
+    def test_matches_long_double_sum_at_100001_nodes(self, monkeypatch):
+        F, inc = self.run(monkeypatch, 100001)
+        oracle = np.cumsum(inc.astype(np.clongdouble))
+        err = np.max(np.abs(F[1:] - oracle))
+        assert err <= 4 * self.EPS * np.max(np.abs(F))
 
 
 class TestPointwise:

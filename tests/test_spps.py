@@ -1,11 +1,13 @@
 """Formal-power recursion, solution assembly, u0 construction and tail bounds."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from slpencil import Grid, ParticularSolutionError, SampledFunction, constant, sample
+from slpencil import spps
 from slpencil.grids import cumulative_integral
 from slpencil.spps import (
     ParticularSolution,
@@ -123,6 +125,34 @@ class TestFormalPowers:
             assert np.max(np.abs(t.xtilde[n] - ref_tilde[n])) < 1e-12 * scale
             scale = max(np.max(np.abs(ref_plain[n])), 1e-30)
             assert np.max(np.abs(t.x[n] - ref_plain[n])) < 1e-12 * scale
+
+    def test_threaded_reruns_bit_identical(self, monkeypatch):
+        g = Grid(0.0, 1.0, 20001)
+        p = sample(g, lambda x: 1.0 + 0.3 * np.sin(x))
+        q = sample(g, lambda x: 0.2 * np.cos(x))
+        spec = PencilSpec(p=p, q=q, r=(sample(g, lambda x: 1.0 + x**2),
+                                       constant(g, 2.0 - 1.0j)))
+        u0 = build_particular_solution(p, q, truncation=20)
+        callers = []
+        run_family = spps._run_family
+
+        def spy(*args):
+            callers.append(threading.get_ident())
+            return run_family(*args)
+
+        monkeypatch.setattr(spps, "_run_family", spy)
+        lams = (0.37 + 0.2j, -1.0 + 3.0j)
+        first, second = (build_formal_powers(spec, u0, 0.0, 20, store="endpoint",
+                                             eval_points=lams) for _ in range(2))
+        # each build ran one of its two families on a worker thread
+        assert len(callers) == 4
+        assert callers.count(threading.get_ident()) == 2
+        assert first.xtilde_end.tobytes() == second.xtilde_end.tobytes()
+        assert first.x_end.tobytes() == second.x_end.tobytes()
+        for lam in lams:
+            for part in ("s_tilde_even", "s_tilde_odd", "s_even", "s_odd"):
+                assert (getattr(first.sums[lam], part).tobytes()
+                        == getattr(second.sums[lam], part).tobytes())
 
 
 class TestEvaluateSolution:
