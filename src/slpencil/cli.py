@@ -132,11 +132,10 @@ def _as_expression(src, path: str):
 def _merge_defaults(cfg: dict) -> dict:
     import copy
 
-    out = {**copy.deepcopy(DEFAULTS), **cfg}
-    out["tolerances"] = {**DEFAULTS["tolerances"], **cfg.get("tolerances", {})}
-    if "boundary" in cfg:
-        out["boundary"] = {side: list(pair) for side, pair in
-                           {**DEFAULTS["boundary"], **cfg["boundary"]}.items()}
+    defaults = copy.deepcopy(DEFAULTS)
+    out = {**defaults, **cfg}
+    for block in ("tolerances", "boundary"):
+        out[block] = {**defaults[block], **cfg.get(block, {})}
     return out
 
 
@@ -317,6 +316,10 @@ def _validate_potential(cfg: dict):
             _fail("config.potential.half_width", "klaus_shaw is supported on [-1, 1]")
     else:
         pot.setdefault("half_width", 10.0)
+        if _require(pot, "half_width", float, "config.potential") <= 0:
+            _fail("config.potential.half_width", "expected a positive number")
+    if "P" in pot:
+        _as_expression(pot["P"], "config.potential.P")
 
 
 def _parse_region(raw, path: str) -> dict:
@@ -448,7 +451,10 @@ def _record_dict(rec: EigenvalueRecord, back_scale: complex | None) -> dict:
 def run_solve(config_path: str, *, threads: int = 1,
               output_override: dict | None = None) -> ResultSet:
     """Execute the solve described by a config file; returns the result set
-    (records sorted by (re, im)) and writes any configured output targets."""
+    and writes any configured output targets.
+
+    Records come in order of Re, those whose Re agree to within the merge
+    tolerance (a vertical line of modes) in order of Im; see `_record_key`."""
     cfg = load_config(config_path)
     if output_override is not None:
         cfg["output"] = {**(cfg.get("output") or {}), **output_override}
@@ -557,8 +563,13 @@ def _solve_single(cfg: dict, potential_override: dict | None
             final.append(_record_dict(rec, asm.back_map_scale))
         else:
             excluded += 1
-    final.sort(key=lambda r: (r["re"], r["im"]))
+    final.sort(key=lambda r: _record_key(r, merge_eps))
     return final, spurious, excluded
+
+
+def _record_key(rec: dict, merge_eps: float) -> tuple:
+    """Sort key that ulp-level changes in Re cannot reorder along a vertical line."""
+    return (round(rec["re"] / merge_eps), rec["im"], rec["re"])
 
 
 def _relative_residual(series: CharacteristicSeries, z: complex) -> float:

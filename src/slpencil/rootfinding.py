@@ -2,9 +2,11 @@
 
 Two routes to the eigenvalues: global polynomial root extraction through the
 companion matrix, and argument-principle localization on rectangles with
-winding numbers, residue-formula refinement and Newton polishing.  A root is
-certified when the sampled boundary minimum of |Phi_M| beats a rigorous bound
-on |Phi - Phi_M|, which by Rouche's theorem puts the truncated roots in
+winding numbers and residue-formula refinement.  Both end in a Newton polish
+in double precision whose residual comes from the compensated Horner scheme,
+as accurate as Horner in twice the working precision.  A root is certified
+when the sampled boundary minimum of |Phi_M| beats a rigorous bound on
+|Phi - Phi_M|, which by Rouche's theorem puts the truncated roots in
 bijection with true eigenvalues inside the rectangle.
 """
 
@@ -13,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import mpmath
 import numpy as np
 
 from .errors import RootLocalizationError
@@ -22,7 +23,7 @@ from .problems import CharacteristicSeries
 BOUNDARY_ABS_FLOOR = 1e-280
 MAX_PHASE_STEP = math.pi / 2
 MAX_LOCAL_REFINES = 10  # per-segment density doublings before giving up
-POLISH_DPS = 50
+_SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split of a binary64 into 26-bit halves
 
 
 @dataclass(frozen=True)
@@ -98,33 +99,78 @@ def poly_roots(series: CharacteristicSeries) -> list[complex]:
     return [complex(z) + series.center for z in roots]
 
 
+def _compensated_horner(cs: list, z: complex) -> complex:
+    """sum cs[k] z^k by the compensated Horner scheme (Graillat, Langlois &
+    Louvet 2005; complex form, Graillat & Menissier-Morain 2008).
+
+    Each Horner step s*z + c is split by TwoProduct (Dekker, with Veltkamp
+    splits; z is split once) and TwoSum into its rounded value and its exact
+    rounding error; a second Horner recursion carries those errors, and its
+    value corrects the result.  The error is about eps |p(z)| plus
+    eps^2 sum |cs[k]| |z|^k, as if Horner ran in twice the working precision.
+    """
+    x, y = z.real, z.imag
+    t = _SPLITTER * x
+    xh = t - (t - x)
+    xl = x - xh
+    t = _SPLITTER * y
+    yh = t - (t - y)
+    yl = y - yh
+    sr, si = cs[-1].real, cs[-1].imag
+    err = 0j
+    for c in reversed(cs[:-1]):
+        t = _SPLITTER * sr
+        ah = t - (t - sr)
+        al = sr - ah
+        t = _SPLITTER * si
+        bh = t - (t - si)
+        bl = si - bh
+        # s*z = (sr x - si y) + i (sr y + si x): four TwoProducts
+        p1, p2, p3, p4 = sr * x, si * y, sr * y, si * x
+        e1 = al * xl - (((p1 - ah * xh) - al * xh) - ah * xl)
+        e2 = bl * yl - (((p2 - bh * yh) - bl * yh) - bh * yl)
+        e3 = al * yl - (((p3 - ah * yh) - al * yh) - ah * yl)
+        e4 = bl * xl - (((p4 - bh * xh) - bl * xh) - bh * xl)
+        # TwoSums: the product's real and imaginary parts, then + c
+        pr, pi = p1 - p2, p3 + p4
+        t, u = pr - p1, pi - p3
+        fr, fi = (p1 - (pr - t)) + (-p2 - t), (p3 - (pi - u)) + (p4 - u)
+        cr, ci = c.real, c.imag
+        sr, si = pr + cr, pi + ci
+        t, u = sr - pr, si - pi
+        gr, gi = (pr - (sr - t)) + (cr - t), (pi - (si - u)) + (ci - u)
+        err = err * z + complex(e1 - e2 + fr + gr, e3 + e4 + fi + gi)
+    return complex(sr + err.real, si + err.imag)
+
+
 def newton_polish(series: CharacteristicSeries, z0: complex, *,
                   steps: int = 5) -> complex:
-    """Newton iteration in extended working precision on the double-precision
-    coefficients; falls back to the input if the residual does not improve."""
-    coeffs = [mpmath.mpc(c) for c in series.coeffs]
-    deriv = [k * c for k, c in enumerate(coeffs)][1:]
+    """Newton iteration z <- z - p(z)/p'(z) in double precision, in the series'
+    local variable.
 
-    def horner(cs, z):
-        acc = mpmath.mpc(0)
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
-    with mpmath.workdps(POLISH_DPS):
-        center = mpmath.mpc(series.center)
-        z = mpmath.mpc(z0) - center
-        best = z
-        best_abs = abs(horner(coeffs, z))
-        for _ in range(steps):
-            dp = horner(deriv, z)
-            if dp == 0:
-                break
-            z = z - horner(coeffs, z) / dp
-            cur = abs(horner(coeffs, z))
-            if cur < best_abs:
-                best, best_abs = z, cur
-        return complex(best + center)
+    p(z) comes from the compensated Horner scheme, so the residual that drives
+    each step and ranks the iterates is as accurate as the double-precision
+    coefficients allow; p'(z) only steers the step and uses plain Horner.
+    Runs `steps` iterations, stops early where p' vanishes, and returns the
+    iterate with the smallest compensated |p|, the input included.
+    """
+    cs = series.coeffs.tolist()
+    deriv = [k * c for k, c in enumerate(cs)][1:]
+    center = complex(series.center)
+    z = complex(z0) - center
+    pz = _compensated_horner(cs, z)
+    best, best_abs = complex(z0), abs(pz)
+    for _ in range(steps):
+        dp = 0j
+        for c in reversed(deriv):
+            dp = dp * z + c
+        if dp == 0:
+            break
+        z = z - pz / dp
+        pz = _compensated_horner(cs, z)
+        if abs(pz) < best_abs:
+            best, best_abs = z + center, abs(pz)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """Config validation, solve/surface pipelines, output formats, determinism."""
 
+import itertools
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from slpencil import ConfigError
-from slpencil.cli import emit_surface, load_config, main, run_solve
+from slpencil.cli import _record_key, emit_surface, load_config, main, run_solve
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -124,6 +128,17 @@ class TestConfigValidation:
         assert main(["solve", cfg_path]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides,path", [
+        ({"boundary": {"left": 5}}, "config.boundary.left"),
+        ({**ZS, "potential": {"kind": "bronski", "epsilon": 0.2, "half_width": "x"}},
+         "config.potential.half_width"),
+        ({**ZS, "potential": {"kind": "expression", "Q": "x", "P": "2*"}},
+         "config.potential.P"),
+    ], ids=["boundary_side", "half_width", "expression_P"])
+    def test_bad_value_in_block_rejected(self, tmp_path, capsys, overrides, path):
+        assert main(["solve", intro_cfg(tmp_path, **overrides)]) == 1
+        assert f"config error: {path}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
     def test_shipped_config_loads(self, name):
         load_config(str(CONFIGS / name))
@@ -140,9 +155,19 @@ class TestSolve:
             assert best < 1e-9
 
     def test_records_sorted(self, tmp_path):
+        # by Re, and by Im among records whose Re agree to within merge = 1e-6
         rs = run_solve(intro_cfg(tmp_path))
-        keys = [(r["re"], r["im"]) for r in rs.records]
+        keys = [(round(r["re"] / 1e-6), r["im"], r["re"]) for r in rs.records]
         assert keys == sorted(keys)
+
+    def test_vertical_line_ordered_by_im(self):
+        # ulp-level differences in re do not reorder records on Re = -1
+        ims = (3.0, -2.0, 1.0, -4.0)
+        for res in itertools.product((-1.0, -1.0000000000000002), repeat=4):
+            recs = [{"re": -0.5, "im": -9.0}]
+            recs += [{"re": re, "im": im} for re, im in zip(res, ims)]
+            recs.sort(key=lambda r: _record_key(r, 1e-5))
+            assert [r["im"] for r in recs] == [-4.0, -2.0, 1.0, 3.0, -9.0]
 
     def test_residual_threshold_excludes(self, tmp_path):
         rs = run_solve(intro_cfg(tmp_path, tolerances={
@@ -277,6 +302,16 @@ class TestOutputs:
         assert main(["solve", path, "--out", str(base)]) == 0
         assert (tmp_path / "result.csv").exists()
         assert (tmp_path / "result.json").exists()
+
+
+class TestDependencies:
+    def test_import_leaves_mpmath_out(self):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = "import sys, slpencil.cli; print('mpmath' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestSurface:

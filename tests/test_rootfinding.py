@@ -1,6 +1,7 @@
 """Winding numbers, rectangle subdivision, residue refinement, certification."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from slpencil import RootLocalizationError
 from slpencil.problems import CharacteristicSeries
 from slpencil.rootfinding import (
     EigenvalueRecord,
+    _compensated_horner,
     Rectangle,
     certify,
     localize,
@@ -152,6 +154,46 @@ class TestNewtonPolish:
         z0 = 1.0 + 1e-12
         z = newton_polish(s, z0, steps=5)
         assert abs(complex(s(z))) <= abs(complex(s(z0)))
+
+
+def exact_value(cs, z):
+    """(re, im) of sum cs[k] z^k in rational arithmetic: exact for the binary64
+    coefficients and point."""
+    zr, zi = Fraction(z.real), Fraction(z.imag)
+    re = im = Fraction(0)
+    for c in reversed(cs):
+        re, im = (re * zr - im * zi + Fraction(c.real),
+                  re * zi + im * zr + Fraction(c.imag))
+    return re, im
+
+
+class TestCompensatedPolish:
+    def test_horner_matches_exact_value_near_multiple_root(self):
+        # expanded (z - r)^7: a distance 1e-3 from r, |p| ~ 1e-21 against terms
+        # ~1e2, where plain Horner keeps no correct digit
+        r = 1.0 + 0.5j
+        cs = series_from_roots([r] * 7).coeffs.tolist()
+        eps = np.finfo(float).eps
+        for d in (1e-2, 1e-3, 3e-3j, 1e-3 * (1 + 1j), -2e-3 + 1e-3j):
+            z = r + d
+            exact_re, exact_im = exact_value(cs, z)
+            got = _compensated_horner(cs, z)
+            err = abs(complex(float(Fraction(got.real) - exact_re),
+                              float(Fraction(got.imag) - exact_im)))
+            size = abs(complex(float(exact_re), float(exact_im)))
+            cond = sum(abs(c) * abs(z) ** k for k, c in enumerate(cs))
+            assert err <= 4 * eps * size + (2 * len(cs) * eps) ** 2 * cond
+
+    def test_newton_lands_on_close_pair(self):
+        # roots 1 and 1 + 2^-20 (about 1e-6 apart), exact in binary64 like the
+        # coefficients; a residual with plain Horner's eps-level noise would
+        # leave Newton about eps / 1e-6 ~ 1e-10 off
+        lo, hi = 1.0, 1.0 + 2.0 ** -20
+        s = series_from_roots([lo, hi])
+        ulp = np.spacing(1.0)
+        for z0, root in ((lo - 1e-8, lo), (lo + 3e-8 + 1e-8j, lo),
+                         (hi + 1e-8, hi), (hi - 2e-8j, hi)):
+            assert abs(newton_polish(s, z0, steps=5) - root) <= 4 * ulp
 
 
 class TestCertify:
