@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +44,13 @@ from .rootfinding import (
 from .spps import (
     ParticularSolution,
     PencilSpec,
-    SolutionPair,
     build_formal_powers,
     build_particular_solution,
     chain_particular_solution,
 )
 from .zakharov import (
+    DEFAULT_HALF_WIDTH,
+    KLAUS_SHAW_HALF_WIDTH,
     PotentialSpec,
     materialize_potential,
     zs_dispersion,
@@ -98,24 +98,28 @@ def _fail(path: str, msg: str):
     raise ConfigError(f"{path}: {msg}")
 
 
+def _is_number(val) -> bool:
+    """True for a JSON number; JSON true and false load as ints but are not."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _require(cfg: dict, key: str, kind, path: str):
     if key not in cfg:
         _fail(path, f"missing required key {key!r}")
     val = cfg[key]
     if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
+        if not _is_number(val):
             _fail(f"{path}.{key}", f"expected a number, got {val!r}")
         return float(val)
-    if not isinstance(val, kind):
+    if not isinstance(val, kind) or (kind is int and not _is_number(val)):
         _fail(f"{path}.{key}", f"expected {kind.__name__}, got {type(val).__name__}")
     return val
 
 
 def _as_complex(val, path: str) -> complex:
-    if isinstance(val, (int, float)) and not isinstance(val, bool):
+    if _is_number(val):
         return complex(val)
-    if (isinstance(val, list) and len(val) == 2
-            and all(isinstance(v, (int, float)) for v in val)):
+    if isinstance(val, list) and len(val) == 2 and all(map(_is_number, val)):
         return complex(val[0], val[1])
     _fail(path, f"expected a number or [re, im] pair, got {val!r}")
 
@@ -196,26 +200,27 @@ def validate_config(raw: dict) -> dict:
 
     tol = cfg["tolerances"]
     for key in ("localize", "residual"):
-        if not isinstance(tol.get(key), (int, float)) or tol[key] <= 0:
+        if not _is_number(tol.get(key)) or tol[key] <= 0:
             _fail(f"config.tolerances.{key}", "expected a positive number")
-    if tol.get("merge") is not None and (not isinstance(tol["merge"], (int, float))
+    if tol.get("merge") is not None and (not _is_number(tol["merge"])
                                          or tol["merge"] <= 0):
         _fail("config.tolerances.merge", "expected a positive number or null")
 
-    if cfg["certify"] not in (False, True) and not isinstance(cfg["certify"], dict):
+    if not isinstance(cfg["certify"], (bool, dict)):
         _fail("config.certify", "expected false, true or {\"half_width\": h}")
+    if not isinstance(cfg["require_certified"], bool):
+        _fail("config.require_certified", "expected false or true")
     if isinstance(cfg["certify"], dict):
         _reject_unknown(cfg["certify"], ("half_width",), "config.certify")
         hw = cfg["certify"].get("half_width", 0.5)
-        if not isinstance(hw, (int, float)) or hw <= 0:
+        if not _is_number(hw) or hw <= 0:
             _fail("config.certify.half_width", "expected a positive number")
 
     if kind == "zakharov_shabat":
         _validate_potential(cfg)
     else:
         interval = _require(cfg, "interval", list, "config")
-        if (len(interval) != 2
-                or not all(isinstance(v, (int, float)) for v in interval)
+        if (len(interval) != 2 or not all(map(_is_number, interval))
                 or not interval[0] < interval[1]):
             _fail("config.interval", f"expected [a, b] with a < b, got {interval!r}")
         if kind == "string" and interval[0] != 0.0:
@@ -261,10 +266,10 @@ def validate_config(raw: dict) -> dict:
         surf["region"] = _parse_region(surf.get("region"), "config.surface.region")
         for key in ("nx", "ny"):
             v = surf.get(key)
-            if not isinstance(v, int) or v < 2:
+            if not isinstance(v, int) or not _is_number(v) or v < 2:
                 _fail(f"config.surface.{key}", "expected an integer >= 2")
         cap = surf.get("cap", 50.0)
-        if not isinstance(cap, (int, float)):
+        if not _is_number(cap):
             _fail("config.surface.cap", "expected a number")
         surf["cap"] = float(cap)
 
@@ -276,6 +281,9 @@ def validate_config(raw: dict) -> dict:
                 or not isinstance(sweep.get("values"), list) or not sweep["values"]):
             _fail("config.sweep", "expected {\"parameter\": name, \"values\": [...]}")
         _reject_unknown(sweep, ("parameter", "values"), "config.sweep")
+        for i, v in enumerate(sweep["values"]):
+            if not _is_number(v):
+                _fail(f"config.sweep.values[{i}]", f"expected a number, got {v!r}")
         allowed = _POTENTIAL_PARAMS[cfg["potential"]["kind"]]
         if sweep["parameter"] not in allowed:
             _fail("config.sweep.parameter",
@@ -311,11 +319,12 @@ def _validate_potential(cfg: dict):
         else:
             _require(pot, key, float, "config.potential")
     if kind == "klaus_shaw":
-        pot.setdefault("half_width", 1.0)
-        if pot["half_width"] != 1.0:
+        pot.setdefault("half_width", KLAUS_SHAW_HALF_WIDTH)
+        hw = pot["half_width"]
+        if not _is_number(hw) or hw != KLAUS_SHAW_HALF_WIDTH:
             _fail("config.potential.half_width", "klaus_shaw is supported on [-1, 1]")
     else:
-        pot.setdefault("half_width", 10.0)
+        pot.setdefault("half_width", DEFAULT_HALF_WIDTH)
         if _require(pot, "half_width", float, "config.potential") <= 0:
             _fail("config.potential.half_width", "expected a positive number")
     if "P" in pot:
@@ -328,8 +337,7 @@ def _parse_region(raw, path: str) -> dict:
     for axis in ("re", "im"):
         pair = raw[axis]
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)
-                or not pair[0] < pair[1]):
+                or not all(map(_is_number, pair)) or not pair[0] < pair[1]):
             _fail(f"{path}.{axis}", f"expected [lo, hi] with lo < hi, got {pair!r}")
     return {"re": [float(v) for v in raw["re"]], "im": [float(v) for v in raw["im"]]}
 
@@ -352,7 +360,6 @@ class _Assembly:
     """Everything the solve loop needs, independent of the problem kind."""
 
     base_pencil: PencilSpec
-    anchor: float
     initial_u0: ParticularSolution
     series_from_table: callable  # (table, center) -> CharacteristicSeries
     tail_fn: callable            # (series, lam_abs) -> float
@@ -369,7 +376,7 @@ def _build_assembly(cfg: dict, potential_override: dict | None = None) -> _Assem
         spec = _potential_spec(pot)
         zs = materialize_potential(spec, n_nodes=cfg["n_nodes"])
         return _Assembly(
-            base_pencil=zs_to_pencil(zs), anchor=zs.grid.a,
+            base_pencil=zs_to_pencil(zs),
             initial_u0=zs_particular_solution(zs, truncation=m),
             series_from_table=lambda table, center: zs_dispersion(table, zs, center),
             tail_fn=zs_dispersion_tail,
@@ -406,7 +413,7 @@ def _build_assembly(cfg: dict, potential_override: dict | None = None) -> _Assem
         u0 = build_particular_solution(pencil.p, pencil.q, truncation=m)
 
     return _Assembly(
-        base_pencil=pencil, anchor=grid.a, initial_u0=u0,
+        base_pencil=pencil, initial_u0=u0,
         series_from_table=lambda table, center: two_point_series(
             table, left=left, right=right, center=center),
         tail_fn=two_point_tail, back_map_scale=None,
@@ -448,8 +455,7 @@ def _record_dict(rec: EigenvalueRecord, back_scale: complex | None) -> dict:
     return out
 
 
-def run_solve(config_path: str, *, threads: int = 1,
-              output_override: dict | None = None) -> ResultSet:
+def run_solve(config_path: str, *, output_override: dict | None = None) -> ResultSet:
     """Execute the solve described by a config file; returns the result set
     and writes any configured output targets.
 
@@ -462,12 +468,7 @@ def run_solve(config_path: str, *, threads: int = 1,
     sweep = cfg.get("sweep")
     if sweep:
         values = sweep["values"]
-        runner = lambda v: _solve_single(cfg, {sweep["parameter"]: float(v)})
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                partials = list(pool.map(runner, values))
-        else:
-            partials = [runner(v) for v in values]
+        partials = [_solve_single(cfg, {sweep["parameter"]: float(v)}) for v in values]
         records, spurious = [], []
         for v, part in zip(values, partials):
             for rec in part[0]:
@@ -538,8 +539,7 @@ def _solve_single(cfg: dict, potential_override: dict | None
     for j, center in enumerate(centers):
         next_rel = centers[j + 1] - center if j + 1 < len(centers) else None
         eval_points = (next_rel,) if next_rel is not None else ()
-        table = build_formal_powers(pencil, u0, asm.anchor, m,
-                                    store="endpoint", eval_points=eval_points)
+        table = build_formal_powers(pencil, u0, m, eval_points=eval_points)
         series = asm.series_from_table(table, center)
 
         if cfg["method"] == "poly_roots":
@@ -554,8 +554,7 @@ def _solve_single(cfg: dict, potential_override: dict | None
         if next_rel is not None:
             # the next center's pencil, and its u0 chained from this table
             pencil = shift_pencil(asm.base_pencil, centers[j + 1])
-            u0 = chain_particular_solution(SolutionPair(table), next_rel,
-                                           pencil.p, pencil.q)
+            u0 = chain_particular_solution(table, next_rel, pencil.p, pencil.q)
 
     final, excluded = [], 0
     for rec, rel_res in _merge_records(all_records, merge_eps):
@@ -606,10 +605,9 @@ def _arg_records(series, center, keep_radius, region, tol
     if math.isfinite(keep_radius):
         box = Rectangle.around(center, keep_radius)
         if region is not None:
-            box = Rectangle(max(box.re_min, region.re_min),
-                            min(box.re_max, region.re_max),
-                            max(box.im_min, region.im_min),
-                            min(box.im_max, region.im_max))
+            box = box.intersection(region)
+            if box is None:  # the keep box misses the search region
+                return []
     else:
         box = region
     if box is None:
@@ -655,7 +653,7 @@ def _fmt(x) -> str:
 
 
 def _csv_lines(rs: ResultSet) -> list[str]:
-    sweep = rs.records and "sweep_value" in rs.records[0]
+    sweep = rs.metadata["resolved_config"].get("sweep") is not None
     header = ("sweep_value," if sweep else "") + \
         "re,im,multiplicity,method,certified,residual"
     lines = [header]
@@ -689,8 +687,7 @@ def _write_outputs(cfg: dict, rs: ResultSet):
 # surface emission
 
 
-def emit_surface(config_path: str, *, threads: int = 1,
-                 out_path: str | None = None) -> str:
+def emit_surface(config_path: str, *, out_path: str | None = None) -> str:
     """Write the -log|Phi_M| grid described by the config's surface block.
 
     Returns the path written.  Zeros of Phi_M are clamped to the cap value.
@@ -704,8 +701,7 @@ def emit_surface(config_path: str, *, threads: int = 1,
         raise ConfigError("no surface output path (config.output.surface or --out)")
 
     asm = _build_assembly(cfg, None)
-    table = build_formal_powers(asm.base_pencil, asm.initial_u0, asm.anchor,
-                                cfg["truncation"], store="endpoint")
+    table = build_formal_powers(asm.base_pencil, asm.initial_u0, cfg["truncation"])
     series = asm.series_from_table(table, 0.0 + 0.0j)
 
     nx, ny = surf["nx"], surf["ny"]
@@ -713,24 +709,14 @@ def emit_surface(config_path: str, *, threads: int = 1,
     re = np.linspace(surf["region"]["re"][0], surf["region"]["re"][1], nx)
     im = np.linspace(surf["region"]["im"][0], surf["region"]["im"][1], ny)
 
-    def row(i):
-        z = re + 1j * im[i]
-        with np.errstate(divide="ignore"):
-            vals = -np.log(np.abs(np.asarray(series(z))))
-        return np.minimum(vals, cap)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, range(ny)))
-    else:
-        rows = [row(i) for i in range(ny)]
-
     with open(target, "w") as fh:
         rgn = surf["region"]
         fh.write(f"# region: {_fmt(rgn['re'][0])} {_fmt(rgn['re'][1])} "
                  f"{_fmt(rgn['im'][0])} {_fmt(rgn['im'][1])}\n")
         fh.write(f"# resolution: {nx} {ny}\n")
-        for vals in rows:
+        for y in im:
+            with np.errstate(divide="ignore"):
+                vals = np.minimum(-np.log(np.abs(np.asarray(series(re + 1j * y)))), cap)
             fh.write(" ".join(_fmt(v) for v in vals) + "\n")
     return target
 
@@ -752,14 +738,12 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", help="output path base (overrides config output)")
         p.add_argument("--format", choices=("csv", "report"), default="csv",
                        help="stdout format when no files are configured")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--verbose", action="store_true")
 
     args = parser.parse_args(argv)
     try:
         if args.command == "surface":
-            target = emit_surface(args.config, threads=args.threads,
-                                  out_path=args.out)
+            target = emit_surface(args.config, out_path=args.out)
             if args.verbose:
                 print(f"surface written to {target}", file=sys.stderr)
             return 0
@@ -767,8 +751,7 @@ def main(argv: list[str] | None = None) -> int:
         override = None
         if args.out:
             override = {"csv": args.out + ".csv", "report": args.out + ".json"}
-        rs = run_solve(args.config, threads=args.threads,
-                       output_override=override)
+        rs = run_solve(args.config, output_override=override)
         cfg = rs.metadata["resolved_config"]
 
         if not cfg.get("output"):

@@ -124,13 +124,6 @@ class Grid:
         x.flags.writeable = False
         return x
 
-    def index_of(self, x: float, tol: float = 1e-9) -> int:
-        """Index of the grid node at x; raises if x is not (nearly) a node."""
-        i = round((x - self.a) / self.h)
-        if not 0 <= i < self.n_nodes or abs(self.a + i * self.h - x) > tol * max(1.0, abs(x)):
-            raise GridError(f"{x} is not a node of the grid [{self.a}, {self.b}]")
-        return int(i)
-
 
 @dataclass(frozen=True)
 class SampledFunction:

@@ -155,15 +155,13 @@ def dirac_first_component(w: SampledFunction, w_prime: SampledFunction,
 
 
 def _boundary_combination(u0: ParticularSolution, p: SampledFunction,
-                          x0_index: int, left: tuple[complex, complex]
-                          ) -> tuple[complex, complex]:
-    """(c1, c2) killing alpha1 u(x0) + alpha2 (p u')(x0), canonically normalized."""
+                          left: tuple[complex, complex]) -> tuple[complex, complex]:
+    """(c1, c2) killing alpha1 u(a) + alpha2 (p u')(a), canonically normalized."""
     a1, a2 = (complex(v) for v in left)
     if a1 == 0 and a2 == 0:
         raise ValueError("left boundary condition must not be identically zero")
-    A = a1 * u0.u0.values[x0_index] + a2 * (p.values[x0_index]
-                                            * u0.u0_prime.values[x0_index])
-    B = a2 / u0.u0.values[x0_index]
+    A = a1 * u0.u0.values[0] + a2 * (p.values[0] * u0.u0_prime.values[0])
+    B = a2 / u0.u0.values[0]
     c1, c2 = B, -A
     top = max(abs(c1), abs(c2))
     if top == 0:
@@ -179,18 +177,16 @@ def two_point_series(table: FormalPowerTable, *,
                      center: complex = 0.0) -> CharacteristicSeries:
     """Series whose zeros are eigenvalues of the separated boundary problem.
 
-    The left condition alpha1 u + alpha2 (p u') = 0 at x0 fixes the solution
-    combination; the coefficients collect beta1 u(b) + beta2 (p u')(b) per
-    power of (lambda - center).  The table's anchor must be the left endpoint.
+    The left condition alpha1 u + alpha2 (p u') = 0 at a, where the table's
+    formal powers are anchored, fixes the solution combination; the
+    coefficients collect beta1 u(b) + beta2 (p u')(b) per power of
+    (lambda - center), read from the table's right-end values.
     """
-    if table.x0_index != 0:
-        raise GridError("two-point series expects the anchor at the left endpoint")
     b1, b2 = (complex(v) for v in right)
     pencil = table.pencil
-    iend = table.end_index
-    u0b = table.u0.u0.values[iend]
-    pu0pb = pencil.p.values[iend] * table.u0.u0_prime.values[iend]
-    c1, c2 = _boundary_combination(table.u0, pencil.p, table.x0_index, left)
+    u0b = table.u0.u0.values[-1]
+    pu0pb = pencil.p.values[-1] * table.u0.u0_prime.values[-1]
+    c1, c2 = _boundary_combination(table.u0, pencil.p, left)
 
     M = table.truncation
     coeffs = np.zeros(M + 1, dtype=np.complex128)
@@ -217,9 +213,8 @@ def two_point_tail(series: CharacteristicSeries, lam_abs: float) -> float:
     table: FormalPowerTable = series.meta["table"]
     pencil = table.pencil
     comps = tail_components(pencil, table.u0, lam_abs, table.truncation)
-    iend = table.end_index
-    u0b = abs(table.u0.u0.values[iend])
-    pu0pb = abs(pencil.p.values[iend] * table.u0.u0_prime.values[iend])
+    u0b = abs(table.u0.u0.values[-1])
+    pu0pb = abs(pencil.p.values[-1] * table.u0.u0_prime.values[-1])
     b1, b2 = (abs(v) for v in series.meta["right"])
     c1, c2 = (abs(v) for v in series.meta["combination"])
     bound = c1 * ((b1 * u0b + b2 * pu0pb) * comps.even

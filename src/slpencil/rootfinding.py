@@ -56,6 +56,14 @@ class Rectangle:
     def max_abs_from(self, center: complex) -> float:
         return max(abs(c - center) for c in self.corners())
 
+    def intersection(self, other: "Rectangle") -> "Rectangle | None":
+        """The overlap of two rectangles, or None when it has no interior."""
+        re_min, re_max = max(self.re_min, other.re_min), min(self.re_max, other.re_max)
+        im_min, im_max = max(self.im_min, other.im_min), min(self.im_max, other.im_max)
+        if re_min < re_max and im_min < im_max:
+            return Rectangle(re_min, re_max, im_min, im_max)
+        return None
+
     @staticmethod
     def around(z: complex, half_width: float) -> "Rectangle":
         return Rectangle(z.real - half_width, z.real + half_width,

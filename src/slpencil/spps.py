@@ -3,16 +3,17 @@
 The pencil is (p u')' + q u = u * sum_k lambda^k r_k, k = 1..N.  Given a
 non-vanishing particular solution u0 of the lambda = 0 equation, the general
 solution is a power series in lambda whose coefficients (the "formal powers")
-are recursively computed integrals anchored at a point x0.  This module builds
-those tables, evaluates the two fundamental solutions u1, u2 and their
-derivatives, constructs u0 when it is not supplied, and computes the rigorous
-factorial-type majorant used to bound series-truncation tails.
+are recursively computed integrals anchored at the grid's left end.  This
+module builds a table of their right-end values and of their series sums at
+requested lambdas, evaluates the two fundamental solutions u1, u2 and their
+derivatives there, constructs u0 when it is not supplied, and computes the
+rigorous factorial-type majorant used to bound series-truncation tails.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +60,8 @@ class PencilSpec:
 class ParticularSolution:
     """Non-vanishing solution of the lambda = 0 pencil equation, with derivative.
 
-    residual is the sup-norm of p*u0' - p*u0'(x0) + int(q*u0) relative to its
-    natural scale, computed in integral form to avoid second differences.
+    residual is the sup-norm of p*u0' - p*u0'(a) + int_a^x(q*u0) relative to
+    its natural scale, computed in integral form to avoid second differences.
     """
 
     u0: SampledFunction
@@ -72,8 +73,7 @@ class ParticularSolution:
     @staticmethod
     def from_samples(u0: SampledFunction, u0_prime: SampledFunction,
                      p: SampledFunction, q: SampledFunction,
-                     provenance: str = "user-supplied",
-                     x0_index: int = 0) -> "ParticularSolution":
+                     provenance: str = "user-supplied") -> "ParticularSolution":
         ratio = _min_modulus_ratio(u0)
         if ratio < U0_FLOOR_RATIO:
             i = int(np.argmin(np.abs(u0.values)))
@@ -81,7 +81,7 @@ class ParticularSolution:
                 f"u0 modulus falls below {U0_FLOOR_RATIO:g} of its maximum at node {i} "
                 f"(x = {u0.grid.nodes[i]!r}); supply a different u0 or use a spectral shift"
             )
-        res = _ode_residual(u0, u0_prime, p, q, x0_index)
+        res = _ode_residual(u0, u0_prime, p, q)
         return ParticularSolution(u0, u0_prime, provenance, res, ratio)
 
 
@@ -91,10 +91,10 @@ def _min_modulus_ratio(f: SampledFunction) -> float:
     return float(mags.min() / top) if top > 0 else 0.0
 
 
-def _ode_residual(u0, u0_prime, p, q, x0_index: int) -> float:
+def _ode_residual(u0, u0_prime, p, q) -> float:
     pu = p.values * u0_prime.values
     accum = cumulative_integral(SampledFunction(p.grid, q.values * u0.values)).values
-    res = pu - pu[x0_index] + (accum - accum[x0_index])
+    res = pu - pu[0] + accum
     scale = max(np.max(np.abs(pu)), np.max(np.abs(accum)), 1e-30)
     return float(np.max(np.abs(res)) / scale)
 
@@ -116,36 +116,29 @@ class PowerSums:
 
 @dataclass
 class FormalPowerTable:
-    """Formal powers of one pencil, anchored at x0, up to order 2M+1.
+    """Formal powers of one pencil, anchored at the grid's left end a, up to
+    order 2M+1.
 
-    In "full" storage mode xtilde[n] and x[n] hold whole-grid arrays; in
-    "endpoint" mode only the boundary columns and any requested PowerSums are
-    retained (the recursion window is discarded to bound memory).
+    Only their values at the right end b and their PowerSums at the lambdas
+    passed as eval_points are kept; each whole-grid power lives just as long
+    as the recursion reaches back to it.
     """
 
     pencil: PencilSpec
     u0: ParticularSolution
-    x0_index: int
     truncation: int
-    end_index: int
-    xtilde_end: np.ndarray  # Xtilde^(n)(end), n = 0..2M+1
-    x_end: np.ndarray       # X^(n)(end)
-    xtilde: list[np.ndarray] | None
-    x: list[np.ndarray] | None
-    sums: dict[complex, PowerSums] = field(default_factory=dict)
-
-    @property
-    def full(self) -> bool:
-        return self.xtilde is not None
+    xtilde_end: np.ndarray  # Xtilde^(n)(b), n = 0..2M+1
+    x_end: np.ndarray       # X^(n)(b)
+    sums: dict[complex, PowerSums]
 
 
-def _run_family(grid, i0: int, end: int, n_top: int, N: int, full: bool,
-                r_on_odd: bool, weighted_r: list[np.ndarray],
-                inv_u0sq_p: np.ndarray, eval_points: tuple[complex, ...]):
+def _run_family(grid, n_top: int, N: int, r_on_odd: bool,
+                weighted_r: list[np.ndarray], inv_u0sq_p: np.ndarray,
+                eval_points: tuple[complex, ...]):
     """One recursion chain (the Xtilde family has r_on_odd=True, X has False).
 
-    Returns (history-or-window, endpoint column, series sums at the eval
-    points split by parity).
+    Returns (right-end column, series sums at the eval points split by
+    parity).
     """
     n_nodes = grid.n_nodes
     h = grid.h
@@ -167,15 +160,13 @@ def _run_family(grid, i0: int, end: int, n_top: int, N: int, full: bool,
         if r_turn:
             acc[:] = 0.0
             for k in range(1, min(N, (n + 1) // 2) + 1):
-                # reach back to entry n - 2k + 1 of the (possibly trimmed) history
+                # reach back to entry n - 2k + 1 of the trimmed history
                 prev = hist[len(hist) - 2 * k + 1]
                 acc += np.multiply(prev, weighted_r[k - 1], out=term)
         else:
             np.multiply(hist[-1], inv_u0sq_p, out=acc)
         F = _cumulative_values(h, acc)
-        if i0 != 0:
-            F -= F[i0]
-        col_end[n] = F[end]
+        col_end[n] = F[-1]
         for lam in even_sums:
             if n % 2 == 0:
                 lam_power[lam] *= lam
@@ -183,25 +174,26 @@ def _run_family(grid, i0: int, end: int, n_top: int, N: int, full: bool,
             else:
                 odd_sums[lam] += np.multiply(lam_power[lam], F, out=term)
         hist.append(F)
-        if not full and len(hist) > window:
+        if len(hist) > window:
             del hist[0]
-    return hist, col_end, even_sums, odd_sums
+    return col_end, even_sums, odd_sums
 
 
-def build_formal_powers(spec: PencilSpec, u0: ParticularSolution, x0: float,
-                        truncation: int, *, store: str = "full",
+def build_formal_powers(spec: PencilSpec, u0: ParticularSolution,
+                        truncation: int, *,
                         eval_points: tuple[complex, ...] = ()) -> FormalPowerTable:
-    """Run the recursive-integral scheme up to index 2*truncation + 1.
+    """Run the recursive-integral scheme from the left end up to index
+    2*truncation + 1.
 
     Odd Xtilde integrates u0^2 * sum_k Xtilde^(n-2k+1) r_k, even Xtilde
     integrates Xtilde^(n-1)/(u0^2 p); the X family swaps the parities.
-    Negative indices contribute nothing, Xtilde^(0) = X^(0) = 1.  The two
-    families are independent chains and run on separate threads on large grids.
+    Negative indices contribute nothing, Xtilde^(0) = X^(0) = 1, and every
+    higher power vanishes at the left end.  The table keeps the right-end
+    values and the series sums at each lambda in eval_points, the only lambdas
+    evaluate_solution accepts.  The two families are independent chains and
+    run on separate threads on large grids.
     """
-    if store not in ("full", "endpoint"):
-        raise ValueError(f"unknown storage mode {store!r}")
     grid = spec.grid
-    i0 = grid.index_of(x0)
     n_top = 2 * truncation + 1
     N = spec.degree
 
@@ -212,11 +204,9 @@ def build_formal_powers(spec: PencilSpec, u0: ParticularSolution, x0: float,
         raise NodeValueError("u0^2 * p vanishes", int(np.argmin(mags)))
     inv_u0sq_p = 1.0 / denom
     weighted_r = [u0sq * rk.values for rk in spec.r]
-    end = grid.n_nodes - 1
-    full = store == "full"
     eval_points = tuple(complex(lam) for lam in eval_points)
 
-    args = (grid, i0, end, n_top, N, full)
+    args = (grid, n_top, N)
     tail = (weighted_r, inv_u0sq_p, eval_points)
     if grid.n_nodes >= 20000:
         from concurrent.futures import ThreadPoolExecutor
@@ -229,73 +219,36 @@ def build_formal_powers(spec: PencilSpec, u0: ParticularSolution, x0: float,
         xt_res = _run_family(*args, True, *tail)
         x_res = _run_family(*args, False, *tail)
 
-    xt_hist, xtilde_end, st_even, st_odd = xt_res
-    x_hist, x_end, s_even, s_odd = x_res
+    xtilde_end, st_even, st_odd = xt_res
+    x_end, s_even, s_odd = x_res
     sums = {lam: PowerSums(lam, st_even[lam], st_odd[lam],
                            s_even[lam], s_odd[lam]) for lam in eval_points}
 
-    return FormalPowerTable(
-        pencil=spec, u0=u0, x0_index=i0, truncation=truncation,
-        end_index=end, xtilde_end=xtilde_end, x_end=x_end,
-        xtilde=xt_hist if full else None,
-        x=x_hist if full else None,
-        sums=sums,
-    )
+    return FormalPowerTable(pencil=spec, u0=u0, truncation=truncation,
+                            xtilde_end=xtilde_end, x_end=x_end, sums=sums)
 
 
-@dataclass
-class SolutionPair:
-    """Evaluator for u1, u2 and their derivatives from a formal-power table."""
-
-    table: FormalPowerTable
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    def _series_sums(self, lam: complex) -> PowerSums:
-        lam = complex(lam)
-        hit = self.table.sums.get(lam)
-        if hit is not None:
-            return hit
-        if not self.table.full:
-            raise GridError(
-                "table was built in endpoint mode; request this lambda via eval_points"
-            )
-        t = self.table
-        M = t.truncation
-        shape = t.pencil.grid.n_nodes
-        ste = np.zeros(shape, dtype=np.complex128)
-        sto = np.zeros(shape, dtype=np.complex128)
-        se = np.zeros(shape, dtype=np.complex128)
-        so = np.zeros(shape, dtype=np.complex128)
-        for nn in range(M, -1, -1):  # Horner in lambda
-            ste = ste * lam + t.xtilde[2 * nn]
-            sto = sto * lam + t.xtilde[2 * nn + 1]
-            se = se * lam + t.x[2 * nn]
-            so = so * lam + t.x[2 * nn + 1]
-        s = PowerSums(lam, ste, sto, se, so)
-        self.table.sums[lam] = s
-        return s
-
-    def evaluate(self, lam: complex, c1: complex, c2: complex
-                 ) -> tuple[SampledFunction, SampledFunction]:
-        """u = c1 u1 + c2 u2 and its derivative at one lambda."""
-        lam = complex(lam)
-        key = (lam, complex(c1), complex(c2))
-        if key in self._cache:
-            return self._cache[key]
-        s = self._series_sums(lam)
-        t = self.table
-        grid = t.pencil.grid
-        u0 = t.u0.u0.values
-        u0p = t.u0.u0_prime.values
-        inv_u0p = 1.0 / (u0 * t.pencil.p.values)
-        u1 = u0 * s.s_tilde_even
-        u2 = u0 * s.s_odd
-        u1_prime = u0p * s.s_tilde_even + inv_u0p * (lam * s.s_tilde_odd)
-        u2_prime = u0p * s.s_odd + inv_u0p * s.s_even
-        u = SampledFunction(grid, c1 * u1 + c2 * u2)
-        up = SampledFunction(grid, c1 * u1_prime + c2 * u2_prime)
-        self._cache[key] = (u, up)
-        return u, up
+def evaluate_solution(table: FormalPowerTable, lam: complex, c1: complex,
+                      c2: complex) -> tuple[SampledFunction, SampledFunction]:
+    """u = c1 u1 + c2 u2 and its derivative at a lambda the table was built
+    with (one of its eval_points)."""
+    lam = complex(lam)
+    s = table.sums.get(lam)
+    if s is None:
+        raise GridError(
+            f"no series sums at lambda = {lam}; build the table with it in eval_points"
+        )
+    grid = table.pencil.grid
+    u0 = table.u0.u0.values
+    u0p = table.u0.u0_prime.values
+    inv_u0p = 1.0 / (u0 * table.pencil.p.values)
+    u1 = u0 * s.s_tilde_even
+    u2 = u0 * s.s_odd
+    u1_prime = u0p * s.s_tilde_even + inv_u0p * (lam * s.s_tilde_odd)
+    u2_prime = u0p * s.s_odd + inv_u0p * s.s_even
+    u = SampledFunction(grid, c1 * u1 + c2 * u2)
+    up = SampledFunction(grid, c1 * u1_prime + c2 * u2_prime)
+    return u, up
 
 
 def build_particular_solution(p: SampledFunction, q: SampledFunction, *,
@@ -314,21 +267,21 @@ def build_particular_solution(p: SampledFunction, q: SampledFunction, *,
         provenance="closed-form", residual=0.0, min_modulus_ratio=1.0,
     )
     aux = PencilSpec(p=p, q=constant(grid, 0.0), r=(-q,))
-    table = build_formal_powers(aux, seed, grid.a, truncation,
-                                store="endpoint", eval_points=(1.0 + 0.0j,))
-    pair = SolutionPair(table)
-    u1, u1p = pair.evaluate(1.0, 1.0, 0.0)
-    u2, u2p = pair.evaluate(1.0, 0.0, 1.0)
+    table = build_formal_powers(aux, seed, truncation, eval_points=(1.0 + 0.0j,))
+    u1, u1p = evaluate_solution(table, 1.0, 1.0, 0.0)
+    u2, u2p = evaluate_solution(table, 1.0, 0.0, 1.0)
     u0 = SampledFunction(grid, u1.values + 1j * u2.values)
     u0_prime = SampledFunction(grid, u1p.values + 1j * u2p.values)
     return ParticularSolution.from_samples(
         u0, u0_prime, p, q, provenance="spps-built")
 
 
-def chain_particular_solution(pair: SolutionPair, lam: complex,
+def chain_particular_solution(table: FormalPowerTable, lam: complex,
                               p: SampledFunction, q_eff: SampledFunction
                               ) -> ParticularSolution:
-    """Particular solution at a new series center, evaluated from an earlier pair.
+    """Particular solution at the next series center, lam away from this
+    table's center, evaluated from the table (lam must be one of its
+    eval_points).
 
     Tries the combinations u1 + i u2, u1 - i u2 and u1 and keeps the one whose
     minimum modulus (relative to its maximum) is largest; q_eff must be the
@@ -339,7 +292,7 @@ def chain_particular_solution(pair: SolutionPair, lam: complex,
     best = None
     best_ratio = -1.0
     for c1, c2 in candidates:
-        u, up = pair.evaluate(lam, c1, c2)
+        u, up = evaluate_solution(table, lam, c1, c2)
         ratio = _min_modulus_ratio(u)
         if ratio > best_ratio:
             best_ratio = ratio
@@ -350,9 +303,7 @@ def chain_particular_solution(pair: SolutionPair, lam: complex,
             f"best modulus ratio {best_ratio:.3e}"
         )
     u, up = best
-    return ParticularSolution.from_samples(
-        u, up, p, q_eff, provenance="spps-built",
-        x0_index=pair.table.x0_index)
+    return ParticularSolution.from_samples(u, up, p, q_eff, provenance="spps-built")
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +406,12 @@ def tail_components(spec: PencilSpec, u0: ParticularSolution, lam_abs: float,
                           lagged_x=lagged_x, lagged_xtilde=lagged_xtilde)
 
 
-def wronskian(pair: SolutionPair, lam: complex) -> SampledFunction:
+def wronskian(table: FormalPowerTable, lam: complex) -> SampledFunction:
     """p (u1 u2' - u1' u2) along the grid; constant in x by the Abel identity."""
-    u1, u1p = pair.evaluate(lam, 1.0, 0.0)
-    u2, u2p = pair.evaluate(lam, 0.0, 1.0)
-    p = pair.table.pencil.p.values
+    u1, u1p = evaluate_solution(table, lam, 1.0, 0.0)
+    u2, u2p = evaluate_solution(table, lam, 0.0, 1.0)
+    p = table.pencil.p.values
     return SampledFunction(
-        pair.table.pencil.grid,
+        table.pencil.grid,
         p * (u1.values * u2p.values - u1p.values * u2.values),
     )

@@ -24,12 +24,13 @@ from .spps import (
     FormalPowerTable,
     ParticularSolution,
     PencilSpec,
-    SolutionPair,
     build_particular_solution,
+    evaluate_solution,
     tail_components,
 )
 
 DEFAULT_HALF_WIDTH = 10.0
+KLAUS_SHAW_HALF_WIDTH = 1.0
 
 
 @dataclass(frozen=True)
@@ -90,16 +91,17 @@ def zs_particular_solution(zs: ZSProblem, *, truncation: int = 100
     return build_particular_solution(pencil.p, pencil.q, truncation=truncation)
 
 
-def zs_solution(zs: ZSProblem, pair: SolutionPair, lam: complex,
+def zs_solution(zs: ZSProblem, table: FormalPowerTable, lam: complex,
                 c1: complex, c2: complex, *, center: complex = 0.0
                 ) -> tuple[SampledFunction, SampledFunction]:
     """(v1, v2) from a formal-power table of the ZS pencil.
 
-    The series runs in lambda - center while the first component is recovered
-    as v1 = -(v2' + lambda v2)/Q at the true lambda.
+    The series runs in lambda - center, which must be one of the table's
+    eval_points, while the first component is recovered as
+    v1 = -(v2' + lambda v2)/Q at the true lambda.
     """
     lam = complex(lam)
-    v2, v2p = pair.evaluate(lam - complex(center), c1, c2)
+    v2, v2p = evaluate_solution(table, lam - complex(center), c1, c2)
     v1 = SampledFunction(zs.grid, -(v2p.values + lam * v2.values) / zs.Q.values)
     return v1, v2
 
@@ -114,7 +116,7 @@ def zs_dispersion(table: FormalPowerTable, zs: ZSProblem,
     """Dispersion series whose zeros (Re lambda > 0) are the ZS eigenvalues.
 
     table holds the formal powers of the ZS pencil shifted to center, anchored
-    at x0 = -a, with v0 = table.u0.  Coefficient k collects
+    at the left end -a, with v0 = table.u0.  Coefficient k collects
     v0(a) ((v0'(a) + center v0(a)) X^(2k+1)(a) + v0(a) X^(2k-1)(a))
     + Q(a) X^(2k)(a).
     """
@@ -164,7 +166,7 @@ class PotentialSpec:
 
     @staticmethod
     def klaus_shaw(s: float) -> "PotentialSpec":
-        return PotentialSpec("klaus_shaw", 1.0, {"s": float(s)})
+        return PotentialSpec("klaus_shaw", KLAUS_SHAW_HALF_WIDTH, {"s": float(s)})
 
     @staticmethod
     def bronski(epsilon: float,

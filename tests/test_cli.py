@@ -134,7 +134,24 @@ class TestConfigValidation:
          "config.potential.half_width"),
         ({**ZS, "potential": {"kind": "expression", "Q": "x", "P": "2*"}},
          "config.potential.P"),
-    ], ids=["boundary_side", "half_width", "expression_P"])
+        # JSON booleans are not numbers
+        ({"truncation": True}, "config.truncation"),
+        ({"tolerances": {"localize": True}}, "config.tolerances.localize"),
+        ({"interval": [False, True]}, "config.interval"),
+        ({"spectral_shifts": [[True, False]]}, "config.spectral_shifts[0]"),
+        ({**ZS, "sweep": {"parameter": "s", "values": [True]}},
+         "config.sweep.values[0]"),
+        ({**ZS, "potential": {"kind": "klaus_shaw", "s": 0.9, "half_width": True}},
+         "config.potential.half_width"),
+        ({**ZS, "sweep": {"parameter": "s", "values": [0.9, "abc"]}},
+         "config.sweep.values[1]"),
+        # and a number is not a boolean
+        ({"certify": 1}, "config.certify"),
+        ({"require_certified": "false"}, "config.require_certified"),
+    ], ids=["boundary_side", "half_width", "expression_P", "bool_truncation",
+            "bool_localize", "bool_interval", "bool_shift", "bool_sweep_value",
+            "bool_klaus_shaw_half_width", "string_sweep_value", "number_certify",
+            "string_require_certified"])
     def test_bad_value_in_block_rejected(self, tmp_path, capsys, overrides, path):
         assert main(["solve", intro_cfg(tmp_path, **overrides)]) == 1
         assert f"config error: {path}: " in capsys.readouterr().err
@@ -235,6 +252,24 @@ class TestSolve:
         assert len(rs.records) == 1
         assert abs(complex(rs.records[0]["re"], rs.records[0]["im"])) < 1e-8
 
+    def test_arg_principle_keep_box_outside_region(self, tmp_path):
+        """The keep box of the center at 15i misses the search region; that
+        center has no roots to find and the others still give theirs."""
+        cfg = json.loads((CONFIGS / "intro_pencil.json").read_text())
+        cfg.update(method="arg_principle", spectral_shifts=[[0, 6], [0, 15]],
+                   keep_radius=3)
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["solve", path, "--out", str(tmp_path / "out")]) == 0
+        rs = run_solve(path)
+        # -1/4 + i sqrt(8 n^2 pi^2 - 1)/4 for n = 1..4 lie in the boxes of 0 and 6i
+        modes = [complex(-0.25, s * math.sqrt(8 * n**2 * math.pi**2 - 1) / 4)
+                 for n in (1, 2, 3, 4) for s in (1, -1)]
+        modes = [lam for lam in modes if abs(lam.imag) < 3 or 3 < lam.imag < 9]
+        assert len(rs.records) == len(modes)
+        for lam in modes:
+            best = min(abs(complex(r["re"], r["im"]) - lam) for r in rs.records)
+            assert best < 1e-9
+
     @pytest.mark.parametrize("problem,modes", [
         # constant damping, y'' = 2 lambda y + lambda^2 y: -1 +- i sqrt(n^2 pi^2 - 1);
         # the center at -1+6i gets its u0 chained from the center-0 table
@@ -295,6 +330,16 @@ class TestOutputs:
         again = write_config(tmp_path, "resolved.json", resolved)
         rs2 = run_solve(again)
         assert rs1.records == rs2.records
+
+    def test_empty_sweep_keeps_sweep_column(self, tmp_path):
+        cfg = json.loads((CONFIGS / "klaus_shaw_sweep.json").read_text())
+        cfg["search_region"] = {"re": [5.0, 6.0], "im": [5.0, 6.0]}
+        csv = tmp_path / "sweep.csv"
+        cfg["output"] = {"csv": str(csv)}
+        rs = run_solve(write_config(tmp_path, "c.json", cfg))
+        assert rs.records == []
+        assert csv.read_text() == \
+            "sweep_value,re,im,multiplicity,method,certified,residual\n"
 
     def test_out_flag_overrides(self, tmp_path):
         path = intro_cfg(tmp_path)
@@ -373,8 +418,7 @@ class TestSurface:
         with pytest.raises(ConfigError, match="surface"):
             emit_surface(path, out_path=str(tmp_path / "s.txt"))
 
-    def test_deterministic_and_threaded_equal(self, tmp_path):
+    def test_reruns_bit_identical(self, tmp_path):
         path = self.surface_cfg(tmp_path)
-        a = open(emit_surface(path)).read()
-        b = open(emit_surface(path, threads=2)).read()
-        assert a == b
+        first = pathlib.Path(emit_surface(path)).read_bytes()
+        assert pathlib.Path(emit_surface(path)).read_bytes() == first

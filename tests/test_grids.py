@@ -40,12 +40,6 @@ class TestGridInvariants:
         assert np.allclose(np.diff(g.nodes), g.h)
         assert g.nodes[0] == -2.0 and g.nodes[-1] == 3.0
 
-    def test_index_of(self):
-        g = grid01(11)
-        assert g.index_of(0.3) == 3
-        with pytest.raises(GridError):
-            g.index_of(0.31)
-
     def test_values_length_checked(self):
         with pytest.raises(GridError):
             SampledFunction(grid01(11), np.zeros(10))

@@ -18,9 +18,9 @@ from slpencil.rootfinding import Rectangle, certify, newton_polish, poly_roots
 from slpencil.spps import (
     ParticularSolution,
     PencilSpec,
-    SolutionPair,
     build_formal_powers,
     chain_particular_solution,
+    evaluate_solution,
 )
 
 
@@ -78,17 +78,17 @@ class TestShiftPencil:
         lam = 1.5
         exact = np.cosh(np.sqrt(lam + 2 * lam**2))
 
-        pair0 = SolutionPair(build_formal_powers(spec, unit_u0(g), 0.0, 60))
-        u_direct, _ = pair0.evaluate(lam, 1.0, 0.0)
-
         lam0 = 1.0
+        table0 = build_formal_powers(spec, unit_u0(g), 60, eval_points=(lam, lam0))
+        u_direct, _ = evaluate_solution(table0, lam, 1.0, 0.0)
+
         sh = shift_pencil(spec, lam0)
-        u0s = chain_particular_solution(pair0, lam0, sh.p, sh.q)
-        pair1 = SolutionPair(build_formal_powers(sh, u0s, 0.0, 40))
+        u0s = chain_particular_solution(table0, lam0, sh.p, sh.q)
+        table1 = build_formal_powers(sh, u0s, 40, eval_points=(lam - lam0,))
         # match the initial conditions u(0) = 1, u'(0) = 0 in the shifted frame
         c1 = 1.0 / u0s.u0.values[0]
         c2 = -c1 * u0s.u0_prime.values[0] * u0s.u0.values[0] * spec.p.values[0]
-        u_shift, _ = pair1.evaluate(lam - lam0, c1, c2)
+        u_shift, _ = evaluate_solution(table1, lam - lam0, c1, c2)
 
         assert abs(u_direct.values[-1] - exact) < 1e-10
         assert abs(u_shift.values[-1] - u_direct.values[-1]) <= 1e-9
@@ -98,8 +98,7 @@ def string_series(sp, truncation, center=0.0, u0=None):
     """The Dirichlet series `slpencil solve` builds for a string at one center:
     the string pencil, shifted to center, through two_point_series."""
     pencil = sp.pencil if center == 0 else shift_pencil(sp.pencil, center)
-    table = build_formal_powers(pencil, u0 or unit_u0(sp.grid), 0.0, truncation,
-                                store="endpoint")
+    table = build_formal_powers(pencil, u0 or unit_u0(sp.grid), truncation)
     return two_point_series(table, center=center)
 
 
@@ -146,12 +145,10 @@ class TestStringCharacteristic:
         g = Grid(0.0, 1.0, 20001)
         sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
         lam0 = -1.0 - 3.0j
-        table = build_formal_powers(sp.pencil, unit_u0(g), 0.0, 100,
-                                    store="endpoint", eval_points=(lam0,))
+        table = build_formal_powers(sp.pencil, unit_u0(g), 100, eval_points=(lam0,))
         base = two_point_series(table)
         pencil = shift_pencil(sp.pencil, lam0)
-        u0 = chain_particular_solution(SolutionPair(table), lam0,
-                                       pencil.p, pencil.q)
+        u0 = chain_particular_solution(table, lam0, pencil.p, pencil.q)
         shifted = string_series(sp, 100, lam0, u0)
         exact = [-1 + np.sqrt(complex(1 - np.pi**2)),
                  -1 - np.sqrt(complex(1 - np.pi**2))]
@@ -166,9 +163,8 @@ class TestStringCharacteristic:
         g = Grid(0.0, 1.0, 10001)
         sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
         lam1 = complex(-1 + np.sqrt(complex(1 - np.pi**2)))
-        table = build_formal_powers(sp.pencil, unit_u0(g), 0.0, 60,
-                                    store="endpoint", eval_points=(lam1,))
-        y, _ = SolutionPair(table).evaluate(lam1, 0.0, 1.0)
+        table = build_formal_powers(sp.pencil, unit_u0(g), 60, eval_points=(lam1,))
+        y, _ = evaluate_solution(table, lam1, 0.0, 1.0)
         assert abs(y.values[-1]) <= 1e-6 * np.max(np.abs(y.values))
 
     def test_certification_of_first_mode(self):
@@ -200,7 +196,7 @@ class TestTwoPointSeries:
         g = Grid(0.0, 1.0, 10001)
         spec = PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0),
                           r=(constant(g, 1.0),))
-        table = build_formal_powers(spec, unit_u0(g), 0.0, 60)
+        table = build_formal_powers(spec, unit_u0(g), 60)
         series = two_point_series(table, left=(1.0, 0.0), right=(0.0, 1.0))
         roots = np.array(poly_roots(series))
         for n in range(3):
@@ -212,7 +208,7 @@ class TestTwoPointSeries:
         g = Grid(0.0, 1.0, 1001)
         spec = PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0),
                           r=(constant(g, 1.0),))
-        table = build_formal_powers(spec, unit_u0(g), 0.0, 30)
+        table = build_formal_powers(spec, unit_u0(g), 30)
         series = two_point_series(table, left=(1.0, 0.0), right=(0.5, 1.5))
         t = two_point_tail(series, 2.0)
         assert 0 < t < 1e-10
@@ -249,9 +245,10 @@ class TestDirac:
         pencil = dirac_to_pencil(d)
         from slpencil.spps import build_particular_solution
         u0 = build_particular_solution(pencil.p, pencil.q, truncation=60)
-        pair = SolutionPair(build_formal_powers(pencil, u0, 0.0, 40))
-        for lam in (0.2, 0.5 + 0.3j):
-            w, wp = pair.evaluate(lam, 1.0, 0.5)
+        lams = (0.2, 0.5 + 0.3j)
+        table = build_formal_powers(pencil, u0, 40, eval_points=lams)
+        for lam in lams:
+            w, wp = evaluate_solution(table, lam, 1.0, 0.5)
             u = dirac_first_component(w, wp, d, lam)
             # u' + (v-E) w = lambda u  -> integral form
             vmE = d.v.values - complex(d.energy)

@@ -6,16 +6,23 @@ import threading
 import numpy as np
 import pytest
 
-from slpencil import Grid, ParticularSolutionError, SampledFunction, constant, sample
+from slpencil import (
+    Grid,
+    GridError,
+    ParticularSolutionError,
+    SampledFunction,
+    constant,
+    sample,
+)
 from slpencil import spps
 from slpencil.grids import cumulative_integral
 from slpencil.spps import (
     ParticularSolution,
     PencilSpec,
-    SolutionPair,
     build_formal_powers,
     build_particular_solution,
     chain_particular_solution,
+    evaluate_solution,
     majorant_scale,
     tail_components,
     tail_series,
@@ -40,59 +47,65 @@ def even_tail(spec, u0, lam_abs, truncation):
     return tail_components(spec, u0, lam_abs, truncation).even
 
 
+def sum_scale(refs, lam):
+    """sum_n |lam|^n max|refs[n]|, the size of sum_n lam^n refs[n] on the grid."""
+    return sum(abs(lam) ** n * np.max(np.abs(r)) for n, r in enumerate(refs))
+
+
+def assert_sums_match(table, lam, ref_tilde, ref_plain, rel):
+    """PowerSums at lam, on the whole grid, against sum_n lam^n of reference
+    formal powers split by parity (ref lists start at order 0)."""
+    s = table.sums[complex(lam)]
+    for got, refs in ((s.s_tilde_even, ref_tilde[0::2]), (s.s_tilde_odd, ref_tilde[1::2]),
+                      (s.s_even, ref_plain[0::2]), (s.s_odd, ref_plain[1::2])):
+        expected = sum(lam**n * r for n, r in enumerate(refs))
+        assert np.max(np.abs(got - expected)) < rel * sum_scale(refs, lam)
+
+
 class TestFormalPowers:
     def test_base_cases(self):
         spec = intro_pencil(101)
-        t = build_formal_powers(spec, unit_u0(spec.grid), 0.0, 3)
-        assert np.all(t.xtilde[0] == 1.0)
-        assert np.all(t.x[0] == 1.0)
-        assert t.xtilde[1][0] == 0.0  # vanishes at the anchor
-        for n in range(1, 8):
-            assert abs(t.xtilde[n][t.x0_index]) < 1e-15
-            assert abs(t.x[n][t.x0_index]) < 1e-15
+        lams = (0.37 + 0.2j, -1.5, 2.0j)
+        t = build_formal_powers(spec, unit_u0(spec.grid), 3, eval_points=lams)
+        assert t.xtilde_end[0] == 1.0 and t.x_end[0] == 1.0
+        assert t.xtilde_end.shape == t.x_end.shape == (8,)
+        # every power of order >= 1 vanishes at the anchor, so at the left end
+        # each sum keeps only its order-0 term
+        for lam in lams:
+            s = t.sums[complex(lam)]
+            assert s.s_tilde_even[0] == 1.0 and s.s_even[0] == 1.0
+            assert abs(s.s_tilde_odd[0]) < 1e-15
+            assert abs(s.s_odd[0]) < 1e-15
 
     def test_intro_example_even_powers(self):
         spec = intro_pencil(1001)
         x = spec.grid.nodes
-        t = build_formal_powers(spec, unit_u0(spec.grid), 0.0, 3)
+        lam = 0.6 - 0.45j
+        t = build_formal_powers(spec, unit_u0(spec.grid), 3, eval_points=(lam,))
         expected = {
             2: x**2 / 2,
             4: x**2 + x**4 / 24,
             6: x**4 / 6 + x**6 / 720,
         }
         for n, ref in expected.items():
-            err = np.abs(t.xtilde[n] - ref)
-            assert np.max(err[1:] / np.abs(ref[1:])) < 1e-10
+            assert abs(t.xtilde_end[n] - ref[-1]) < 1e-10 * abs(ref[-1])
+        refs = [np.ones_like(x)] + [expected[n] for n in (2, 4, 6)]
+        ref_sum = sum(lam**n * r for n, r in enumerate(refs))
+        err = np.abs(t.sums[lam].s_tilde_even - ref_sum)
+        assert np.max(err) < 1e-10 * sum_scale(refs, lam)
 
     def test_single_term_pencil_gives_cosh_series(self):
         g = Grid(0.0, 1.0, 501)
         spec = PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0), r=(constant(g, 1.0),))
-        t = build_formal_powers(spec, unit_u0(g), 0.0, 5)
+        lam = -2.0 + 1.0j
+        t = build_formal_powers(spec, unit_u0(g), 5, eval_points=(lam,))
         x = g.nodes
+        refs = [x ** (2 * n) / math.factorial(2 * n) for n in range(6)]
         for n in range(1, 6):
-            ref = x ** (2 * n) / math.factorial(2 * n)
-            err = np.max(np.abs(t.xtilde[2 * n] - ref))
-            assert err < 1e-12 * np.max(ref)
-
-    def test_anchor_must_be_node(self):
-        spec = intro_pencil(101)
-        with pytest.raises(Exception):
-            build_formal_powers(spec, unit_u0(spec.grid), 0.0505, 2)
-
-    def test_endpoint_mode_matches_full(self):
-        spec = intro_pencil(201)
-        u0 = unit_u0(spec.grid)
-        full = build_formal_powers(spec, u0, 0.0, 8)
-        slim = build_formal_powers(spec, u0, 0.0, 8, store="endpoint",
-                                   eval_points=(0.37 + 0.2j,))
-        assert np.allclose(full.xtilde_end, slim.xtilde_end, rtol=0, atol=1e-15)
-        assert np.allclose(full.x_end, slim.x_end, rtol=0, atol=1e-15)
-        pf = SolutionPair(full)
-        ps = SolutionPair(slim)
-        uf, upf = pf.evaluate(0.37 + 0.2j, 1.0, 2.0 - 1j)
-        us, ups = ps.evaluate(0.37 + 0.2j, 1.0, 2.0 - 1j)
-        assert np.max(np.abs(uf.values - us.values)) < 1e-13
-        assert np.max(np.abs(upf.values - ups.values)) < 1e-13
+            assert abs(t.xtilde_end[2 * n] - refs[n][-1]) < 1e-12 * np.max(refs[n])
+        ref_sum = sum(lam**n * r for n, r in enumerate(refs))
+        err = np.abs(t.sums[lam].s_tilde_even - ref_sum)
+        assert np.max(err) < 1e-12 * sum_scale(refs, lam)
 
     def test_classical_recursion_oracle(self):
         """With N = 1 the table must match an independently coded classical scheme."""
@@ -102,7 +115,8 @@ class TestFormalPowers:
         r1 = sample(g, lambda x: 1.0 + x**2)
         u0 = build_particular_solution(p, q, truncation=60)
         spec = PencilSpec(p=p, q=q, r=(r1,))
-        t = build_formal_powers(spec, u0, 0.0, 6)
+        lams = (0.8 - 0.3j, -4.0)
+        t = build_formal_powers(spec, u0, 6, eval_points=lams)
 
         # classical scheme: alternate multiply-integrate against u0^2 r and 1/(u0^2 p)
         def classic(seed_parity_r_first: bool):
@@ -117,14 +131,16 @@ class TestFormalPowers:
                 out.append(cur)
             return out
 
-    # Xtilde starts with the r-weighted integral, X with the 1/(u0^2 p) one
+        # Xtilde starts with the r-weighted integral, X with the 1/(u0^2 p) one
         ref_tilde = classic(True)
         ref_plain = classic(False)
         for n in range(0, 14):
             scale = max(np.max(np.abs(ref_tilde[n])), 1e-30)
-            assert np.max(np.abs(t.xtilde[n] - ref_tilde[n])) < 1e-12 * scale
+            assert abs(t.xtilde_end[n] - ref_tilde[n][-1]) < 1e-12 * scale
             scale = max(np.max(np.abs(ref_plain[n])), 1e-30)
-            assert np.max(np.abs(t.x[n] - ref_plain[n])) < 1e-12 * scale
+            assert abs(t.x_end[n] - ref_plain[n][-1]) < 1e-12 * scale
+        for lam in lams:
+            assert_sums_match(t, lam, ref_tilde, ref_plain, 1e-12)
 
     def test_threaded_reruns_bit_identical(self, monkeypatch):
         g = Grid(0.0, 1.0, 20001)
@@ -142,8 +158,8 @@ class TestFormalPowers:
 
         monkeypatch.setattr(spps, "_run_family", spy)
         lams = (0.37 + 0.2j, -1.0 + 3.0j)
-        first, second = (build_formal_powers(spec, u0, 0.0, 20, store="endpoint",
-                                             eval_points=lams) for _ in range(2))
+        first, second = (build_formal_powers(spec, u0, 20, eval_points=lams)
+                         for _ in range(2))
         # each build ran one of its two families on a worker thread
         assert len(callers) == 4
         assert callers.count(threading.get_ident()) == 2
@@ -158,15 +174,21 @@ class TestFormalPowers:
 class TestEvaluateSolution:
     def test_lambda_zero_returns_u0(self):
         spec = intro_pencil(101)
-        pair = SolutionPair(build_formal_powers(spec, unit_u0(spec.grid), 0.0, 5))
-        u, up = pair.evaluate(0.0, 1.0, 0.0)
+        table = build_formal_powers(spec, unit_u0(spec.grid), 5, eval_points=(0.0,))
+        u, up = evaluate_solution(table, 0.0, 1.0, 0.0)
         assert np.max(np.abs(u.values - 1.0)) == 0.0
         assert np.max(np.abs(up.values)) == 0.0
 
+    def test_lambda_not_in_eval_points_rejected(self):
+        spec = intro_pencil(101)
+        table = build_formal_powers(spec, unit_u0(spec.grid), 5, eval_points=(0.5,))
+        with pytest.raises(GridError, match="eval_points"):
+            evaluate_solution(table, 0.25, 1.0, 0.0)
+
     def test_intro_example_cosh_value(self):
         spec = intro_pencil(10001)
-        pair = SolutionPair(build_formal_powers(spec, unit_u0(spec.grid), 0.0, 30))
-        u, _ = pair.evaluate(0.1, 1.0, 0.0)
+        table = build_formal_powers(spec, unit_u0(spec.grid), 30, eval_points=(0.1,))
+        u, _ = evaluate_solution(table, 0.1, 1.0, 0.0)
         exact = np.cosh(np.sqrt(0.12))
         assert abs(u.values[-1] - exact) <= 1e-12
 
@@ -176,9 +198,9 @@ class TestEvaluateSolution:
         q = sample(g, lambda x: 0.5 * x)
         r = (sample(g, lambda x: 1.0 + 0 * x), sample(g, lambda x: np.exp(-x)))
         u0 = build_particular_solution(p, q, truncation=60)
-        pair = SolutionPair(build_formal_powers(PencilSpec(p, q, r), u0, 0.0, 20))
         lam = 0.3 - 0.7j
-        u, up = pair.evaluate(lam, 0.0, 1.0)
+        table = build_formal_powers(PencilSpec(p, q, r), u0, 20, eval_points=(lam,))
+        u, up = evaluate_solution(table, lam, 0.0, 1.0)
         assert abs(u.values[0]) < 1e-13
         expected = 1.0 / (u0.u0.values[0] * p.values[0])
         assert abs(up.values[0] - expected) < 1e-12 * abs(expected)
@@ -189,18 +211,20 @@ class TestEvaluateSolution:
         q = sample(g, lambda x: np.sin(x))
         r = (sample(g, lambda x: 1.0 + 0 * x), sample(g, lambda x: 1.0 + x))
         u0 = build_particular_solution(p, q, truncation=80)
-        pair = SolutionPair(build_formal_powers(PencilSpec(p, q, r), u0, 0.0, 40))
-        for lam in (0.0, 0.5, 1.0j, -0.3 + 0.8j):
-            w = wronskian(pair, lam).values
+        lams = (0.0, 0.5, 1.0j, -0.3 + 0.8j)
+        table = build_formal_powers(PencilSpec(p, q, r), u0, 40, eval_points=lams)
+        for lam in lams:
+            w = wronskian(table, lam).values
             assert abs(w[0] - 1.0) < 1e-10
             assert np.max(np.abs(w - w[0])) < 1e-8 * abs(w[0])
 
     def test_ode_residual_integral_form(self):
         spec = intro_pencil(2001)
         g = spec.grid
-        pair = SolutionPair(build_formal_powers(spec, unit_u0(g), 0.0, 40))
-        for lam in (0.4, 1.0j, -0.5 + 0.5j):
-            u, up = pair.evaluate(lam, 0.7, -0.3 + 1j)
+        lams = (0.4, 1.0j, -0.5 + 0.5j)
+        table = build_formal_powers(spec, unit_u0(g), 40, eval_points=lams)
+        for lam in lams:
+            u, up = evaluate_solution(table, lam, 0.7, -0.3 + 1j)
             rhs = u.values * (lam * spec.r[0].values + lam**2 * spec.r[1].values
                               - spec.q.values)
             acc = cumulative_integral(SampledFunction(g, rhs)).values
@@ -244,11 +268,11 @@ class TestParticularSolution:
     def test_chain_particular_solution_solves_shifted_equation(self):
         spec = intro_pencil(2001)
         g = spec.grid
-        pair = SolutionPair(build_formal_powers(spec, unit_u0(g), 0.0, 40))
         lam0 = 1.0
+        table = build_formal_powers(spec, unit_u0(g), 40, eval_points=(lam0,))
         # q_eff = q - (lam0 r1 + lam0^2 r2) = -3 for the intro pencil
         q_eff = constant(g, -3.0)
-        u0 = chain_particular_solution(pair, lam0, spec.p, q_eff)
+        u0 = chain_particular_solution(table, lam0, spec.p, q_eff)
         # solves u'' = 3u (the intro pencil at lambda = 1), without vanishing
         assert u0.residual < 1e-9
         assert u0.min_modulus_ratio > 0.1
@@ -283,8 +307,8 @@ class TestTailBound:
     def test_tail_is_a_true_bound_for_intro_example(self):
         spec = intro_pencil(1001)
         u0 = unit_u0(spec.grid)
-        t_small = build_formal_powers(spec, u0, 0.0, 12)
-        t_big = build_formal_powers(spec, u0, 0.0, 24)
+        t_small = build_formal_powers(spec, u0, 12)
+        t_big = build_formal_powers(spec, u0, 24)
         for lam in np.exp(1j * np.linspace(0, 2 * np.pi, 7)):
             small = sum(lam**n * t_small.xtilde_end[2 * n] for n in range(13))
             big = sum(lam**n * t_big.xtilde_end[2 * n] for n in range(25))

@@ -7,7 +7,7 @@ from slpencil import Grid, NodeValueError, SampledFunction, constant, sample
 from slpencil.grids import cumulative_integral
 from slpencil.problems import shift_pencil
 from slpencil.rootfinding import newton_polish, poly_roots
-from slpencil.spps import SolutionPair, build_formal_powers, chain_particular_solution
+from slpencil.spps import build_formal_powers, chain_particular_solution
 from slpencil.zakharov import (
     PotentialSpec,
     ZSProblem,
@@ -30,8 +30,8 @@ def constant_zs(c=2.0, a=1.0, n=501):
 def dispersion(zs, truncation, eval_points=()):
     """The dispersion series `slpencil solve` builds at center 0."""
     v0 = zs_particular_solution(zs, truncation=truncation)
-    table = build_formal_powers(zs_to_pencil(zs), v0, zs.grid.a, truncation,
-                                store="endpoint", eval_points=eval_points)
+    table = build_formal_powers(zs_to_pencil(zs), v0, truncation,
+                                eval_points=eval_points)
     return zs_dispersion(table, zs)
 
 
@@ -65,7 +65,8 @@ class TestPencilReduction:
         Qp = sample(g, lambda x: 1.2 * np.cos(3 * x) - 0.6j * np.sin(2 * x))
         zs = ZSProblem(Q=Q, P=P, Q_prime=Qp)
         v0 = zs_particular_solution(zs, truncation=60)
-        table = build_formal_powers(zs_to_pencil(zs), v0, -1.0, 5)
+        lams = (0.7 + 0.4j, -1.5)
+        table = build_formal_powers(zs_to_pencil(zs), v0, 5, eval_points=lams)
 
         # direct transcription of the ZS-specific recursion
         v0sq = v0.u0.values**2
@@ -93,9 +94,17 @@ class TestPencilReduction:
 
         for n in range(12):
             scale = max(np.max(np.abs(xt[n])), 1e-30)
-            assert np.max(np.abs(table.xtilde[n] - xt[n])) < 1e-12 * scale
+            assert abs(table.xtilde_end[n] - xt[n][-1]) < 1e-12 * scale
             scale = max(np.max(np.abs(xs[n])), 1e-30)
-            assert np.max(np.abs(table.x[n] - xs[n])) < 1e-12 * scale
+            assert abs(table.x_end[n] - xs[n][-1]) < 1e-12 * scale
+        # and on the whole grid, through the series sums at each eval point
+        for lam in lams:
+            s = table.sums[complex(lam)]
+            for got, refs in ((s.s_tilde_even, xt[0::2]), (s.s_tilde_odd, xt[1::2]),
+                              (s.s_even, xs[0::2]), (s.s_odd, xs[1::2])):
+                expected = sum(lam**k * r for k, r in enumerate(refs))
+                scale = sum(abs(lam)**k * np.max(np.abs(r)) for k, r in enumerate(refs))
+                assert np.max(np.abs(got - expected)) < 1e-12 * scale
 
 
 class TestParticularSolution:
@@ -130,8 +139,8 @@ class TestSolution:
     def test_lambda_zero_reduces_to_v0(self):
         zs = materialize_potential(PotentialSpec.klaus_shaw(0.8), n_nodes=1001)
         v0 = zs_particular_solution(zs)
-        table = build_formal_powers(zs_to_pencil(zs), v0, -1.0, 10)
-        v1, v2 = zs_solution(zs, SolutionPair(table), 0.0, 1.0, 0.0)
+        table = build_formal_powers(zs_to_pencil(zs), v0, 10, eval_points=(0.0,))
+        v1, v2 = zs_solution(zs, table, 0.0, 1.0, 0.0)
         assert np.max(np.abs(v2.values - v0.u0.values)) < 1e-12
         expected_v1 = -v0.u0_prime.values / zs.Q.values
         assert np.max(np.abs(v1.values - expected_v1)) < 1e-12
@@ -139,10 +148,11 @@ class TestSolution:
     def test_jost_normalization_at_left_end(self):
         zs = materialize_potential(PotentialSpec.klaus_shaw(0.8), n_nodes=1001)
         v0 = zs_particular_solution(zs)
-        table = build_formal_powers(zs_to_pencil(zs), v0, -1.0, 30)
+        lams = (0.3, 0.1 + 0.6j)
+        table = build_formal_powers(zs_to_pencil(zs), v0, 30, eval_points=lams)
         c1, c2 = jost_constants(v0)
-        for lam in (0.3, 0.1 + 0.6j):
-            v1, v2 = zs_solution(zs, SolutionPair(table), lam, c1, c2)
+        for lam in lams:
+            v1, v2 = zs_solution(zs, table, lam, c1, c2)
             assert abs(v1.values[0] - 1.0) < 1e-10
             assert abs(v2.values[0]) < 1e-12
 
@@ -152,8 +162,8 @@ class TestSolution:
         c = 1.3
         zs = constant_zs(c=c, a=1.0, n=2001)
         v0 = zs_particular_solution(zs)
-        table = build_formal_powers(zs_to_pencil(zs), v0, -1.0, 10)
-        v1, v2 = zs_solution(zs, SolutionPair(table), 0.0, 1.0, 0.0)
+        table = build_formal_powers(zs_to_pencil(zs), v0, 10, eval_points=(0.0,))
+        v1, v2 = zs_solution(zs, table, 0.0, 1.0, 0.0)
         x = zs.grid.nodes
         # v0 = exp(i c (x + a)) solves it; compare against the closed form
         ref = np.exp(1j * c * (x + 1.0))
@@ -162,11 +172,11 @@ class TestSolution:
     def test_first_order_system_residual(self):
         zs = materialize_potential(PotentialSpec.klaus_shaw(0.9), n_nodes=5001)
         v0 = zs_particular_solution(zs)
-        table = build_formal_powers(zs_to_pencil(zs), v0, -1.0, 40)
-        pair = SolutionPair(table)
+        lams = (0.25, 0.05 + 0.5j)
+        table = build_formal_powers(zs_to_pencil(zs), v0, 40, eval_points=lams)
         g = zs.grid
-        for lam in (0.25, 0.05 + 0.5j):
-            v1, v2 = zs_solution(zs, pair, lam, *jost_constants(v0))
+        for lam in lams:
+            v1, v2 = zs_solution(zs, table, lam, *jost_constants(v0))
             scale = max(np.max(np.abs(v1.values)), np.max(np.abs(v2.values)))
             r1 = (v1.values - v1.values[0]
                   - cumulative_integral(SampledFunction(
@@ -212,9 +222,8 @@ class TestDispersion:
         zs = materialize_potential(PotentialSpec.klaus_shaw(0.9999), n_nodes=2001)
         base = dispersion(zs, 100, eval_points=(0.03,))
         pencil = shift_pencil(zs_to_pencil(zs), 0.03)
-        v0 = chain_particular_solution(SolutionPair(base.meta["table"]), 0.03,
-                                       pencil.p, pencil.q)
-        table = build_formal_powers(pencil, v0, zs.grid.a, 100, store="endpoint")
+        v0 = chain_particular_solution(base.meta["table"], 0.03, pencil.p, pencil.q)
+        table = build_formal_powers(pencil, v0, 100)
         shifted = zs_dispersion(table, zs, 0.03)
         assert shifted.center == 0.03
         b_roots = np.array(poly_roots(base))
