@@ -668,7 +668,11 @@ def _csv_lines(rs: ResultSet) -> list[str]:
 
 
 def _report_dict(rs: ResultSet) -> dict:
+    """The report: the metadata without the wall time and the output paths,
+    so the same solve written anywhere gives the same bytes."""
     meta = {k: v for k, v in rs.metadata.items() if k != "wall_time_s"}
+    meta["resolved_config"] = {k: v for k, v in meta["resolved_config"].items()
+                               if k != "output"}
     return {"metadata": meta, "records": rs.records, "spurious": rs.spurious}
 
 

@@ -2,9 +2,13 @@
 
 Two routes to the eigenvalues: global polynomial root extraction through the
 companion matrix, and argument-principle localization on rectangles with
-winding numbers and residue-formula refinement.  Both end in a Newton polish
-in double precision whose residual comes from the compensated Horner scheme,
-as accurate as Horner in twice the working precision.  A root is certified
+winding numbers and residue-formula refinement.  Localization bisects only
+until a rectangle holds a single zero, which the residue formula and Newton
+then pin: the bisection tolerance is a floor, not the record's precision.
+Its rounding-noise floor is taken where the sampled boundary |Phi_M| is
+smallest.  Both routes end in a Newton polish in double precision whose
+residual comes from the compensated Horner scheme, as accurate as Horner in
+twice the working precision.  A root is certified
 when the sampled boundary minimum of |Phi_M| beats a rigorous bound on
 |Phi - Phi_M|, which by Rouche's theorem puts the truncated roots in
 bijection with true eigenvalues inside the rectangle.
@@ -75,6 +79,7 @@ class WindingResult:
     rectangle: Rectangle
     winding: int
     boundary_min_abs: float
+    boundary_min_at: complex  # the sampled boundary point where |Phi| is smallest
 
 
 @dataclass(frozen=True)
@@ -239,7 +244,8 @@ def winding_number(series, rect: Rectangle,
     """
     pts = _boundary_points(rect, samples_per_contour)
     vals = np.asarray(series(pts), dtype=np.complex128)
-    min_abs = float(np.min(np.abs(vals)))
+    i_min = int(np.argmin(np.abs(vals)))
+    min_abs = float(abs(vals[i_min]))
     if min_abs < BOUNDARY_ABS_FLOOR:
         raise RootLocalizationError(
             f"zero on the contour of {rect}: boundary |Phi| = {min_abs:g}"
@@ -250,7 +256,7 @@ def winding_number(series, rect: Rectangle,
         raise RootLocalizationError(
             f"total argument change {total:.3f} is not close to a multiple of 2*pi"
         )
-    return WindingResult(rect, winding, min_abs)
+    return WindingResult(rect, winding, min_abs, complex(pts[i_min]))
 
 
 def _residue_trapezoid(series, rect: Rectangle, samples: int) -> complex:
@@ -279,20 +285,20 @@ def residue_refine(series, rect: Rectangle, multiplicity: int,
     return complex(integral / (2j * math.pi * multiplicity))
 
 
-def _evaluation_noise(series, rect: Rectangle) -> float:
-    """Rounding-noise scale of Phi_M on the rectangle boundary.
+def _evaluation_noise(series, z: complex) -> float:
+    """Rounding-noise scale of Phi_M evaluated at z.
 
-    Below a small multiple of this level the sampled values are cancellation
-    noise and winding numbers stop being meaningful, which happens inside the
-    natural resolution radius of multiple zeros.
+    Below a small multiple of this level a sampled value is cancellation
+    noise.  localize takes it at the boundary point where |Phi_M| is
+    smallest: once that minimum sinks under it, winding numbers stop being
+    meaningful, which happens inside the natural resolution radius of
+    multiple zeros.
     """
     term_scale = getattr(series, "term_scale", None)
     if term_scale is None:
         return 0.0
-    center = getattr(series, "center", 0.0 + 0.0j)
-    far = max(rect.corners(), key=lambda c: abs(c - center))
     m = getattr(series, "truncation", 64)
-    return 8.0 * math.sqrt(m + 1) * np.finfo(float).eps * term_scale(far)
+    return 8.0 * math.sqrt(m + 1) * np.finfo(float).eps * term_scale(z)
 
 
 def _finalize(series, region: Rectangle, winding: int, samples: int,
@@ -309,15 +315,21 @@ def _finalize(series, region: Rectangle, winding: int, samples: int,
 def localize(series, region: Rectangle, tol: float = 1e-10, *,
              samples_per_contour: int = 4000, polish_steps: int = 5,
              _winding: WindingResult | None = None) -> list[EigenvalueRecord]:
-    """Recursive rectangle bisection by winding number.
+    """Zeros in region by winding numbers, bisecting only until a rectangle
+    holds a single zero.
 
-    Rectangles with winding zero are discarded; once a rectangle's diameter
-    falls below tol the zero inside is pinned by the residue formula and
-    polished by a few Newton steps (reverting to the residue estimate if
-    Newton does not reduce |Phi_M|).  Subdivision also stops early if the
-    boundary values sink into rounding noise, the resolution limit of a
-    multiple zero; clusters tighter than that (or than tol) come back as one
-    record with the summed winding.
+    Rectangles with winding zero are discarded.  On winding one the zero is
+    pinned by the residue formula and a few Newton steps, and the record is
+    kept if it lies in the rectangle with |Phi_M| at or below both its own
+    evaluation noise and the boundary minimum of |Phi_M|: by the
+    minimum-modulus principle the sublevel component holding it cannot reach
+    the boundary, so it holds the rectangle's only zero (Delves & Lyness
+    1967; Kravanja & Van Barel 2000).  Otherwise the longer side is bisected.
+    tol is the diameter at which bisection gives up, not the precision of a
+    record.  Bisection also stops once the boundary minimum sinks into the
+    rounding noise taken at that boundary point, the resolution limit of a
+    multiple zero; clusters tighter than that come back as one record with
+    the summed winding.
     """
     w = _winding if _winding is not None else winding_number(
         series, region, samples_per_contour)
@@ -327,9 +339,15 @@ def localize(series, region: Rectangle, tol: float = 1e-10, *,
         raise RootLocalizationError(
             f"negative winding {w.winding} on {region}: not a polynomial image"
         )
-    if region.diameter <= tol or w.boundary_min_abs < _evaluation_noise(series, region):
+    noise = _evaluation_noise(series, w.boundary_min_at)
+    if region.diameter <= tol or w.boundary_min_abs < noise:
         return _finalize(series, region, w.winding, samples_per_contour,
                          polish_steps)
+    if w.winding == 1:
+        rec = _finalize(series, region, 1, samples_per_contour, polish_steps)[0]
+        if region.contains(rec.value) and rec.residual <= min(
+                _evaluation_noise(series, rec.value), w.boundary_min_abs):
+            return [rec]
 
     wide = (region.re_max - region.re_min) >= (region.im_max - region.im_min)
     lo, hi = (region.re_min, region.re_max) if wide else (region.im_min, region.im_max)
@@ -357,7 +375,7 @@ def localize(series, region: Rectangle, tol: float = 1e-10, *,
         out += localize(series, r2, tol, samples_per_contour=samples_per_contour,
                         polish_steps=polish_steps, _winding=w2)
         return sorted(out, key=lambda rec: (rec.value.real, rec.value.imag))
-    if w.boundary_min_abs < 16 * _evaluation_noise(series, region):
+    if w.boundary_min_abs < 16 * noise:
         # every cut line lands in the noise skirt of an (almost) multiple zero
         return _finalize(series, region, w.winding, samples_per_contour,
                          polish_steps)

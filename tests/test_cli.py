@@ -270,6 +270,20 @@ class TestSolve:
             best = min(abs(complex(r["re"], r["im"]) - lam) for r in rs.records)
             assert best < 1e-9
 
+    @pytest.mark.parametrize("name", [
+        "intro_pencil.json", "bronski_eps02.json", "tovbis_mu05_eps05.json"])
+    def test_shipped_config_same_records_under_both_methods(self, tmp_path, name):
+        cfg = json.loads((CONFIGS / name).read_text())
+        cfg["output"] = None
+        found = {}
+        for method in ("poly_roots", "arg_principle"):
+            cfg["method"] = method
+            rs = run_solve(write_config(tmp_path, f"{method}.json", cfg))
+            found[method] = [complex(r["re"], r["im"]) for r in rs.records]
+        assert len(found["arg_principle"]) == len(found["poly_roots"]) > 0
+        for z in found["arg_principle"]:
+            assert min(abs(z - w) for w in found["poly_roots"]) <= 1e-12 * abs(z)
+
     @pytest.mark.parametrize("problem,modes", [
         # constant damping, y'' = 2 lambda y + lambda^2 y: -1 +- i sqrt(n^2 pi^2 - 1);
         # the center at -1+6i gets its u0 chained from the center-0 table
@@ -347,6 +361,16 @@ class TestOutputs:
         assert main(["solve", path, "--out", str(base)]) == 0
         assert (tmp_path / "result.csv").exists()
         assert (tmp_path / "result.json").exists()
+
+    def test_report_independent_of_output_directory(self, tmp_path):
+        path = intro_cfg(tmp_path)
+        reports = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            assert main(["solve", path, "--out", str(tmp_path / sub / "r")]) == 0
+            reports.append((tmp_path / sub / "r.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert "output" not in json.loads(reports[0])["metadata"]["resolved_config"]
 
 
 class TestDependencies:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from slpencil import RootLocalizationError
+from slpencil import RootLocalizationError, rootfinding
 from slpencil.problems import CharacteristicSeries
 from slpencil.rootfinding import (
     EigenvalueRecord,
@@ -132,6 +132,44 @@ class TestLocalize:
             assert sum(r.multiplicity for r in recs) == deg
             for root in roots:
                 assert min(abs(r.value - root) for r in recs) < 1e-7
+
+
+class TestEarlyStop:
+    def test_separated_zeros_without_deep_bisection(self, monkeypatch):
+        roots = [0.31 + 0.52j, -0.47 - 0.23j, 0.12 - 0.71j]
+        s = series_from_roots(roots)
+        calls = []
+        inner = rootfinding.winding_number
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(rootfinding, "winding_number", counting)
+        recs = localize(s, Rectangle(-1.0, 1.0, -1.0, 1.0), tol=1e-10)
+        assert len(calls) <= 20
+        assert len(recs) == 3
+        for root in roots:
+            assert min(abs(r.value - root) for r in recs) < 1e-13
+
+    def test_rejected_candidate_falls_back_to_bisection(self, monkeypatch):
+        root = 0.3 + 0.1j
+        s = series_from_roots([root, 3.0 - 2.0j])
+        polishes = []
+        inner = rootfinding.newton_polish
+
+        def first_call_lands_outside(series, z0, **kwargs):
+            polishes.append(z0)
+            if len(polishes) == 1:
+                return 5.0 + 5.0j
+            return inner(series, z0, **kwargs)
+
+        monkeypatch.setattr(rootfinding, "newton_polish", first_call_lands_outside)
+        recs = localize(s, Rectangle(-1.0, 1.0, -1.0, 1.0), tol=1e-10)
+        assert len(polishes) >= 2
+        assert len(recs) == 1
+        assert recs[0].multiplicity == 1
+        assert abs(recs[0].value - root) < 1e-10
 
 
 class TestResidueRefine:
