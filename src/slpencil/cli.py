@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ExpressionError, SLPencilError, SolverError
 from .expressions import evaluate_on_grid, parse as parse_expr
-from .grids import Grid, constant
+from .grids import P, Grid, constant, refine, unresolved
 from .problems import (
     CharacteristicSeries,
     DiracSpec,
@@ -59,6 +59,9 @@ from .zakharov import (
     zs_to_pencil,
 )
 
+# n_nodes is a ceiling: each center's grid starts from INITIAL_PANELS uniform
+# panels (fewer if the ceiling asks), and a GridError names the center whose
+# refinement would need more nodes than n_nodes
 DEFAULTS = {
     "n_nodes": 100001,
     "truncation": 100,
@@ -70,6 +73,7 @@ DEFAULTS = {
     "keep_radius": None,
     "boundary": {"left": [1.0, 0.0], "right": [1.0, 0.0]},
 }
+INITIAL_PANELS = 16
 # keys with no default: required ones, and blocks that are off when absent
 CONFIG_KEYS = frozenset(DEFAULTS) | {
     "problem", "interval", "coefficients", "potential", "search_region",
@@ -176,8 +180,8 @@ def validate_config(raw: dict) -> dict:
               f"expected one of {PROBLEM_KINDS}")
 
     n_nodes = _require(cfg, "n_nodes", int, "config")
-    if n_nodes < 6 or (n_nodes - 1) % 5 != 0:
-        _fail("config.n_nodes", f"{n_nodes} is not 1 + a multiple of 5 (>= 6)")
+    if n_nodes < P:
+        _fail("config.n_nodes", f"{n_nodes} is below the {P} nodes of one panel")
     m = _require(cfg, "truncation", int, "config")
     if m < 1:
         _fail("config.truncation", "truncation order must be >= 1")
@@ -205,6 +209,10 @@ def validate_config(raw: dict) -> dict:
     if tol.get("merge") is not None and (not _is_number(tol["merge"])
                                          or tol["merge"] <= 0):
         _fail("config.tolerances.merge", "expected a positive number or null")
+
+    kr = cfg["keep_radius"]
+    if kr is not None and (not _is_number(kr) or not kr > 0):
+        _fail("config.keep_radius", f"expected a positive number or null, got {kr!r}")
 
     if not isinstance(cfg["certify"], (bool, dict)):
         _fail("config.certify", "expected false, true or {\"half_width\": h}")
@@ -367,14 +375,34 @@ class _Assembly:
 
 
 def _build_assembly(cfg: dict, potential_override: dict | None = None) -> _Assembly:
-    kind = cfg["problem"]
-    m = cfg["truncation"]
-    if kind == "zakharov_shabat":
+    """The problem sampled on the coarsest split of a uniform grid on which
+    its coefficients and its center-0 u0 are resolved."""
+    spec = None
+    if cfg["problem"] == "zakharov_shabat":
         pot = dict(cfg["potential"])
         if potential_override:
             pot.update(potential_override)
         spec = _potential_spec(pot)
-        zs = materialize_potential(spec, n_nodes=cfg["n_nodes"])
+        a, b = -spec.half_width, spec.half_width
+    else:
+        a, b = (float(v) for v in cfg["interval"])
+    ceiling = cfg["n_nodes"]
+    grid = Grid.uniform(a, b, min(INITIAL_PANELS, (ceiling - 1) // (P - 1)))
+
+    def build(g: Grid):
+        asm = _assemble(cfg, g, spec)
+        pencil, u0 = asm.base_pencil, asm.initial_u0
+        return asm, unresolved(g, *(f.values for f in (
+            pencil.p, pencil.q, *pencil.r, u0.u0, u0.u0_prime)))
+
+    return refine(grid, build, ceiling, "center 0 coefficients")
+
+
+def _assemble(cfg: dict, grid: Grid, spec: PotentialSpec | None) -> _Assembly:
+    kind = cfg["problem"]
+    m = cfg["truncation"]
+    if kind == "zakharov_shabat":
+        zs = materialize_potential(spec, grid)
         return _Assembly(
             base_pencil=zs_to_pencil(zs),
             initial_u0=zs_particular_solution(zs, truncation=m),
@@ -383,8 +411,6 @@ def _build_assembly(cfg: dict, potential_override: dict | None = None) -> _Assem
             back_map_scale=zs.back_map_scale,
         )
 
-    a, b = cfg["interval"]
-    grid = Grid(float(a), float(b), cfg["n_nodes"])
     coeffs = cfg["coefficients"]
     if kind == "string":
         sp = StringProblem(
@@ -469,15 +495,15 @@ def run_solve(config_path: str, *, output_override: dict | None = None) -> Resul
     if sweep:
         values = sweep["values"]
         partials = [_solve_single(cfg, {sweep["parameter"]: float(v)}) for v in values]
-        records, spurious = [], []
-        for v, part in zip(values, partials):
-            for rec in part[0]:
-                records.append({"sweep_value": float(v), **rec})
-            for rec in part[1]:
-                spurious.append({"sweep_value": float(v), **rec})
-        excluded = sum(part[2] for part in partials)
+        records, spurious, grids, excluded = [], [], [], 0
+        for v, (recs, spur, excl, grid) in zip(values, partials):
+            tag = {"sweep_value": float(v)}
+            records += [{**tag, **rec} for rec in recs]
+            spurious += [{**tag, **rec} for rec in spur]
+            grids += [{**tag, **g} for g in grid]
+            excluded += excl
     else:
-        records, spurious, excluded = _solve_single(cfg, None)
+        records, spurious, excluded, grids = _solve_single(cfg, None)
 
     metadata = {
         "problem": cfg["problem"],
@@ -488,6 +514,7 @@ def run_solve(config_path: str, *, output_override: dict | None = None) -> Resul
         "record_count": len(records),
         "excluded_by_residual": excluded,
         "resolved_config": _resolved_config(cfg),
+        "grid": grids,
     }
     rs = ResultSet(records=records, spurious=spurious, metadata=metadata)
     rs.metadata["wall_time_s"] = time.monotonic() - t0  # not written to files
@@ -508,8 +535,22 @@ def _resolved_config(cfg: dict) -> dict:
     return out
 
 
+def _resolved_table(pencil: PencilSpec, u0: ParticularSolution, m: int,
+                    eval_points: tuple, ceiling: int, where: str):
+    """The formal-power table on the coarsest split of the pencil's grid that
+    resolves it, with the pencil and u0 interpolated onto the split panels."""
+    def build(grid: Grid):
+        table = build_formal_powers(pencil.on(grid), u0.on(grid), m,
+                                    eval_points=eval_points)
+        return table, table.unresolved
+
+    return refine(pencil.grid, build, ceiling, where)
+
+
 def _solve_single(cfg: dict, potential_override: dict | None
-                  ) -> tuple[list[dict], list[dict], int]:
+                  ) -> tuple[list[dict], list[dict], int, list[dict]]:
+    """Records, spurious roots, the residual-excluded count and the grid
+    (panels and nodes) of each center."""
     asm = _build_assembly(cfg, potential_override)
     m = cfg["truncation"]
     tol = cfg["tolerances"]
@@ -535,11 +576,15 @@ def _solve_single(cfg: dict, potential_override: dict | None
 
     all_records: list[EigenvalueRecord] = []
     spurious: list[dict] = []
+    grids: list[dict] = []
     pencil, u0 = asm.base_pencil, asm.initial_u0
     for j, center in enumerate(centers):
         next_rel = centers[j + 1] - center if j + 1 < len(centers) else None
         eval_points = (next_rel,) if next_rel is not None else ()
-        table = build_formal_powers(pencil, u0, m, eval_points=eval_points)
+        table = _resolved_table(pencil, u0, m, eval_points, cfg["n_nodes"],
+                                f"center {j} at {center}")
+        grids.append({"center": list(_c_pair(center)),
+                      "panels": table.grid.panels, "nodes": table.grid.n_nodes})
         series = asm.series_from_table(table, center)
 
         if cfg["method"] == "poly_roots":
@@ -553,7 +598,7 @@ def _solve_single(cfg: dict, potential_override: dict | None
 
         if next_rel is not None:
             # the next center's pencil, and its u0 chained from this table
-            pencil = shift_pencil(asm.base_pencil, centers[j + 1])
+            pencil = shift_pencil(asm.base_pencil.on(table.grid), centers[j + 1])
             u0 = chain_particular_solution(table, next_rel, pencil.p, pencil.q)
 
     final, excluded = [], 0
@@ -563,7 +608,7 @@ def _solve_single(cfg: dict, potential_override: dict | None
         else:
             excluded += 1
     final.sort(key=lambda r: _record_key(r, merge_eps))
-    return final, spurious, excluded
+    return final, spurious, excluded, grids
 
 
 def _record_key(rec: dict, merge_eps: float) -> tuple:
@@ -705,7 +750,8 @@ def emit_surface(config_path: str, *, out_path: str | None = None) -> str:
         raise ConfigError("no surface output path (config.output.surface or --out)")
 
     asm = _build_assembly(cfg, None)
-    table = build_formal_powers(asm.base_pencil, asm.initial_u0, cfg["truncation"])
+    table = _resolved_table(asm.base_pencil, asm.initial_u0, cfg["truncation"], (),
+                            cfg["n_nodes"], "center 0")
     series = asm.series_from_table(table, 0.0 + 0.0j)
 
     nx, ny = surf["nx"], surf["ny"]

@@ -1,133 +1,139 @@
-"""Uniform grids, complex sampled functions, and 6th-order cumulative integration.
+"""Panel grids, complex sampled functions, and spectral integration.
 
 Every coefficient function, particular solution and formal power in this
-package lives on a shared uniform grid as a :class:`SampledFunction`.  The one
-nontrivial operation is :func:`cumulative_integral`: an antiderivative table
-built from the exact integrals of sliding degree-5 Lagrange interpolants, so
-that each node-to-node increment carries the local O(h^7) accuracy of the
-6-point Newton-Cotes family and the whole table is globally O(h^6).  The
-increments are summed by a blocked two-level prefix sum (complex128 within
-blocks of 64 nodes, extended precision across the block totals), which keeps
-the table within a few ulps of the exact running sum of its increments.
+package lives on a shared :class:`Grid`: the interval [a, b] cut into panels,
+each carrying P Chebyshev-Lobatto nodes, with neighbouring panels sharing their
+endpoint node.  On each panel a sampled function stands for its degree P - 1
+interpolant, so :func:`cumulative_integral` is one P x P spectral integration
+matrix per panel plus a running sum of the panel totals (Greengard, SINUM 28,
+1991), and :func:`derivative` is the matching differentiation matrix.  Both
+are exact for anything the panels resolve.  A panel resolves a function when
+the last two of its P Chebyshev coefficients are below TAIL_TOL times the
+function's sup norm, or within its known rounding error (:func:`unresolved`);
+:func:`refine` splits the panels that fail until they pass, and
+:func:`interpolate` carries resolved samples onto another grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .errors import GridError, NodeValueError
 
-#: subintervals covered by one 6-point stencil
-_PANEL = 5
+#: Chebyshev-Lobatto nodes per panel
+P = 16
+#: resolution threshold on a panel's last two Chebyshev coefficients,
+#: relative to the function's sup norm over the grid
+TAIL_TOL = 1e-13
 
 DIV_FLOOR = 1e-300
 
-# accumulator of the block totals in _prefix_sum: 80-bit extended where the
-# platform provides one (x86 Linux does), harmlessly complex128 elsewhere
-_ACCUM_DTYPE = np.clongdouble if np.finfo(np.longdouble).eps < 1e-18 else np.complex128
-# values per complex128 block in _prefix_sum: short enough that a block's own
-# rounding stays near one ulp of the table (blocks of 256 lost ~0.3 digits on
-# the 100001-node string at no measurable gain in speed)
-_BLOCK = 64
+
+def _chebyshev_matrices() -> tuple[np.ndarray, ...]:
+    """Panel nodes t_j = -cos(pi j / (P-1)) on [-1, 1] and the maps from
+    values at them to Chebyshev coefficients, to the integrals from -1 to each
+    node and to the derivatives at each node.  They come from closed forms in
+    extended precision, rounded once, so that the recursion does not compound
+    the error of a linear solve."""
+    ld = np.longdouble
+    n = P - 1
+    theta = np.arccos(ld(-1)) * (n - np.arange(P, dtype=ld)) / n
+    t = np.cos(theta)
+    t = 0.5 * (t - t[::-1])  # exactly odd
+    T = np.cos(np.outer(theta, np.arange(P + 1, dtype=ld)))  # T[i, m] = T_m(t_i)
+    coef = (2 / ld(n)) * T[:, :P].T
+    coef[:, [0, -1]] /= 2
+    coef[[0, -1]] /= 2
+    # int_{-1}^t T_m = T_{m+1}/(2(m+1)) - T_{m-1}/(2(m-1)) + C, T_m(-1) = (-1)^m
+    T -= (-1.0) ** np.arange(P + 1)
+    m = np.arange(2, P)
+    anti = np.column_stack([T[:, 1], T[:, 2] / 4,
+                            T[:, m + 1] / (2 * (m + 1)) - T[:, m - 1] / (2 * (m - 1))])
+    # differentiation: (c_i / c_j) / (t_i - t_j) off the diagonal, and each
+    # diagonal entry minus its row's sum, so constants have derivative 0
+    c = (-1.0) ** np.arange(P)
+    c[[0, -1]] *= 2
+    der = np.outer(c, 1 / c) / (t[:, None] - t + np.eye(P, dtype=ld))
+    np.fill_diagonal(der, 0)
+    np.fill_diagonal(der, -der.sum(axis=1))
+    # elementwise: a longdouble matmul adds a few hundred kB to peak memory
+    integral = (anti[:, :, None] * coef).sum(axis=1)
+    return tuple(a.astype(float) for a in (t, coef, integral, der))
 
 
-def _poly_mul_linear(coeffs: list[Fraction], root: int) -> list[Fraction]:
-    """Multiply polynomial (low-to-high coeffs) by (t - root), exactly."""
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i] -= c * root
-        out[i + 1] += c
-    return out
-
-
-def _poly_integral_between(coeffs: list[Fraction], lo: int, hi: int) -> Fraction:
-    total = Fraction(0)
-    for i, c in enumerate(coeffs):
-        total += c * (Fraction(hi) ** (i + 1) - Fraction(lo) ** (i + 1)) / (i + 1)
-    return total
-
-
-def _subinterval_weights() -> np.ndarray:
-    """W[k, j] = integral over [k, k+1] of the j-th Lagrange basis on nodes 0..5."""
-    W = np.empty((_PANEL, 6))
-    for j in range(6):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for m in range(6):
-            if m == j:
-                continue
-            num = _poly_mul_linear(num, m)
-            den *= j - m
-        for k in range(_PANEL):
-            W[k, j] = float(_poly_integral_between(num, k, k + 1) / den)
-    return W
-
-
-_W = _subinterval_weights()
-
-
-@lru_cache(maxsize=None)
-def _fd_weights(offsets: tuple[int, ...]) -> np.ndarray:
-    """Exact first-derivative weights for unit-spaced nodes at given offsets.
-
-    Solves the Vandermonde moment system in rational arithmetic; the result is
-    exact for polynomials of degree < len(offsets).
-    """
-    n = len(offsets)
-    M = [[Fraction(o) ** m for o in offsets] for m in range(n)]
-    rhs = [Fraction(0)] * n
-    rhs[1] = Fraction(1)
-    for col in range(n):
-        piv = next(r for r in range(col, n) if M[r][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = Fraction(1) / M[col][col]
-        M[col] = [v * inv for v in M[col]]
-        rhs[col] *= inv
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * bb for a, bb in zip(M[r], M[col])]
-                rhs[r] -= f * rhs[col]
-    return np.array([float(v) for v in rhs])
+# panel nodes (ascending), and values at them -> Chebyshev coefficients,
+# -> integral from -1 to each node, -> derivative at each node
+_T, _COEF, _INT, _DER = _chebyshev_matrices()
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid on [a, b] whose n_nodes - 1 subintervals tile into 6-point panels."""
+    """Panels [breaks[k], breaks[k+1]] of [a, b], P Chebyshev-Lobatto nodes each."""
 
-    a: float
-    b: float
-    n_nodes: int
+    breaks: tuple[float, ...]
 
     def __post_init__(self):
-        if not (self.a < self.b):
-            raise GridError(f"need a < b, got [{self.a}, {self.b}]")
-        if self.n_nodes < 6:
-            raise GridError(f"need at least 6 nodes, got {self.n_nodes}")
-        if (self.n_nodes - 1) % _PANEL != 0:
-            raise GridError(
-                f"n_nodes - 1 must be a multiple of {_PANEL}, got n_nodes={self.n_nodes}"
-            )
+        br = tuple(float(x) for x in self.breaks)
+        object.__setattr__(self, "breaks", br)
+        if len(br) < 2:
+            raise GridError("a grid needs at least one panel")
+        if not all(lo < hi for lo, hi in zip(br, br[1:])):
+            raise GridError(f"need increasing panel breaks, got [{br[0]}, ..., {br[-1]}]")
+
+    @staticmethod
+    def uniform(a: float, b: float, panels: int) -> "Grid":
+        return Grid(tuple(np.linspace(a, b, panels + 1)))
 
     @property
-    def h(self) -> float:
-        return (self.b - self.a) / (self.n_nodes - 1)
+    def a(self) -> float:
+        return self.breaks[0]
+
+    @property
+    def b(self) -> float:
+        return self.breaks[-1]
+
+    @property
+    def panels(self) -> int:
+        return len(self.breaks) - 1
+
+    @property
+    def n_nodes(self) -> int:
+        return self.panels * (P - 1) + 1
+
+    @cached_property
+    def half_widths(self) -> np.ndarray:
+        return 0.5 * np.diff(self.breaks)
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        x = np.linspace(self.a, self.b, self.n_nodes)
+        br = np.asarray(self.breaks)
+        x = np.empty(self.n_nodes)
+        x[self.panel_index] = 0.5 * (br[:-1] + br[1:]) + self.half_widths * _T[:, None]
+        x[::P - 1] = br
         x.flags.writeable = False
         return x
+
+    @cached_property
+    def panel_index(self) -> np.ndarray:
+        """(P, panels) node indices, panel k in column k."""
+        return np.arange(P)[:, None] + (P - 1) * np.arange(self.panels)
+
+    def split(self, which: np.ndarray) -> "Grid":
+        """The grid with each panel flagged in `which` cut at its midpoint."""
+        br = list(self.breaks[:1])
+        for lo, hi, cut in zip(self.breaks, self.breaks[1:], which):
+            if cut:
+                br.append(0.5 * (lo + hi))
+            br.append(hi)
+        return Grid(tuple(br))
 
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Complex values tabulated on a uniform grid; immutable after construction."""
+    """Complex values at the nodes of a grid; immutable after construction."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)
@@ -164,9 +170,6 @@ class SampledFunction:
             return SampledFunction(self.grid, self.values - other.values)
         return SampledFunction(self.grid, self.values - complex(other))
 
-    def __rsub__(self, other):
-        return SampledFunction(self.grid, complex(other) - self.values)
-
     def __mul__(self, other):
         if isinstance(other, SampledFunction):
             self._check_same_grid(other)
@@ -181,10 +184,6 @@ class SampledFunction:
             _check_divisor(other.values)
             return SampledFunction(self.grid, self.values / other.values)
         return SampledFunction(self.grid, self.values / complex(other))
-
-    def __rtruediv__(self, other):
-        _check_divisor(self.values)
-        return SampledFunction(self.grid, complex(other) / self.values)
 
     def __neg__(self):
         return SampledFunction(self.grid, -self.values)
@@ -213,91 +212,93 @@ def constant(grid: Grid, value: complex) -> SampledFunction:
     return SampledFunction(grid, np.full(grid.n_nodes, complex(value)))
 
 
-def _cumulative_values(h: float, v: np.ndarray) -> np.ndarray:
+def _nodewise(grid: Grid, cols: np.ndarray) -> np.ndarray:
+    """Node array from per-panel columns (P, panels); a node shared by two
+    panels takes the right panel's value."""
+    out = np.empty(grid.n_nodes, dtype=np.complex128)
+    out[:-1].reshape(grid.panels, P - 1)[:] = cols[:-1].T
+    out[-1] = cols[-1, -1]
+    return out
+
+
+def _cumulative_values(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Raw-array core of cumulative_integral (no validation, no wrapping)."""
-    n = v.shape[0]
-    F = np.empty(n, dtype=np.complex128)
-    F[0] = 0.0
-    inc = F[1:]
-    # interior subintervals i = 2 .. n-4 use the centered stencil s = i-2;
-    # explicit slice products beat correlate() on short kernels
-    core = inc[2:n - 3]
-    scratch = np.empty(n - 5, dtype=np.complex128)
-    np.multiply(v[2:n - 3], _W[2, 2], out=core)
-    for j in (0, 1, 3, 4, 5):
-        np.multiply(_W[2, j], v[j:j + n - 5], out=scratch)
-        core += scratch
-    # clamped stencils near the ends
-    for i in (0, 1):
-        inc[i] = _W[i] @ v[0:6]
-    for i in (n - 3, n - 2):
-        inc[i] = _W[i - (n - 6)] @ v[n - 6:n]
-    inc *= h
-    _prefix_sum(inc)
-    return F
-
-
-def _prefix_sum(a: np.ndarray):
-    """Running sum of a complex128 array, in place, within a few ulps of exact.
-
-    Sequential rounding across ~1e5 increments would otherwise dominate the
-    error budget of the recursive-integral stacks.  Each block of _BLOCK
-    values is summed on its own in complex128, so its rounding stays relative
-    to the block's partial sums; only the block totals are accumulated in
-    _ACCUM_DTYPE, and each block's offset is added back as a double-double
-    (high part, then low part).
-    """
-    m = a.shape[0]
-    nb = m // _BLOCK
-    if nb < 2:
-        a[:] = np.cumsum(a.astype(_ACCUM_DTYPE))
-        return
-    full = nb * _BLOCK
-    blocks = a[:full].reshape(nb, _BLOCK)
-    np.cumsum(blocks, axis=1, out=blocks)
-    totals = np.cumsum(blocks[:, -1].astype(_ACCUM_DTYPE))
-    hi = totals.astype(np.complex128)
-    lo = (totals - hi).astype(np.complex128)
-    blocks[1:] += hi[:-1, None]
-    blocks[1:] += lo[:-1, None]
-    if full < m:
-        rest = a[full:]
-        np.cumsum(rest, out=rest)
-        rest += hi[-1]
-        rest += lo[-1]
+    # each panel's integrals from its left end, as one real matmul
+    local = (_INT @ v[grid.panel_index].view(np.float64)).view(np.complex128)
+    local *= grid.half_widths
+    offsets = np.cumsum(local[-1])
+    local[:, 1:] += offsets[:-1]
+    return _nodewise(grid, local)
 
 
 def cumulative_integral(f: SampledFunction) -> SampledFunction:
-    """Antiderivative table F with F(node 0) = 0.
-
-    Each node-to-node increment is the exact integral of the degree-5 Lagrange
-    interpolant through the 6-point stencil nearest to (and containing) that
-    subinterval, with stencils clamped at the boundaries.
-    """
-    return SampledFunction(f.grid, _cumulative_values(f.grid.h, f.values))
+    """Antiderivative F with F(a) = 0: each panel's interpolant integrated
+    exactly, offset by the totals of the panels to its left."""
+    return SampledFunction(f.grid, _cumulative_values(f.grid, f.values))
 
 
 def derivative(f: SampledFunction) -> SampledFunction:
-    """First derivative by 7-point finite differences (6 points on tiny grids).
-
-    Interior stencils are centered (error O(h^6)); boundary stencils are
-    one-sided with the same width.
-    """
+    """Derivative of each panel's interpolant; a node shared by two panels
+    gets the mean of their two values.  Each panel is differentiated less its
+    first value, so a constant has derivative exactly 0."""
     g = f.grid
-    n = g.n_nodes
-    width = min(7, n)
-    half = (width - 1) // 2
-    v = f.values
-    out = np.empty(n, dtype=np.complex128)
-    kernels = [_fd_weights(tuple(range(-k, width - k))) for k in range(width)]
-    # interior nodes use the centered kernel via convolution
-    centered = kernels[half]
-    if n >= width:
-        out[half:n - (width - 1 - half)] = np.convolve(v, centered[::-1], mode="valid")
-    for i in range(half):
-        out[i] = kernels[i] @ v[0:width]
-    for i in range(n - (width - 1 - half), n):
-        k = i - (n - width)
-        out[i] = kernels[k] @ v[n - width:n]
-    out /= g.h
+    cols = f.values[g.panel_index]
+    d = (_DER @ (cols - cols[0])) / g.half_widths
+    out = _nodewise(g, d)
+    out[P - 1:-1:P - 1] = 0.5 * (d[-1, :-1] + d[0, 1:])
     return SampledFunction(g, out)
+
+
+def unresolved(grid: Grid, *values: np.ndarray,
+               noise: np.ndarray | None = None) -> np.ndarray:
+    """Panels on which some node array's last two Chebyshev coefficients
+    exceed TAIL_TOL times its sup norm over the grid, and also exceed the
+    rounding error `noise` (absolute, per node) where that is given: no split
+    can reduce the latter."""
+    floor = 0.0 if noise is None else noise[grid.panel_index].max(axis=0)
+    bad = np.zeros(grid.panels, dtype=bool)
+    for v in values:
+        tail = np.abs(_COEF[-2:] @ v[grid.panel_index]).max(axis=0)
+        bad |= tail > np.maximum(TAIL_TOL * np.abs(v).max(), floor)
+    return bad
+
+
+def interpolate(f: SampledFunction, grid: Grid) -> SampledFunction:
+    """f at the nodes of another grid on [a, b]: each node gets the
+    interpolant of the panel of f's grid that holds it, exact for anything
+    that panel resolves."""
+    if grid == f.grid:
+        return f
+    src = np.asarray(f.grid.breaks)
+    x = grid.nodes
+    k = np.clip(np.searchsorted(src, x, side="right") - 1, 0, f.grid.panels - 1)
+    t = np.clip((x - 0.5 * (src[k] + src[k + 1])) / f.grid.half_widths[k], -1.0, 1.0)
+    coef = _COEF @ f.values[f.grid.panel_index]
+    # sum_m coef[m] T_m(t) by the three-term recurrence of the T_m
+    T_prev, T = np.ones_like(t), t
+    vals = coef[0, k] + coef[1, k] * t
+    for m in range(2, P):
+        T_prev, T = T, 2 * t * T - T_prev
+        vals += coef[m, k] * T
+    return SampledFunction(grid, vals)
+
+
+def refine(grid: Grid, build, max_nodes: int, where: str):
+    """build(g) for the first g, reached from grid by splitting panels, on
+    which build(g) = (result, unresolved panel mask) flags no panel.
+
+    Raises GridError naming `where` and the failing panel once a split grid
+    would exceed max_nodes.
+    """
+    while True:
+        result, bad = build(grid)
+        if not bad.any():
+            return result
+        finer = grid.split(bad)
+        if finer.n_nodes > max_nodes:
+            k = int(np.flatnonzero(bad)[0])
+            raise GridError(
+                f"{where}: the panel [{grid.breaks[k]!r}, {grid.breaks[k + 1]!r}] is "
+                f"unresolved and splitting it needs {finer.n_nodes} nodes, above the "
+                f"n_nodes ceiling {max_nodes}")
+        grid = finer

@@ -133,7 +133,7 @@ def dirac_to_pencil(d: DiracSpec) -> PencilSpec:
     (w'/(v-E))' + (v-E) w = lambda^2 w/(v-E) + lambda (1/(v-E))' w.
 
     r1 uses the analytic identity (1/(v-E))' = -v'/(v-E)^2, with v'
-    6th-order finite-differenced.
+    differentiated spectrally on the grid's panels.
     """
     g = d.v.grid
     vmE = SampledFunction(g, d.v.values - complex(d.energy))

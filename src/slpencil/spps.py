@@ -3,17 +3,19 @@
 The pencil is (p u')' + q u = u * sum_k lambda^k r_k, k = 1..N.  Given a
 non-vanishing particular solution u0 of the lambda = 0 equation, the general
 solution is a power series in lambda whose coefficients (the "formal powers")
-are recursively computed integrals anchored at the grid's left end.  This
-module builds a table of their right-end values and of their series sums at
-requested lambdas, evaluates the two fundamental solutions u1, u2 and their
-derivatives there, constructs u0 when it is not supplied, and computes the
-rigorous factorial-type majorant used to bound series-truncation tails.
+are recursively computed integrals anchored at the grid's left end, each one
+spectral integration over the grid's panels.  This module builds a table of
+their right-end values and of their series sums at requested lambdas, flags
+the panels on which the table's integrands are not resolved, evaluates the two
+fundamental solutions u1, u2 and their derivatives there, constructs u0 when
+it is not supplied, and computes the rigorous factorial-type majorant used to
+bound series-truncation tails.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,9 +26,16 @@ from .grids import (
     _cumulative_values,
     constant,
     cumulative_integral,
+    interpolate,
+    unresolved,
 )
 
 U0_FLOOR_RATIO = 1e-12
+EPS = np.finfo(np.float64).eps
+# a travelling-wave u0 replaces a standing-wave one only when its minimum
+# modulus ratio is this much larger: near ties flip between centers, and the
+# chain loses digits when u0 changes character from one center to the next
+WAVE_GAIN = 1.5
 TAIL_REL_CUTOFF = 1e-18
 TAIL_MAX_TERMS = 200000
 
@@ -55,6 +64,11 @@ class PencilSpec:
     def degree(self) -> int:
         return len(self.r)
 
+    def on(self, grid: Grid) -> "PencilSpec":
+        """The coefficients interpolated onto another grid of their interval."""
+        return PencilSpec(p=interpolate(self.p, grid), q=interpolate(self.q, grid),
+                          r=tuple(interpolate(rk, grid) for rk in self.r))
+
 
 @dataclass(frozen=True)
 class ParticularSolution:
@@ -69,6 +83,8 @@ class ParticularSolution:
     provenance: str  # "user-supplied" | "closed-form" | "spps-built"
     residual: float
     min_modulus_ratio: float
+    # rounding error of u0 at each node when it comes from a series sum
+    noise: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def from_samples(u0: SampledFunction, u0_prime: SampledFunction,
@@ -83,6 +99,15 @@ class ParticularSolution:
             )
         res = _ode_residual(u0, u0_prime, p, q)
         return ParticularSolution(u0, u0_prime, provenance, res, ratio)
+
+    def on(self, grid: Grid) -> "ParticularSolution":
+        """u0 and u0' (and their noise) interpolated onto another grid of
+        their interval."""
+        noise = self.noise
+        if noise is not None:
+            noise = interpolate(SampledFunction(self.u0.grid, noise), grid).values.real
+        return replace(self, u0=interpolate(self.u0, grid),
+                       u0_prime=interpolate(self.u0_prime, grid), noise=noise)
 
 
 def _min_modulus_ratio(f: SampledFunction) -> float:
@@ -105,6 +130,9 @@ class PowerSums:
 
     s_tilde_even = sum_n lam^n Xtilde^(2n)     s_tilde_odd = sum_n lam^n Xtilde^(2n+1)
     s_even       = sum_n lam^n X^(2n)          s_odd       = sum_n lam^n X^(2n+1)
+
+    magnitude sums the moduli of all those terms, the scale of the rounding
+    error in the four sums (and so in a u0 chained from them).
     """
 
     lam: complex
@@ -112,6 +140,7 @@ class PowerSums:
     s_tilde_odd: np.ndarray
     s_even: np.ndarray
     s_odd: np.ndarray
+    magnitude: np.ndarray
 
 
 @dataclass
@@ -121,7 +150,10 @@ class FormalPowerTable:
 
     Only their values at the right end b and their PowerSums at the lambdas
     passed as eval_points are kept; each whole-grid power lives just as long
-    as the recursion reaches back to it.
+    as the recursion reaches back to it.  unresolved flags the panels on
+    which 1/(u0^2 p), some u0^2 r_k or the top-order integrand of either
+    family is not resolved (grids.unresolved) to within the rounding error
+    that u0 carries.
     """
 
     pencil: PencilSpec
@@ -130,6 +162,11 @@ class FormalPowerTable:
     xtilde_end: np.ndarray  # Xtilde^(n)(b), n = 0..2M+1
     x_end: np.ndarray       # X^(n)(b)
     sums: dict[complex, PowerSums]
+    unresolved: np.ndarray
+
+    @property
+    def grid(self) -> Grid:
+        return self.pencil.grid
 
 
 def _run_family(grid, n_top: int, N: int, r_on_odd: bool,
@@ -138,10 +175,9 @@ def _run_family(grid, n_top: int, N: int, r_on_odd: bool,
     """One recursion chain (the Xtilde family has r_on_odd=True, X has False).
 
     Returns (right-end column, series sums at the eval points split by
-    parity).
+    parity, the sums of their terms' moduli, top-order integrand).
     """
     n_nodes = grid.n_nodes
-    h = grid.h
     one = np.ones(n_nodes, dtype=np.complex128)
     hist: list[np.ndarray] = [one]
     window = 2 * N
@@ -150,10 +186,12 @@ def _run_family(grid, n_top: int, N: int, r_on_odd: bool,
     even_sums = {complex(lam): one.copy() for lam in eval_points}
     odd_sums = {complex(lam): np.zeros(n_nodes, dtype=np.complex128)
                 for lam in eval_points}
+    mag_sums = {complex(lam): np.ones(n_nodes) for lam in eval_points}
     lam_power = {complex(lam): 1.0 + 0.0j for lam in eval_points}
     # buffers for the integrand and for one product, reused across orders
     acc = np.empty(n_nodes, dtype=np.complex128)
     term = np.empty(n_nodes, dtype=np.complex128)
+    mag = np.empty(n_nodes)
 
     for n in range(1, n_top + 1):
         r_turn = (n % 2 == 1) == r_on_odd
@@ -165,7 +203,7 @@ def _run_family(grid, n_top: int, N: int, r_on_odd: bool,
                 acc += np.multiply(prev, weighted_r[k - 1], out=term)
         else:
             np.multiply(hist[-1], inv_u0sq_p, out=acc)
-        F = _cumulative_values(h, acc)
+        F = _cumulative_values(grid, acc)
         col_end[n] = F[-1]
         for lam in even_sums:
             if n % 2 == 0:
@@ -173,10 +211,11 @@ def _run_family(grid, n_top: int, N: int, r_on_odd: bool,
                 even_sums[lam] += np.multiply(lam_power[lam], F, out=term)
             else:
                 odd_sums[lam] += np.multiply(lam_power[lam], F, out=term)
+            mag_sums[lam] += np.multiply(np.abs(F, out=mag), abs(lam_power[lam]), out=mag)
         hist.append(F)
         if len(hist) > window:
             del hist[0]
-    return col_end, even_sums, odd_sums
+    return col_end, even_sums, odd_sums, mag_sums, acc
 
 
 def build_formal_powers(spec: PencilSpec, u0: ParticularSolution,
@@ -190,8 +229,7 @@ def build_formal_powers(spec: PencilSpec, u0: ParticularSolution,
     Negative indices contribute nothing, Xtilde^(0) = X^(0) = 1, and every
     higher power vanishes at the left end.  The table keeps the right-end
     values and the series sums at each lambda in eval_points, the only lambdas
-    evaluate_solution accepts.  The two families are independent chains and
-    run on separate threads on large grids.
+    evaluate_solution accepts.
     """
     grid = spec.grid
     n_top = 2 * truncation + 1
@@ -206,26 +244,21 @@ def build_formal_powers(spec: PencilSpec, u0: ParticularSolution,
     weighted_r = [u0sq * rk.values for rk in spec.r]
     eval_points = tuple(complex(lam) for lam in eval_points)
 
-    args = (grid, n_top, N)
-    tail = (weighted_r, inv_u0sq_p, eval_points)
-    if grid.n_nodes >= 20000:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fut = pool.submit(_run_family, *args, True, *tail)
-            x_res = _run_family(*args, False, *tail)
-            xt_res = fut.result()
-    else:
-        xt_res = _run_family(*args, True, *tail)
-        x_res = _run_family(*args, False, *tail)
-
-    xtilde_end, st_even, st_odd = xt_res
-    x_end, s_even, s_odd = x_res
-    sums = {lam: PowerSums(lam, st_even[lam], st_odd[lam],
-                           s_even[lam], s_odd[lam]) for lam in eval_points}
+    integrands = (weighted_r, inv_u0sq_p, eval_points)
+    xtilde_end, st_even, st_odd, st_mag, xt_top = _run_family(
+        grid, n_top, N, True, *integrands)
+    x_end, s_even, s_odd, s_mag, x_top = _run_family(grid, n_top, N, False, *integrands)
+    sums = {lam: PowerSums(lam, st_even[lam], st_odd[lam], s_even[lam], s_odd[lam],
+                           st_mag[lam] + s_mag[lam]) for lam in eval_points}
+    # each integrand to within its rounding error, twice u0's relative error
+    rel = None if u0.noise is None else 2.0 * u0.noise / np.abs(u0.u0.values)
+    bad = np.zeros(grid.panels, dtype=bool)
+    for f in (inv_u0sq_p, *weighted_r, xt_top, x_top):
+        bad |= unresolved(grid, f, noise=None if rel is None else rel * np.abs(f))
 
     return FormalPowerTable(pencil=spec, u0=u0, truncation=truncation,
-                            xtilde_end=xtilde_end, x_end=x_end, sums=sums)
+                            xtilde_end=xtilde_end, x_end=x_end, sums=sums,
+                            unresolved=bad)
 
 
 def evaluate_solution(table: FormalPowerTable, lam: complex, c1: complex,
@@ -283,18 +316,28 @@ def chain_particular_solution(table: FormalPowerTable, lam: complex,
     table's center, evaluated from the table (lam must be one of its
     eval_points).
 
-    Tries the combinations u1 + i u2, u1 - i u2 and u1 and keeps the one whose
-    minimum modulus (relative to its maximum) is largest; q_eff must be the
-    effective potential of the pencil shifted to the new center so the stored
-    residual refers to the right equation.
+    Tries the combinations u1 + i u2, u1 - i u2 and u1, and the two whose
+    p u'/u at the left end is +-sqrt(-q_eff p) there, the travelling waves of
+    the frozen-coefficient equation, and keeps the one whose minimum modulus
+    (relative to its maximum) is largest, a travelling wave only when it wins
+    by WAVE_GAIN.  A travelling wave keeps 1/(u0^2 p) free of the near-poles
+    that a standing wave puts at its nodes, so far centers need fewer panels.
+    q_eff must be the effective potential of the pencil shifted to the new
+    center so the stored residual refers to the right equation.  The result
+    carries its rounding error, eps |u0| times the moduli of the series
+    terms, as noise.
     """
-    candidates = [(1.0, 1.0j), (1.0, -1.0j), (1.0, 0.0)]
+    # u1 + c2 u2 has p u'/u = kappa at a when c2 = u0(a) (kappa u0(a) - p u0'(a))
+    u0a, pu0pa = table.u0.u0.values[0], p.values[0] * table.u0.u0_prime.values[0]
+    kappa = np.sqrt(-complex(q_eff.values[0] * p.values[0]))
+    candidates = [(1.0, 1.0j), (1.0, -1.0j), (1.0, 0.0),
+                  *((1.0, u0a * (k * u0a - pu0pa)) for k in (kappa, -kappa))]
     best = None
     best_ratio = -1.0
-    for c1, c2 in candidates:
+    for i, (c1, c2) in enumerate(candidates):
         u, up = evaluate_solution(table, lam, c1, c2)
         ratio = _min_modulus_ratio(u)
-        if ratio > best_ratio:
+        if ratio > best_ratio * (WAVE_GAIN if i >= 3 else 1.0):
             best_ratio = ratio
             best = (u, up)
     if best_ratio < U0_FLOOR_RATIO:
@@ -303,7 +346,9 @@ def chain_particular_solution(table: FormalPowerTable, lam: complex,
             f"best modulus ratio {best_ratio:.3e}"
         )
     u, up = best
-    return ParticularSolution.from_samples(u, up, p, q_eff, provenance="spps-built")
+    sol = ParticularSolution.from_samples(u, up, p, q_eff, provenance="spps-built")
+    noise = EPS * np.abs(table.u0.u0.values) * table.sums[complex(lam)].magnitude
+    return replace(sol, noise=noise)
 
 
 # ---------------------------------------------------------------------------

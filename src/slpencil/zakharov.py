@@ -186,9 +186,6 @@ class PotentialSpec:
         return PotentialSpec("expression", float(half_width),
                              {"Q": src, **({"P": src_p} if src_p else {})})
 
-    def grid(self, n_nodes: int) -> Grid:
-        return Grid(-self.half_width, self.half_width, n_nodes)
-
 
 def _semiclassical(grid: Grid, eps: float, amp, amp_prime, phase,
                    phase_prime) -> ZSProblem:
@@ -210,10 +207,11 @@ def _semiclassical(grid: Grid, eps: float, amp, amp_prime, phase,
 
 
 def materialize_potential(spec: PotentialSpec, grid: Grid | None = None, *,
-                          n_nodes: int = 2001) -> ZSProblem:
-    """Sample a catalog potential on its grid (built from n_nodes when absent)."""
+                          panels: int = 16) -> ZSProblem:
+    """Sample a catalog potential on a grid of [-a, a] (uniform with `panels`
+    panels when absent)."""
     if grid is None:
-        grid = spec.grid(n_nodes)
+        grid = Grid.uniform(-spec.half_width, spec.half_width, panels)
     if abs(grid.b - spec.half_width) > 1e-12:
         raise GridError(
             f"grid [{grid.a}, {grid.b}] does not span [-{spec.half_width}, "

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from slpencil import ConfigError
+from slpencil import ConfigError, SLPencilError
 from slpencil.cli import _record_key, emit_surface, load_config, main, run_solve
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -51,8 +51,10 @@ class TestConfigValidation:
             load_config(str(path))
 
     def test_bad_node_count(self, tmp_path):
+        # n_nodes is a ceiling and must leave room for one 16-node panel
         with pytest.raises(ConfigError, match="n_nodes"):
-            load_config(intro_cfg(tmp_path, n_nodes=1000))
+            load_config(intro_cfg(tmp_path, n_nodes=15))
+        assert load_config(intro_cfg(tmp_path, n_nodes=1000))["n_nodes"] == 1000
 
     def test_bad_expression_position(self, tmp_path):
         with pytest.raises(ConfigError, match=r"coefficients\.q"):
@@ -148,13 +150,22 @@ class TestConfigValidation:
         # and a number is not a boolean
         ({"certify": 1}, "config.certify"),
         ({"require_certified": "false"}, "config.require_certified"),
+        # keep_radius is null or a positive number
+        ({"keep_radius": "abc"}, "config.keep_radius"),
+        ({"keep_radius": 0}, "config.keep_radius"),
+        ({"keep_radius": -3}, "config.keep_radius"),
+        ({"keep_radius": True}, "config.keep_radius"),
     ], ids=["boundary_side", "half_width", "expression_P", "bool_truncation",
             "bool_localize", "bool_interval", "bool_shift", "bool_sweep_value",
             "bool_klaus_shaw_half_width", "string_sweep_value", "number_certify",
-            "string_require_certified"])
+            "string_require_certified", "string_keep_radius", "zero_keep_radius",
+            "negative_keep_radius", "bool_keep_radius"])
     def test_bad_value_in_block_rejected(self, tmp_path, capsys, overrides, path):
         assert main(["solve", intro_cfg(tmp_path, **overrides)]) == 1
         assert f"config error: {path}: " in capsys.readouterr().err
+
+    def test_positive_keep_radius_accepted(self, tmp_path):
+        assert load_config(intro_cfg(tmp_path, keep_radius=2.5))["keep_radius"] == 2.5
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
     def test_shipped_config_loads(self, name):
@@ -311,6 +322,75 @@ class TestSolve:
         for lam in modes:
             best = min(abs(complex(r["re"], r["im"]) - lam) for r in rs.records)
             assert best < 1e-10
+
+
+def x2_chain_cfg(shifts=3, **overrides):
+    """The x^2-damped string of the shipped config, center 0 and its first
+    `shifts` shifts."""
+    cfg = json.loads((CONFIGS / "string_x2_damping_shifted.json").read_text())
+    cfg["spectral_shifts"] = cfg["spectral_shifts"][:shifts]
+    cfg["output"] = None
+    cfg.update(overrides)
+    return cfg
+
+
+class TestPanelGrid:
+    def test_ceiling_too_small_for_a_chained_center(self, tmp_path, capsys):
+        """A ceiling that admits center 0 but not a later center raises a
+        GridError naming that center (exit 2)."""
+        rs = run_solve(write_config(tmp_path, "full.json", x2_chain_cfg()))
+        nodes = [g["nodes"] for g in rs.metadata["grid"]]
+        assert nodes[0] < max(nodes)
+        ceiling = (nodes[0] + max(nodes)) // 2
+        first = next(j for j, n in enumerate(nodes) if n > ceiling)
+        path = write_config(tmp_path, "c.json", x2_chain_cfg(n_nodes=ceiling))
+        with pytest.raises(SLPencilError, match=f"center {first} at .*ceiling {ceiling}"):
+            run_solve(path)
+        assert main(["solve", path]) == 2
+        assert f"center {first} at" in capsys.readouterr().err
+
+    def test_chained_solve_reruns_byte_identical(self, tmp_path):
+        path = write_config(tmp_path, "c.json", x2_chain_cfg())
+        outs = []
+        for sub in ("a", "b"):
+            base = tmp_path / sub
+            assert main(["solve", path, "--out", str(base)]) == 0
+            outs.append((base.with_suffix(".csv").read_bytes(),
+                         base.with_suffix(".json").read_bytes()))
+        assert outs[0] == outs[1]
+        grid = json.loads(outs[0][1])["metadata"]["grid"]
+        assert [g["center"] for g in grid] == [[0.0, 0.0]] + [
+            list(c) for c in x2_chain_cfg()["spectral_shifts"]]
+        assert all(g["nodes"] == 15 * g["panels"] + 1 for g in grid)
+
+    def test_constant_damping_shifted_closed_form(self, tmp_path):
+        """All 55 records of the shipped shifted config within 1e-13
+        (relative) of -1 +- i sqrt(n^2 pi^2 - 1)."""
+        cfg = json.loads((CONFIGS / "string_constant_damping_shifted.json").read_text())
+        cfg["output"] = None
+        rs = run_solve(write_config(tmp_path, "c.json", cfg))
+        assert len(rs.records) == 55
+        exact = [complex(-1.0, s * math.sqrt(n**2 * math.pi**2 - 1))
+                 for n in range(1, 60) for s in (1, -1)]
+        for r in rs.records:
+            z = complex(r["re"], r["im"])
+            assert min(abs(z - m) for m in exact) <= 1e-13 * abs(z)
+
+    def test_x2_chain_matches_stored_reference(self, tmp_path):
+        """Center 0 and three shifts give a record within 1e-10 of every mode
+        of the stored shooting reference within 13 of a center (M = 50 has
+        5e-8 at 15.7 from a center)."""
+        ref = json.loads((CONFIGS.parent / "bench" / "data"
+                          / "string_x2_reference.json").read_text())
+        modes = [complex(re, im) for re, im in ref["modes"]]
+        cfg = x2_chain_cfg()
+        centers = [0j] + [complex(*c) for c in cfg["spectral_shifts"]]
+        band = [m for m in modes if min(abs(m - c) for c in centers) < 13.0]
+        assert len(band) >= 12
+        rs = run_solve(write_config(tmp_path, "c.json", cfg))
+        found = [complex(r["re"], r["im"]) for r in rs.records]
+        for m in band:
+            assert min(abs(z - m) for z in found) <= 1e-10 * abs(m)
 
 
 class TestOutputs:

@@ -45,15 +45,17 @@ class TestParseAndEvaluate:
         assert evaluate(parse("-2^2"), 0.0) == pytest.approx(4.0)
 
     def test_variable_on_grid(self):
-        f = evaluate_on_grid(parse("x"), Grid(0.0, 1.0, 6))
-        assert np.allclose(f.values, [0, 0.2, 0.4, 0.6, 0.8, 1.0])
+        g = Grid.uniform(0.0, 1.0, 1)
+        f = evaluate_on_grid(parse("x"), g)
+        assert np.array_equal(f.values, g.nodes)
+        assert f.values[0] == 0.0 and f.values[-1] == 1.0
 
     def test_imaginary_constant(self):
-        f = evaluate_on_grid(parse("i"), Grid(0.0, 1.0, 6))
+        f = evaluate_on_grid(parse("i"), Grid.uniform(0.0, 1.0, 1))
         assert np.all(f.values == 1j)
 
     def test_euler_identity(self):
-        f = evaluate_on_grid(parse("exp(i*pi)"), Grid(0.0, 1.0, 6))
+        f = evaluate_on_grid(parse("exp(i*pi)"), Grid.uniform(0.0, 1.0, 1))
         assert np.max(np.abs(f.values + 1.0)) < 1e-15
 
     def test_scientific_notation(self):
@@ -98,7 +100,7 @@ class TestParseErrors:
 class TestEvaluationErrors:
     def test_log_zero_names_node(self):
         with pytest.raises(NodeValueError) as err:
-            evaluate_on_grid(parse("log(x)"), Grid(0.0, 1.0, 6))
+            evaluate_on_grid(parse("log(x)"), Grid.uniform(0.0, 1.0, 1))
         assert err.value.node_index == 0
 
 

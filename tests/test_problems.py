@@ -24,8 +24,8 @@ from slpencil.spps import (
 )
 
 
-def intro_pencil(n_nodes=2001):
-    g = Grid(0.0, 1.0, n_nodes)
+def intro_pencil(panels=16):
+    g = Grid.uniform(0.0, 1.0, panels)
     return PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0),
                       r=(constant(g, 1.0), constant(g, 2.0)))
 
@@ -37,14 +37,14 @@ def unit_u0(g):
 
 class TestShiftPencil:
     def test_zero_shift_is_identity(self):
-        spec = intro_pencil(101)
+        spec = intro_pencil(4)
         sh = shift_pencil(spec, 0.0)
         assert np.array_equal(sh.q.values, spec.q.values)
         for a, b in zip(sh.r, spec.r):
             assert np.array_equal(a.values, b.values)
 
     def test_degree_two_closed_form(self):
-        g = Grid(0.0, 1.0, 101)
+        g = Grid.uniform(0.0, 1.0, 4)
         r1 = sample(g, lambda x: 1.0 + x)
         r2 = sample(g, lambda x: np.exp(x))
         q = sample(g, lambda x: np.sin(x))
@@ -57,7 +57,7 @@ class TestShiftPencil:
                            q.values - lam0 * r1.values - lam0**2 * r2.values)
 
     def test_shift_then_unshift_roundtrip(self):
-        g = Grid(0.0, 1.0, 101)
+        g = Grid.uniform(0.0, 1.0, 4)
         spec = PencilSpec(p=constant(g, 1.0),
                           q=sample(g, lambda x: x),
                           r=(sample(g, lambda x: 1 + x**2),
@@ -73,7 +73,7 @@ class TestShiftPencil:
     def test_shift_consistency_on_intro_example(self):
         """Solution of the initial-value problem evaluated directly and through
         a spectral shift at lambda0 = 1 must agree at lambda = 1.5."""
-        spec = intro_pencil(5001)
+        spec = intro_pencil(32)
         g = spec.grid
         lam = 1.5
         exact = np.cosh(np.sqrt(lam + 2 * lam**2))
@@ -113,14 +113,14 @@ def string_eigen_errors(series, count, lam_exact):
 
 class TestStringCharacteristic:
     def test_first_coefficient_is_length(self):
-        g = Grid(0.0, 1.0, 5001)
+        g = Grid.uniform(0.0, 1.0, 32)
         sp = StringProblem(damping=sample(g, lambda x: np.cos(x)),
                            density=sample(g, lambda x: 1 + x**2))
         series = string_series(sp, 10)
         assert abs(series.coeffs[0] - 1.0) < 1e-13  # X^(1)(L) = L = 1
 
     def test_constant_damping_eigenvalues(self):
-        g = Grid(0.0, 1.0, 20001)
+        g = Grid.uniform(0.0, 1.0, 32)
         sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
         series = string_series(sp, 100)
         exact = [-1 + np.sqrt(complex(1 - n**2 * np.pi**2)) for n in range(1, 8)]
@@ -132,7 +132,7 @@ class TestStringCharacteristic:
         assert by_n[5] < 1e-8 and by_n[6] < 2e-7
 
     def test_undamped_string_spectrum(self):
-        g = Grid(0.0, 1.0, 20001)
+        g = Grid.uniform(0.0, 1.0, 32)
         sp = StringProblem(damping=constant(g, 0.0), density=constant(g, 1.0))
         series = string_series(sp, 60)
         exact = [1j * n * np.pi for n in (1, 2, 3)] + [-1j * n * np.pi for n in (1, 2, 3)]
@@ -142,7 +142,7 @@ class TestStringCharacteristic:
     def test_shift_consistency_constant_damping(self):
         """Eigenvalues through the shifted series, with u0 chained from the
         unshifted table, agree with the unshifted ones."""
-        g = Grid(0.0, 1.0, 20001)
+        g = Grid.uniform(0.0, 1.0, 32)
         sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
         lam0 = -1.0 - 3.0j
         table = build_formal_powers(sp.pencil, unit_u0(g), 100, eval_points=(lam0,))
@@ -160,7 +160,7 @@ class TestStringCharacteristic:
     def test_boundary_residual_at_eigenvalue(self):
         """A nontrivial Dirichlet solution rebuilt at a localized root must
         nearly vanish at the right endpoint."""
-        g = Grid(0.0, 1.0, 10001)
+        g = Grid.uniform(0.0, 1.0, 32)
         sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
         lam1 = complex(-1 + np.sqrt(complex(1 - np.pi**2)))
         table = build_formal_powers(sp.pencil, unit_u0(g), 60, eval_points=(lam1,))
@@ -168,7 +168,7 @@ class TestStringCharacteristic:
         assert abs(y.values[-1]) <= 1e-6 * np.max(np.abs(y.values))
 
     def test_certification_of_first_mode(self):
-        g = Grid(0.0, 1.0, 10001)
+        g = Grid.uniform(0.0, 1.0, 32)
         sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
         series = string_series(sp, 100)
         lam1 = complex(-1 + np.sqrt(complex(1 - np.pi**2)))
@@ -180,7 +180,7 @@ class TestStringCharacteristic:
         assert certify(rec, series, tail, rect).certified
 
     def test_tail_dominates_actual_truncation_error(self):
-        g = Grid(0.0, 1.0, 5001)
+        g = Grid.uniform(0.0, 1.0, 32)
         sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
         s40 = string_series(sp, 40)
         s80 = string_series(sp, 80)
@@ -193,7 +193,7 @@ class TestTwoPointSeries:
     def test_neumann_right_matches_derivative_zero(self):
         """With left Dirichlet and right Neumann the series zeros satisfy
         y(0) = 0, y'(1) = 0 for y'' = lambda y: lambda_n = -((n+1/2) pi)^2."""
-        g = Grid(0.0, 1.0, 10001)
+        g = Grid.uniform(0.0, 1.0, 32)
         spec = PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0),
                           r=(constant(g, 1.0),))
         table = build_formal_powers(spec, unit_u0(g), 60)
@@ -205,7 +205,7 @@ class TestTwoPointSeries:
             assert abs(newton_polish(series, raw) - lam) < 1e-8
 
     def test_tail_bound_is_finite_and_positive(self):
-        g = Grid(0.0, 1.0, 1001)
+        g = Grid.uniform(0.0, 1.0, 16)
         spec = PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0),
                           r=(constant(g, 1.0),))
         table = build_formal_powers(spec, unit_u0(g), 30)
@@ -216,7 +216,7 @@ class TestTwoPointSeries:
 
 class TestDirac:
     def test_constant_potential(self):
-        g = Grid(-1.0, 1.0, 101)
+        g = Grid.uniform(-1.0, 1.0, 4)
         d = DiracSpec(v=constant(g, 3.0), energy=0.0)
         pencil = dirac_to_pencil(d)
         assert np.allclose(pencil.p.values, 1 / 3.0)
@@ -225,7 +225,7 @@ class TestDirac:
         assert np.allclose(pencil.r[1].values, 1 / 3.0)
 
     def test_affine_potential_r1_closed_form(self):
-        g = Grid(0.0, 1.0, 501)
+        g = Grid.uniform(0.0, 1.0, 8)
         d = DiracSpec(v=sample(g, lambda x: x + 2.0), energy=0.0)
         pencil = dirac_to_pencil(d)
         expected = -1.0 / (g.nodes + 2.0) ** 2
@@ -233,14 +233,14 @@ class TestDirac:
                       / np.abs(expected)) < 1e-10
 
     def test_vanishing_denominator_rejected(self):
-        g = Grid(-1.0, 1.0, 101)
+        g = Grid.uniform(-1.0, 1.0, 4)
         with pytest.raises(Exception):
             DiracSpec(v=sample(g, lambda x: x), energy=0.0)
 
     def test_first_order_system_residual(self):
         """u = (lambda w + w')/(v - E) with w from the pencil solves the
         added/subtracted first-order system in integral form."""
-        g = Grid(0.0, 1.0, 5001)
+        g = Grid.uniform(0.0, 1.0, 32)
         d = DiracSpec(v=constant(g, 3.0), energy=0.0)
         pencil = dirac_to_pencil(d)
         from slpencil.spps import build_particular_solution

@@ -1,7 +1,6 @@
 """Formal-power recursion, solution assembly, u0 construction and tail bounds."""
 
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from slpencil import (
     constant,
     sample,
 )
-from slpencil import spps
 from slpencil.grids import cumulative_integral
 from slpencil.spps import (
     ParticularSolution,
@@ -30,9 +28,9 @@ from slpencil.spps import (
 )
 
 
-def intro_pencil(n_nodes=1001):
+def intro_pencil(panels=16):
     """y'' = y (lambda + 2 lambda^2) on [0, 1]: p = 1, q = 0, r_k = k."""
-    g = Grid(0.0, 1.0, n_nodes)
+    g = Grid.uniform(0.0, 1.0, panels)
     return PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0),
                       r=(constant(g, 1.0), constant(g, 2.0)))
 
@@ -64,7 +62,7 @@ def assert_sums_match(table, lam, ref_tilde, ref_plain, rel):
 
 class TestFormalPowers:
     def test_base_cases(self):
-        spec = intro_pencil(101)
+        spec = intro_pencil(4)
         lams = (0.37 + 0.2j, -1.5, 2.0j)
         t = build_formal_powers(spec, unit_u0(spec.grid), 3, eval_points=lams)
         assert t.xtilde_end[0] == 1.0 and t.x_end[0] == 1.0
@@ -78,7 +76,7 @@ class TestFormalPowers:
             assert abs(s.s_odd[0]) < 1e-15
 
     def test_intro_example_even_powers(self):
-        spec = intro_pencil(1001)
+        spec = intro_pencil(16)
         x = spec.grid.nodes
         lam = 0.6 - 0.45j
         t = build_formal_powers(spec, unit_u0(spec.grid), 3, eval_points=(lam,))
@@ -95,7 +93,7 @@ class TestFormalPowers:
         assert np.max(err) < 1e-10 * sum_scale(refs, lam)
 
     def test_single_term_pencil_gives_cosh_series(self):
-        g = Grid(0.0, 1.0, 501)
+        g = Grid.uniform(0.0, 1.0, 8)
         spec = PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0), r=(constant(g, 1.0),))
         lam = -2.0 + 1.0j
         t = build_formal_powers(spec, unit_u0(g), 5, eval_points=(lam,))
@@ -109,7 +107,7 @@ class TestFormalPowers:
 
     def test_classical_recursion_oracle(self):
         """With N = 1 the table must match an independently coded classical scheme."""
-        g = Grid(0.0, 1.0, 501)
+        g = Grid.uniform(0.0, 1.0, 8)
         p = sample(g, lambda x: 1.0 + 0.3 * np.sin(x))
         q = sample(g, lambda x: 0.2 * np.cos(x))
         r1 = sample(g, lambda x: 1.0 + x**2)
@@ -142,27 +140,16 @@ class TestFormalPowers:
         for lam in lams:
             assert_sums_match(t, lam, ref_tilde, ref_plain, 1e-12)
 
-    def test_threaded_reruns_bit_identical(self, monkeypatch):
-        g = Grid(0.0, 1.0, 20001)
+    def test_reruns_bit_identical(self):
+        g = Grid.uniform(0.0, 1.0, 16)
         p = sample(g, lambda x: 1.0 + 0.3 * np.sin(x))
         q = sample(g, lambda x: 0.2 * np.cos(x))
         spec = PencilSpec(p=p, q=q, r=(sample(g, lambda x: 1.0 + x**2),
                                        constant(g, 2.0 - 1.0j)))
         u0 = build_particular_solution(p, q, truncation=20)
-        callers = []
-        run_family = spps._run_family
-
-        def spy(*args):
-            callers.append(threading.get_ident())
-            return run_family(*args)
-
-        monkeypatch.setattr(spps, "_run_family", spy)
         lams = (0.37 + 0.2j, -1.0 + 3.0j)
         first, second = (build_formal_powers(spec, u0, 20, eval_points=lams)
                          for _ in range(2))
-        # each build ran one of its two families on a worker thread
-        assert len(callers) == 4
-        assert callers.count(threading.get_ident()) == 2
         assert first.xtilde_end.tobytes() == second.xtilde_end.tobytes()
         assert first.x_end.tobytes() == second.x_end.tobytes()
         for lam in lams:
@@ -173,27 +160,27 @@ class TestFormalPowers:
 
 class TestEvaluateSolution:
     def test_lambda_zero_returns_u0(self):
-        spec = intro_pencil(101)
+        spec = intro_pencil(4)
         table = build_formal_powers(spec, unit_u0(spec.grid), 5, eval_points=(0.0,))
         u, up = evaluate_solution(table, 0.0, 1.0, 0.0)
         assert np.max(np.abs(u.values - 1.0)) == 0.0
         assert np.max(np.abs(up.values)) == 0.0
 
     def test_lambda_not_in_eval_points_rejected(self):
-        spec = intro_pencil(101)
+        spec = intro_pencil(4)
         table = build_formal_powers(spec, unit_u0(spec.grid), 5, eval_points=(0.5,))
         with pytest.raises(GridError, match="eval_points"):
             evaluate_solution(table, 0.25, 1.0, 0.0)
 
     def test_intro_example_cosh_value(self):
-        spec = intro_pencil(10001)
+        spec = intro_pencil(32)
         table = build_formal_powers(spec, unit_u0(spec.grid), 30, eval_points=(0.1,))
         u, _ = evaluate_solution(table, 0.1, 1.0, 0.0)
         exact = np.cosh(np.sqrt(0.12))
         assert abs(u.values[-1] - exact) <= 1e-12
 
     def test_u2_initial_values(self):
-        g = Grid(0.0, 1.0, 201)
+        g = Grid.uniform(0.0, 1.0, 8)
         p = sample(g, lambda x: 2.0 + np.cos(x))
         q = sample(g, lambda x: 0.5 * x)
         r = (sample(g, lambda x: 1.0 + 0 * x), sample(g, lambda x: np.exp(-x)))
@@ -206,7 +193,7 @@ class TestEvaluateSolution:
         assert abs(up.values[0] - expected) < 1e-12 * abs(expected)
 
     def test_wronskian_constant(self):
-        g = Grid(0.0, 1.0, 1001)
+        g = Grid.uniform(0.0, 1.0, 16)
         p = sample(g, lambda x: 1.0 + 0.2 * x)
         q = sample(g, lambda x: np.sin(x))
         r = (sample(g, lambda x: 1.0 + 0 * x), sample(g, lambda x: 1.0 + x))
@@ -219,7 +206,7 @@ class TestEvaluateSolution:
             assert np.max(np.abs(w - w[0])) < 1e-8 * abs(w[0])
 
     def test_ode_residual_integral_form(self):
-        spec = intro_pencil(2001)
+        spec = intro_pencil(16)
         g = spec.grid
         lams = (0.4, 1.0j, -0.5 + 0.5j)
         table = build_formal_powers(spec, unit_u0(g), 40, eval_points=lams)
@@ -235,7 +222,7 @@ class TestEvaluateSolution:
 
 class TestParticularSolution:
     def test_zero_potential_terminates(self):
-        g = Grid(0.0, 1.0, 101)
+        g = Grid.uniform(0.0, 1.0, 4)
         u0 = build_particular_solution(constant(g, 1.0), constant(g, 0.0))
         expected = 1.0 + 1j * g.nodes
         assert np.max(np.abs(u0.u0.values - expected)) < 1e-13
@@ -243,14 +230,14 @@ class TestParticularSolution:
         assert u0.min_modulus_ratio > 0.5
 
     def test_negative_q_gives_cosh_plus_i_sinh(self):
-        g = Grid(0.0, 1.0, 501)
+        g = Grid.uniform(0.0, 1.0, 8)
         u0 = build_particular_solution(constant(g, 1.0), constant(g, -1.0),
                                        truncation=60)
         ref = np.cosh(g.nodes) + 1j * np.sinh(g.nodes)
         assert np.max(np.abs(u0.u0.values - ref) / np.abs(ref)) < 1e-10
 
     def test_positive_q_gives_unit_circle(self):
-        g = Grid(0.0, np.pi / 2, 501)
+        g = Grid.uniform(0.0, np.pi / 2, 8)
         u0 = build_particular_solution(constant(g, 1.0), constant(g, 1.0),
                                        truncation=60)
         ref = np.exp(1j * g.nodes)
@@ -259,14 +246,14 @@ class TestParticularSolution:
         assert u0.min_modulus_ratio > 0.9
 
     def test_vanishing_u0_raises_with_advice(self):
-        g = Grid(0.0, 1.0, 101)
+        g = Grid.uniform(0.0, 1.0, 4)
         bad = sample(g, lambda x: x - 0.5)
         with pytest.raises(ParticularSolutionError, match="spectral shift"):
             ParticularSolution.from_samples(bad, constant(g, 1.0),
                                             constant(g, 1.0), constant(g, 0.0))
 
     def test_chain_particular_solution_solves_shifted_equation(self):
-        spec = intro_pencil(2001)
+        spec = intro_pencil(16)
         g = spec.grid
         lam0 = 1.0
         table = build_formal_powers(spec, unit_u0(g), 40, eval_points=(lam0,))
@@ -284,7 +271,7 @@ class TestParticularSolution:
 
 class TestTailBound:
     def test_zero_lambda(self):
-        spec = intro_pencil(101)
+        spec = intro_pencil(4)
         assert even_tail(spec, unit_u0(spec.grid), 0.0, 10) == 0.0
 
     def test_factorial_series_value(self):
@@ -294,7 +281,7 @@ class TestTailBound:
         assert val >= 1.0 / math.factorial(22)
 
     def test_monotonicity(self):
-        spec = intro_pencil(101)
+        spec = intro_pencil(4)
         u0 = unit_u0(spec.grid)
         bounds_m = [even_tail(spec, u0, 1.0, M) for M in (5, 10, 20, 40)]
         assert all(a >= b for a, b in zip(bounds_m, bounds_m[1:]))
@@ -305,7 +292,7 @@ class TestTailBound:
         assert tail_series(1e280, 5, 2) == math.inf
 
     def test_tail_is_a_true_bound_for_intro_example(self):
-        spec = intro_pencil(1001)
+        spec = intro_pencil(16)
         u0 = unit_u0(spec.grid)
         t_small = build_formal_powers(spec, u0, 12)
         t_big = build_formal_powers(spec, u0, 24)
@@ -315,5 +302,5 @@ class TestTailBound:
             assert abs(big - small) <= even_tail(spec, u0, abs(lam), 12)
 
     def test_majorant_scale(self):
-        spec = intro_pencil(101)
+        spec = intro_pencil(4)
         assert majorant_scale(spec, unit_u0(spec.grid)) == pytest.approx(2.0)

@@ -21,8 +21,8 @@ from slpencil.zakharov import (
 )
 
 
-def constant_zs(c=2.0, a=1.0, n=501):
-    g = Grid(-a, a, n)
+def constant_zs(c=2.0, a=1.0, panels=8):
+    g = Grid.uniform(-a, a, panels)
     return ZSProblem(Q=constant(g, c), P=constant(g, c),
                      Q_prime=constant(g, 0.0))
 
@@ -45,13 +45,13 @@ class TestPencilReduction:
         assert np.allclose(pencil.r[1].values, 0.5)
 
     def test_klaus_shaw_even_potential_r1_odd(self):
-        zs = materialize_potential(PotentialSpec.klaus_shaw(0.956), n_nodes=501)
+        zs = materialize_potential(PotentialSpec.klaus_shaw(0.956), panels=8)
         pencil = zs_to_pencil(zs)
-        mid = 250
+        mid = zs.grid.n_nodes // 2  # x = 0
         assert abs(pencil.r[0].values[mid]) < 1e-14
 
     def test_vanishing_q_rejected(self):
-        g = Grid(-1.0, 1.0, 101)
+        g = Grid.uniform(-1.0, 1.0, 4)
         with pytest.raises(NodeValueError):
             ZSProblem(Q=sample(g, lambda x: x), P=sample(g, lambda x: x),
                       Q_prime=constant(g, 1.0))
@@ -59,7 +59,7 @@ class TestPencilReduction:
     def test_generic_recursion_equals_zs_specific(self):
         """Generic pencil formal powers must equal the directly coded
         Zakharov-Shabat recursion on a random smooth non-vanishing pair."""
-        g = Grid(-1.0, 1.0, 1001)
+        g = Grid.uniform(-1.0, 1.0, 16)
         Q = sample(g, lambda x: 1.2 + 0.4 * np.sin(3 * x) + 0.3j * np.cos(2 * x))
         P = sample(g, lambda x: 0.5 * np.cos(x) - 0.2j + 0.1 * x)
         Qp = sample(g, lambda x: 1.2 * np.cos(3 * x) - 0.6j * np.sin(2 * x))
@@ -117,17 +117,17 @@ class TestParticularSolution:
 
     def test_klaus_shaw_endpoint_phase(self):
         s = 0.7
-        zs = materialize_potential(PotentialSpec.klaus_shaw(s), n_nodes=2001)
+        zs = materialize_potential(PotentialSpec.klaus_shaw(s), panels=16)
         v0 = zs_particular_solution(zs)
         assert abs(v0.u0.values[-1] - np.exp(1.5j * np.pi * s)) < 1e-12
 
     def test_residual_of_pencil_equation(self):
-        zs = materialize_potential(PotentialSpec.klaus_shaw(0.9), n_nodes=2001)
+        zs = materialize_potential(PotentialSpec.klaus_shaw(0.9), panels=16)
         v0 = zs_particular_solution(zs)
         assert v0.residual <= 1e-8
 
     def test_fallback_when_p_differs_from_q(self):
-        g = Grid(-1.0, 1.0, 501)
+        g = Grid.uniform(-1.0, 1.0, 8)
         zs = ZSProblem(Q=constant(g, 1.0), P=constant(g, 0.5),
                        Q_prime=constant(g, 0.0))
         v0 = zs_particular_solution(zs, truncation=60)
@@ -137,7 +137,7 @@ class TestParticularSolution:
 
 class TestSolution:
     def test_lambda_zero_reduces_to_v0(self):
-        zs = materialize_potential(PotentialSpec.klaus_shaw(0.8), n_nodes=1001)
+        zs = materialize_potential(PotentialSpec.klaus_shaw(0.8), panels=16)
         v0 = zs_particular_solution(zs)
         table = build_formal_powers(zs_to_pencil(zs), v0, 10, eval_points=(0.0,))
         v1, v2 = zs_solution(zs, table, 0.0, 1.0, 0.0)
@@ -146,7 +146,7 @@ class TestSolution:
         assert np.max(np.abs(v1.values - expected_v1)) < 1e-12
 
     def test_jost_normalization_at_left_end(self):
-        zs = materialize_potential(PotentialSpec.klaus_shaw(0.8), n_nodes=1001)
+        zs = materialize_potential(PotentialSpec.klaus_shaw(0.8), panels=16)
         v0 = zs_particular_solution(zs)
         lams = (0.3, 0.1 + 0.6j)
         table = build_formal_powers(zs_to_pencil(zs), v0, 30, eval_points=lams)
@@ -160,7 +160,7 @@ class TestSolution:
         """At lambda = 0 and Q = P = c the second component solves
         v2'' = -c^2 v2."""
         c = 1.3
-        zs = constant_zs(c=c, a=1.0, n=2001)
+        zs = constant_zs(c=c, a=1.0, panels=16)
         v0 = zs_particular_solution(zs)
         table = build_formal_powers(zs_to_pencil(zs), v0, 10, eval_points=(0.0,))
         v1, v2 = zs_solution(zs, table, 0.0, 1.0, 0.0)
@@ -170,7 +170,7 @@ class TestSolution:
         assert np.max(np.abs(v2.values - ref)) < 1e-10
 
     def test_first_order_system_residual(self):
-        zs = materialize_potential(PotentialSpec.klaus_shaw(0.9), n_nodes=5001)
+        zs = materialize_potential(PotentialSpec.klaus_shaw(0.9), panels=32)
         v0 = zs_particular_solution(zs)
         lams = (0.25, 0.05 + 0.5j)
         table = build_formal_powers(zs_to_pencil(zs), v0, 40, eval_points=lams)
@@ -190,7 +190,7 @@ class TestSolution:
 
 class TestDispersion:
     def test_leading_coefficient_formula(self):
-        zs = materialize_potential(PotentialSpec.klaus_shaw(0.8), n_nodes=1001)
+        zs = materialize_potential(PotentialSpec.klaus_shaw(0.8), panels=16)
         series = dispersion(zs, 5)
         table = series.meta["table"]
         v0 = table.u0
@@ -199,7 +199,7 @@ class TestDispersion:
         assert abs(series.coeffs[0] - expected) < 1e-14
 
     def test_klaus_shaw_complex_pair(self):
-        zs = materialize_potential(PotentialSpec.klaus_shaw(0.956), n_nodes=2001)
+        zs = materialize_potential(PotentialSpec.klaus_shaw(0.956), panels=16)
         series = dispersion(zs, 100)
         roots = np.array(poly_roots(series))
         adm = roots[(roots.real > 0) & (np.abs(roots) < 2.5)]
@@ -209,7 +209,7 @@ class TestDispersion:
             assert abs(r - e) < 1e-9
 
     def test_conjugate_symmetry_for_real_potential(self):
-        zs = materialize_potential(PotentialSpec.klaus_shaw(0.97), n_nodes=2001)
+        zs = materialize_potential(PotentialSpec.klaus_shaw(0.97), panels=16)
         series = dispersion(zs, 100)
         roots = np.array(poly_roots(series))
         adm = roots[(roots.real > 1e-4) & (np.abs(roots) < 2.0)]
@@ -219,7 +219,7 @@ class TestDispersion:
     def test_shift_consistency(self):
         """Roots of the series at center 0.03, with v0 chained from the
         center-0 table as the solve loop does, agree with the unshifted ones."""
-        zs = materialize_potential(PotentialSpec.klaus_shaw(0.9999), n_nodes=2001)
+        zs = materialize_potential(PotentialSpec.klaus_shaw(0.9999), panels=16)
         base = dispersion(zs, 100, eval_points=(0.03,))
         pencil = shift_pencil(zs_to_pencil(zs), 0.03)
         v0 = chain_particular_solution(base.meta["table"], 0.03, pencil.p, pencil.q)
@@ -235,7 +235,7 @@ class TestDispersion:
             assert abs(rb - rs) <= 1e-8
 
     def test_tail_bound_finite_for_compact_nonvanishing_potential(self):
-        zs = materialize_potential(PotentialSpec.klaus_shaw(0.956), n_nodes=1001)
+        zs = materialize_potential(PotentialSpec.klaus_shaw(0.956), panels=16)
         series = dispersion(zs, 400)
         tail = zs_dispersion_tail(series, 1.8)
         assert np.isfinite(tail)
@@ -244,29 +244,29 @@ class TestDispersion:
 
 class TestPotentialCatalog:
     def test_klaus_shaw_center_value(self):
-        zs = materialize_potential(PotentialSpec.klaus_shaw(1.0), n_nodes=501)
-        mid = 250
+        zs = materialize_potential(PotentialSpec.klaus_shaw(1.0), panels=8)
+        mid = zs.grid.n_nodes // 2  # x = 0
         assert abs(zs.Q.values[mid] - (-1 + 3 * np.pi / 4)) < 1e-14
         assert zs.back_map_scale is None
 
     def test_tovbis_center_value(self):
         eps = 0.3
-        zs = materialize_potential(PotentialSpec.tovbis(0.5, eps), n_nodes=501)
-        mid = 250
+        zs = materialize_potential(PotentialSpec.tovbis(0.5, eps), panels=8)
+        mid = zs.grid.n_nodes // 2  # x = 0
         # q(0) = -1, so Q(0) = (i/eps) q*(0) = -i/eps
         assert abs(zs.Q.values[mid] - (-1j / eps)) < 1e-13
         assert zs.back_map(1.0) == 1j * eps
 
     def test_bronski_modulus_independent_of_eps(self):
         for eps in (0.2, 0.5):
-            zs = materialize_potential(PotentialSpec.bronski(eps), n_nodes=501)
+            zs = materialize_potential(PotentialSpec.bronski(eps), panels=8)
             x = zs.grid.nodes
             assert np.max(np.abs(np.abs(zs.Q.values) * eps
                                  - 1 / np.cosh(2 * x))) < 1e-13
 
     def test_expression_potential(self):
         spec = PotentialSpec.expression("2+sin(x)", half_width=2.0)
-        zs = materialize_potential(spec, n_nodes=501)
+        zs = materialize_potential(spec, panels=8)
         x = zs.grid.nodes
         assert np.allclose(zs.Q.values, 2 + np.sin(x))
         assert np.allclose(zs.P.values, np.conj(zs.Q.values))
@@ -275,13 +275,13 @@ class TestPotentialCatalog:
     def test_wrong_grid_rejected(self):
         spec = PotentialSpec.klaus_shaw(0.9)
         with pytest.raises(Exception):
-            materialize_potential(spec, grid=Grid(-2.0, 2.0, 501))
+            materialize_potential(spec, grid=Grid.uniform(-2.0, 2.0, 8))
 
 
 class TestTovbisOracle:
     def test_exact_spectrum_row(self):
         mu, eps = 0.5, 0.5
-        zs = materialize_potential(PotentialSpec.tovbis(mu, eps), n_nodes=10001)
+        zs = materialize_potential(PotentialSpec.tovbis(mu, eps), panels=128)
         series = dispersion(zs, 150)
         roots = np.array(poly_roots(series))
         adm = roots[(roots.real > 0.01) & (np.abs(roots.imag) < 0.5)
