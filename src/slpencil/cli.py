@@ -31,7 +31,6 @@ from .problems import (
     dirac_to_pencil,
     shift_pencil,
     two_point_series,
-    two_point_tail,
 )
 from .rootfinding import (
     EigenvalueRecord,
@@ -50,11 +49,10 @@ from .spps import (
 )
 from .zakharov import (
     DEFAULT_HALF_WIDTH,
-    KLAUS_SHAW_HALF_WIDTH,
-    PotentialSpec,
+    POTENTIALS,
     materialize_potential,
+    potential_half_width,
     zs_dispersion,
-    zs_dispersion_tail,
     zs_particular_solution,
     zs_to_pencil,
 )
@@ -81,12 +79,6 @@ CONFIG_KEYS = frozenset(DEFAULTS) | {
 }
 
 PROBLEM_KINDS = ("pencil", "string", "zakharov_shabat", "dirac")
-_POTENTIAL_PARAMS = {
-    "klaus_shaw": ("s",),
-    "bronski": ("epsilon",),
-    "tovbis": ("mu", "epsilon"),
-    "expression": ("Q",),
-}
 _COEFFICIENT_KEYS = {
     "pencil": ("p", "q", "r"),
     "string": ("damping", "density"),
@@ -290,12 +282,13 @@ def validate_config(raw: dict) -> dict:
             _fail("config.sweep", "expected {\"parameter\": name, \"values\": [...]}")
         _reject_unknown(sweep, ("parameter", "values"), "config.sweep")
         for i, v in enumerate(sweep["values"]):
-            if not _is_number(v):
-                _fail(f"config.sweep.values[{i}]", f"expected a number, got {v!r}")
-        allowed = _POTENTIAL_PARAMS[cfg["potential"]["kind"]]
+            if not (_is_number(v) and math.isfinite(v)):
+                _fail(f"config.sweep.values[{i}]",
+                      f"expected a finite number, got {v!r}")
+        allowed = POTENTIALS[cfg["potential"]["kind"]].params
         if sweep["parameter"] not in allowed:
             _fail("config.sweep.parameter",
-                  f"{sweep['parameter']!r} is not a parameter of "
+                  f"{sweep['parameter']!r} is not a numeric parameter of "
                   f"{cfg['potential']['kind']} (has {allowed})")
 
     if "output" in cfg and cfg["output"] is not None:
@@ -313,30 +306,31 @@ def validate_config(raw: dict) -> dict:
 def _validate_potential(cfg: dict):
     pot = _require(cfg, "potential", dict, "config")
     kind = _require(pot, "kind", str, "config.potential")
-    if kind not in _POTENTIAL_PARAMS:
+    if kind not in POTENTIALS:
         _fail("config.potential.kind", f"unknown potential {kind!r}")
-    # every kind reads half_width (klaus_shaw only accepts 1.0 below), and an
-    # expression potential an optional P
-    optional = ("half_width", "P") if kind == "expression" else ("half_width",)
-    _reject_unknown(pot, ("kind", *_POTENTIAL_PARAMS[kind], *optional),
+    entry = POTENTIALS[kind]
+    # a kind without a Q template reads the config's Q and an optional P
+    own = ("Q", "P") if entry.Q is None else ()
+    _reject_unknown(pot, ("kind", "half_width", *entry.params, *own),
                     "config.potential")
-    for key in _POTENTIAL_PARAMS[kind]:
-        if key == "Q":
-            _as_expression(_require(pot, "Q", str, "config.potential"),
-                           "config.potential.Q")
-        else:
-            _require(pot, key, float, "config.potential")
-    if kind == "klaus_shaw":
-        pot.setdefault("half_width", KLAUS_SHAW_HALF_WIDTH)
-        hw = pot["half_width"]
-        if not _is_number(hw) or hw != KLAUS_SHAW_HALF_WIDTH:
-            _fail("config.potential.half_width", "klaus_shaw is supported on [-1, 1]")
+    for key in entry.params:  # a template cannot take inf or nan
+        if not math.isfinite(_require(pot, key, float, "config.potential")):
+            _fail(f"config.potential.{key}", "expected a finite number")
+    if entry.Q is None:
+        _as_expression(_require(pot, "Q", str, "config.potential"),
+                       "config.potential.Q")
+        if "P" in pot:
+            _as_expression(pot["P"], "config.potential.P")
+    fixed = entry.half_width
+    if fixed is not None:
+        hw = pot.setdefault("half_width", fixed)
+        if not _is_number(hw) or hw != fixed:
+            _fail("config.potential.half_width",
+                  f"{kind} is supported on [-{fixed:g}, {fixed:g}]")
     else:
         pot.setdefault("half_width", DEFAULT_HALF_WIDTH)
         if _require(pot, "half_width", float, "config.potential") <= 0:
             _fail("config.potential.half_width", "expected a positive number")
-    if "P" in pot:
-        _as_expression(pot["P"], "config.potential.P")
 
 
 def _parse_region(raw, path: str) -> dict:
@@ -370,27 +364,26 @@ class _Assembly:
     base_pencil: PencilSpec
     initial_u0: ParticularSolution
     series_from_table: callable  # (table, center) -> CharacteristicSeries
-    tail_fn: callable            # (series, lam_abs) -> float
     back_map_scale: complex | None
 
 
 def _build_assembly(cfg: dict, potential_override: dict | None = None) -> _Assembly:
     """The problem sampled on the coarsest split of a uniform grid on which
     its coefficients and its center-0 u0 are resolved."""
-    spec = None
+    pot = None
     if cfg["problem"] == "zakharov_shabat":
         pot = dict(cfg["potential"])
         if potential_override:
             pot.update(potential_override)
-        spec = _potential_spec(pot)
-        a, b = -spec.half_width, spec.half_width
+        b = potential_half_width(pot)
+        a = -b
     else:
         a, b = (float(v) for v in cfg["interval"])
     ceiling = cfg["n_nodes"]
     grid = Grid.uniform(a, b, min(INITIAL_PANELS, (ceiling - 1) // (P - 1)))
 
     def build(g: Grid):
-        asm = _assemble(cfg, g, spec)
+        asm = _assemble(cfg, g, pot)
         pencil, u0 = asm.base_pencil, asm.initial_u0
         return asm, unresolved(g, *(f.values for f in (
             pencil.p, pencil.q, *pencil.r, u0.u0, u0.u0_prime)))
@@ -398,16 +391,15 @@ def _build_assembly(cfg: dict, potential_override: dict | None = None) -> _Assem
     return refine(grid, build, ceiling, "center 0 coefficients")
 
 
-def _assemble(cfg: dict, grid: Grid, spec: PotentialSpec | None) -> _Assembly:
+def _assemble(cfg: dict, grid: Grid, pot: dict | None) -> _Assembly:
     kind = cfg["problem"]
     m = cfg["truncation"]
     if kind == "zakharov_shabat":
-        zs = materialize_potential(spec, grid)
+        zs = materialize_potential(pot, grid)
         return _Assembly(
             base_pencil=zs_to_pencil(zs),
             initial_u0=zs_particular_solution(zs, truncation=m),
             series_from_table=lambda table, center: zs_dispersion(table, zs, center),
-            tail_fn=zs_dispersion_tail,
             back_map_scale=zs.back_map_scale,
         )
 
@@ -442,19 +434,8 @@ def _assemble(cfg: dict, grid: Grid, spec: PotentialSpec | None) -> _Assembly:
         base_pencil=pencil, initial_u0=u0,
         series_from_table=lambda table, center: two_point_series(
             table, left=left, right=right, center=center),
-        tail_fn=two_point_tail, back_map_scale=None,
+        back_map_scale=None,
     )
-
-
-def _potential_spec(pot: dict) -> PotentialSpec:
-    kind = pot["kind"]
-    if kind == "klaus_shaw":
-        return PotentialSpec.klaus_shaw(pot["s"])
-    if kind == "bronski":
-        return PotentialSpec.bronski(pot["epsilon"], pot["half_width"])
-    if kind == "tovbis":
-        return PotentialSpec.tovbis(pot["mu"], pot["epsilon"], pot["half_width"])
-    return PotentialSpec.expression(pot["Q"], pot["half_width"], pot.get("P"))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +573,7 @@ def _solve_single(cfg: dict, potential_override: dict | None
         else:
             recs = _arg_records(series, center, keep_radius, region, tol["localize"])
         if do_certify:
-            recs = [(_certify_record(rec, series, asm, certify_hw), rel, dist)
+            recs = [(_certify_record(rec, series, certify_hw), rel, dist)
                     for rec, rel, dist in recs]
         all_records.extend(recs)
 
@@ -626,17 +607,25 @@ def _relative_residual(series: CharacteristicSeries, z: complex) -> float:
 
 def _poly_records(series, center, keep_radius, region, spurious
                   ) -> list[tuple[EigenvalueRecord, float, float]]:
+    """Records from the companion-matrix roots within keep_radius of center.
+
+    The region is checked on the raw root, so no root outside it is
+    polished, and again on the polished value, which may have moved out."""
+    def outside(z: complex, reason: str) -> bool:
+        if region is None or region.contains(z):
+            return False
+        spurious.append({"re": z.real, "im": z.imag, "reason": reason})
+        return True
+
     recs = []
     for root in poly_roots(series):
         if abs(root - center) > keep_radius:
             continue
-        if region is not None and not region.contains(root):
-            spurious.append({
-                "re": root.real, "im": root.imag,
-                "reason": "outside search region",
-            })
+        if outside(root, "outside search region"):
             continue
         z = newton_polish(series, root, steps=8)
+        if outside(z, "polished outside search region"):
+            continue
         rec = EigenvalueRecord(
             value=z, multiplicity=1, method="poly_roots", certified=False,
             residual=float(abs(complex(series(z)))),
@@ -661,12 +650,11 @@ def _arg_records(series, center, keep_radius, region, tol
             for rec in localize(series, box, tol)]
 
 
-def _certify_record(rec: EigenvalueRecord, series, asm: _Assembly,
+def _certify_record(rec: EigenvalueRecord, series: CharacteristicSeries,
                     half_width: float) -> EigenvalueRecord:
     rect = Rectangle.around(rec.value, half_width)
     lam_abs = rect.max_abs_from(series.center)
-    tail = asm.tail_fn(series, lam_abs)
-    return certify(rec, series, tail, rect)
+    return certify(rec, series, series.tail(lam_abs), rect)
 
 
 def _merge_records(records: list[tuple[EigenvalueRecord, float, float]],

@@ -376,8 +376,3 @@ def differentiate(expr: Expr) -> Expr:
             _add(_mul(db, Call("log", a)), _mul(b, _div(da, a))),
         )
     raise TypeError(f"not an expression node: {expr!r}")
-
-
-def to_string(expr: Expr) -> str:
-    """Render to a string that re-parses to an equivalent tree."""
-    return str(expr)

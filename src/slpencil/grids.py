@@ -191,9 +191,6 @@ class SampledFunction:
     def conj(self) -> "SampledFunction":
         return SampledFunction(self.grid, np.conj(self.values))
 
-    def abs_max(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 def _check_divisor(values: np.ndarray):
     mags = np.abs(values)

@@ -1,18 +1,22 @@
-"""Problem-level assembly: spectral shift, two-point characteristic series,
-the damped-string pencil and the Dirac-system reduction.
+"""Problem-level assembly: spectral shift, characteristic series, the
+two-point boundary functional, the damped-string pencil and the Dirac-system
+reduction.
 
 A spectral shift re-centers the power series at lambda0 by transforming the
 pencil coefficients; the series variable becomes Lambda = lambda - lambda0.
-A characteristic series applies a boundary functional to a built formal-power
-table and collects its Taylor coefficients, so eigenvalues become polynomial
-roots downstream.  The damped string is a two-point Dirichlet problem for
-StringProblem.pencil.
+A characteristic functional combines a few boundary constants with the
+right-end values of five formal-power families, written once: applied to a
+built table it gives the Taylor coefficients of the characteristic series, so
+eigenvalues become polynomial roots downstream, and applied to the constants'
+moduli and the families' tail bounds it gives the series' Rouche tail.  The
+damped string is a two-point Dirichlet problem for StringProblem.pencil.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -47,13 +51,13 @@ class CharacteristicSeries:
     """Taylor coefficients of the characteristic function about ``center``.
 
     The eigenvalue condition is sum_k coeffs[k] (lambda - center)^k = 0.
-    meta carries the non-serialized build artifacts the tail bounds read
-    (the formal-power table and the boundary data).
+    tail(r), when known, bounds |Phi - Phi_M| for |lambda - center| <= r.
     """
 
     center: complex
     coeffs: np.ndarray
-    meta: dict = field(default_factory=dict, repr=False, compare=False)
+    tail: Callable[[float], float] | None = field(default=None, repr=False,
+                                                  compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=np.complex128)
@@ -151,7 +155,35 @@ def dirac_first_component(w: SampledFunction, w_prime: SampledFunction,
 
 
 # ---------------------------------------------------------------------------
-# two-point boundary characteristic series
+# characteristic functionals
+
+
+def characteristic_series(table: FormalPowerTable, functional: Callable,
+                          constants: tuple, center: complex = 0.0
+                          ) -> CharacteristicSeries:
+    """The series of a boundary functional of the table's right-end formal powers.
+
+    functional(*constants, xt_even, xt_lag, x_odd, x_even, x_lag) gives
+    coefficient n from Xtilde^(2n)(b), Xtilde^(2n-1)(b), X^(2n+1)(b),
+    X^(2n)(b) and X^(2n-1)(b) (the lagged ones 0 at n = 0).  It may only add,
+    multiply and divide by constants, so the same functional applied to the
+    constants' moduli and to tail_components' bounds on the five families
+    bounds |Phi - Phi_M| by the triangle inequality; that is the series' tail.
+    """
+    xt, x = table.xtilde_end, table.x_end
+    M = table.truncation
+    coeffs = np.empty(M + 1, dtype=np.complex128)
+    for n in range(M + 1):
+        xt_lag, x_lag = (xt[2 * n - 1], x[2 * n - 1]) if n >= 1 else (0.0, 0.0)
+        coeffs[n] = functional(*constants, xt[2 * n], xt_lag, x[2 * n + 1],
+                               x[2 * n], x_lag)
+    moduli = tuple(abs(c) for c in constants)
+
+    def tail(lam_abs: float) -> float:
+        return functional(*moduli, *tail_components(table.pencil, table.u0,
+                                                    lam_abs, M))
+
+    return CharacteristicSeries(center=center, coeffs=coeffs, tail=tail)
 
 
 def _boundary_combination(u0: ParticularSolution, p: SampledFunction,
@@ -171,6 +203,12 @@ def _boundary_combination(u0: ParticularSolution, p: SampledFunction,
     return c1 / lead, c2 / lead
 
 
+def _two_point(c1, c2, b1, b2, u0b, pu0pb, xt_even, xt_lag, x_odd, x_even, x_lag):
+    """beta1 u(b) + beta2 (p u')(b) of u = c1 u1 + c2 u2, per power of lambda."""
+    return (c1 * (b1 * u0b * xt_even + b2 * pu0pb * xt_even + b2 * xt_lag / u0b)
+            + c2 * (b1 * u0b * x_odd + b2 * pu0pb * x_odd + b2 * x_even / u0b))
+
+
 def two_point_series(table: FormalPowerTable, *,
                      left: tuple[complex, complex] = (1.0, 0.0),
                      right: tuple[complex, complex] = (1.0, 0.0),
@@ -187,37 +225,5 @@ def two_point_series(table: FormalPowerTable, *,
     u0b = table.u0.u0.values[-1]
     pu0pb = pencil.p.values[-1] * table.u0.u0_prime.values[-1]
     c1, c2 = _boundary_combination(table.u0, pencil.p, left)
-
-    M = table.truncation
-    coeffs = np.zeros(M + 1, dtype=np.complex128)
-    for n in range(M + 1):
-        xt_even = table.xtilde_end[2 * n]
-        xt_odd_prev = table.xtilde_end[2 * n - 1] if n >= 1 else 0.0
-        x_odd = table.x_end[2 * n + 1]
-        x_even = table.x_end[2 * n]
-        a_n = c1 * (b1 * u0b * xt_even + b2 * pu0pb * xt_even
-                    + b2 * xt_odd_prev / u0b)
-        a_n += c2 * (b1 * u0b * x_odd + b2 * pu0pb * x_odd + b2 * x_even / u0b)
-        coeffs[n] = a_n
-    return CharacteristicSeries(
-        center=center, coeffs=coeffs,
-        meta={"table": table, "combination": (c1, c2), "right": (b1, b2)},
-    )
-
-
-def two_point_tail(series: CharacteristicSeries, lam_abs: float) -> float:
-    """Rigorous bound for the truncation tail of a two-point series.
-
-    lam_abs bounds |lambda - center| on the region of interest.
-    """
-    table: FormalPowerTable = series.meta["table"]
-    pencil = table.pencil
-    comps = tail_components(pencil, table.u0, lam_abs, table.truncation)
-    u0b = abs(table.u0.u0.values[-1])
-    pu0pb = abs(pencil.p.values[-1] * table.u0.u0_prime.values[-1])
-    b1, b2 = (abs(v) for v in series.meta["right"])
-    c1, c2 = (abs(v) for v in series.meta["combination"])
-    bound = c1 * ((b1 * u0b + b2 * pu0pb) * comps.even
-                  + b2 * comps.lagged_xtilde / u0b)
-    bound += c2 * ((b1 * u0b + b2 * pu0pb) * comps.odd_x + b2 * comps.even / u0b)
-    return bound
+    return characteristic_series(table, _two_point, (c1, c2, b1, b2, u0b, pu0pb),
+                                 center)

@@ -353,6 +353,11 @@ def chain_particular_solution(table: FormalPowerTable, lam: complex,
 
 # ---------------------------------------------------------------------------
 # truncation-tail majorant
+#
+# Each characteristic functional (problems.characteristic_series) is a sum of
+# products of boundary constants and right-end formal powers.  Bounding each
+# family's tail past order M and substituting the bounds and the constants'
+# moduli into the same functional bounds the series' tail.
 
 
 def majorant_scale(spec: PencilSpec, u0: ParticularSolution) -> float:
@@ -395,26 +400,14 @@ def tail_series(m_hat: float, truncation: int, degree: int) -> float:
     return math.inf
 
 
-@dataclass(frozen=True)
-class TailComponents:
-    """Tail bounds for the individual formal-power families past order M.
-
-    even covers sum_{n>M} |lam^n| sup|X^(2n)| (tilde or not); odd_x covers the
-    X^(2n+1) family, odd_xtilde the Xtilde^(2n+1) family, and the lagged pair
-    covers the index-(2n-1) sums that dispersion formulas use.
-    """
-
-    even: float
-    odd_x: float
-    odd_xtilde: float
-    lagged_x: float
-    lagged_xtilde: float
-
-
 def tail_components(spec: PencilSpec, u0: ParticularSolution, lam_abs: float,
-                    truncation: int) -> TailComponents:
-    """Rigorous tail bounds for |lambda| <= lam_abs past order M = truncation.
+                    truncation: int) -> tuple[float, float, float, float, float]:
+    """Rigorous tail bounds for |lambda| <= lam_abs past order M = truncation,
+    one per right-end family a characteristic functional reads.
 
+    Returns bounds on sum_{n>M} |lam^n| sup|F_n| for F_n = Xtilde^(2n),
+    Xtilde^(2n-1), X^(2n+1), X^(2n) and X^(2n-1), in the order of
+    problems.characteristic_series, which applies the functional to them.
     Every even-index family (tilde or not) obeys the factorial majorant
     sum_{n>M} m_hat^n / (2*floor(n/N))! with m_hat = lam_abs ((m (b-a))^2 + 1).
     """
@@ -447,8 +440,7 @@ def tail_components(spec: PencilSpec, u0: ParticularSolution, lam_abs: float,
     # sum_{n>M} |lam^n X^(2n-1)| = lam * sum_{j>=M} |lam^j X^(2j+1)|
     lagged_x = lam_abs * (m * length * term(truncation) + odd_x)
     lagged_xtilde = lam_abs * (head_xtilde + odd_xtilde)
-    return TailComponents(even=even, odd_x=odd_x, odd_xtilde=odd_xtilde,
-                          lagged_x=lagged_x, lagged_xtilde=lagged_xtilde)
+    return even, lagged_xtilde, odd_x, even, lagged_x
 
 
 def wronskian(table: FormalPowerTable, lam: complex) -> SampledFunction:

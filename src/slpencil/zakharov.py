@@ -5,32 +5,34 @@ machinery applies directly.  For a potential compactly supported on [-a, a]
 the Jost boundary conditions reduce the eigenvalue problem to the zeros (with
 Re lambda > 0) of an explicit dispersion series, which this module builds from
 a formal-power table of the pencil, optionally re-centered by a spectral
-shift.  A catalog of standard test potentials (a truncated parabola and two
-semiclassical sech profiles) is included; semiclassical potentials are solved
-in the lambda = -(i/eps) Lambda frame and reported in both coordinates.
-"""
+shift.  The dispersion relation is one characteristic functional of the
+table's right-end formal powers: it gives the series' coefficients, and
+applied to the families' tail bounds, its Rouche tail.  A catalog of standard
+test potentials (a truncated parabola and two semiclassical sech profiles) is
+kept as Q templates in x, sampled and differentiated on the expression path
+like a config's own Q; semiclassical potentials are solved in the
+lambda = -(i/eps) Lambda frame and reported in both coordinates."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import GridError, NodeValueError
 from .expressions import NonHolomorphicError, differentiate, evaluate_on_grid, parse
 from .grids import Grid, SampledFunction, cumulative_integral, derivative
-from .problems import CharacteristicSeries
+from .problems import CharacteristicSeries, characteristic_series
 from .spps import (
     FormalPowerTable,
     ParticularSolution,
     PencilSpec,
     build_particular_solution,
     evaluate_solution,
-    tail_components,
 )
 
 DEFAULT_HALF_WIDTH = 10.0
-KLAUS_SHAW_HALF_WIDTH = 1.0
 
 
 @dataclass(frozen=True)
@@ -55,13 +57,6 @@ class ZSProblem:
     @property
     def grid(self) -> Grid:
         return self.Q.grid
-
-    @property
-    def half_width(self) -> float:
-        return self.grid.b
-
-    def back_map(self, lam: complex) -> complex | None:
-        return None if self.back_map_scale is None else self.back_map_scale * lam
 
 
 def zs_to_pencil(zs: ZSProblem) -> PencilSpec:
@@ -111,40 +106,26 @@ def jost_constants(v0: ParticularSolution) -> tuple[complex, complex]:
     return 0.0, -complex(v0.u0.values[0])
 
 
+def _dispersion(v0a, w, Qa, xt_even, xt_lag, x_odd, x_even, x_lag):
+    """v0(a) (w X^(2k+1)(a) + v0(a) X^(2k-1)(a)) + Q(a) X^(2k)(a)."""
+    return v0a * (w * x_odd + v0a * x_lag) + Qa * x_even
+
+
 def zs_dispersion(table: FormalPowerTable, zs: ZSProblem,
                   center: complex = 0.0) -> CharacteristicSeries:
     """Dispersion series whose zeros (Re lambda > 0) are the ZS eigenvalues.
 
     table holds the formal powers of the ZS pencil shifted to center, anchored
     at the left end -a, with v0 = table.u0.  Coefficient k collects
-    v0(a) ((v0'(a) + center v0(a)) X^(2k+1)(a) + v0(a) X^(2k-1)(a))
-    + Q(a) X^(2k)(a).
+    v0(a) (w X^(2k+1)(a) + v0(a) X^(2k-1)(a)) + Q(a) X^(2k)(a) with
+    w = v0'(a) + center v0(a), and the same functional bounds the tail.
     """
     center = complex(center)
     v0 = table.u0
     v0a = v0.u0.values[-1]
-    v0pa = v0.u0_prime.values[-1]
-    Qa = zs.Q.values[-1]
-    coeffs = np.empty(table.truncation + 1, dtype=np.complex128)
-    for k in range(table.truncation + 1):
-        x_odd = table.x_end[2 * k + 1]
-        x_lag = table.x_end[2 * k - 1] if k >= 1 else 0.0
-        coeffs[k] = (v0a * ((v0pa + center * v0a) * x_odd + v0a * x_lag)
-                     + Qa * table.x_end[2 * k])
-    return CharacteristicSeries(center=center, coeffs=coeffs,
-                                meta={"table": table, "zs": zs})
-
-
-def zs_dispersion_tail(series: CharacteristicSeries, lam_abs: float) -> float:
-    """Rigorous |Phi - Phi_M| bound for |lambda - center| <= lam_abs."""
-    table: FormalPowerTable = series.meta["table"]
-    zs: ZSProblem = series.meta["zs"]
-    v0 = table.u0
-    comps = tail_components(table.pencil, v0, lam_abs, table.truncation)
-    v0a = abs(v0.u0.values[-1])
-    v0pa = abs(v0.u0_prime.values[-1] + series.center * v0.u0.values[-1])
-    Qa = abs(zs.Q.values[-1])
-    return v0a * (v0pa * comps.odd_x + v0a * comps.lagged_x) + Qa * comps.even
+    w = v0.u0_prime.values[-1] + center * v0a
+    return characteristic_series(table, _dispersion, (v0a, w, zs.Q.values[-1]),
+                                 center)
 
 
 # ---------------------------------------------------------------------------
@@ -152,98 +133,75 @@ def zs_dispersion_tail(series: CharacteristicSeries, lam_abs: float) -> float:
 
 
 @dataclass(frozen=True)
-class PotentialSpec:
-    """Named or expression-defined potential, truncated to [-a, a].
+class PotentialKind:
+    """One catalog entry.
 
-    kinds: klaus_shaw(s) on [-1, 1]; bronski(epsilon) and tovbis(mu, epsilon)
-    with the semiclassical identification Q = (i/eps) q*, lambda = -(i/eps)
-    Lambda; expression(src) taken as Q directly with P = Q* nodewise.
+    params are the numeric parameters (the sweepable ones).  Q is a template
+    in x with each parameter in braces, or None when the config gives Q (and
+    optionally P) as expressions.  P is Q* when conjugate, else Q.  A fixed
+    half_width pins the interval; None lets the config choose it (default
+    DEFAULT_HALF_WIDTH).  back_map_scale maps the parameters to the s with
+    Lambda = s lambda, or is None.
     """
 
-    kind: str
-    half_width: float
-    params: dict
-
-    @staticmethod
-    def klaus_shaw(s: float) -> "PotentialSpec":
-        return PotentialSpec("klaus_shaw", KLAUS_SHAW_HALF_WIDTH, {"s": float(s)})
-
-    @staticmethod
-    def bronski(epsilon: float,
-                half_width: float = DEFAULT_HALF_WIDTH) -> "PotentialSpec":
-        return PotentialSpec("bronski", float(half_width),
-                             {"epsilon": float(epsilon)})
-
-    @staticmethod
-    def tovbis(mu: float, epsilon: float,
-               half_width: float = DEFAULT_HALF_WIDTH) -> "PotentialSpec":
-        return PotentialSpec("tovbis", float(half_width),
-                             {"mu": float(mu), "epsilon": float(epsilon)})
-
-    @staticmethod
-    def expression(src: str, half_width: float,
-                   src_p: str | None = None) -> "PotentialSpec":
-        return PotentialSpec("expression", float(half_width),
-                             {"Q": src, **({"P": src_p} if src_p else {})})
+    params: tuple[str, ...]
+    Q: str | None
+    conjugate: bool
+    half_width: float | None
+    back_map_scale: Callable[[dict], complex] | None
 
 
-def _semiclassical(grid: Grid, eps: float, amp, amp_prime, phase,
-                   phase_prime) -> ZSProblem:
-    """Q = (i/eps) A e^(-i S/eps) and P = Q* for q = A e^(i S/eps), A, S real."""
-    x = grid.nodes
-    A = amp(x)
-    Ap = amp_prime(x)
-    S = phase(x)
-    Sp = phase_prime(x)
-    carrier = np.exp(-1j * S / eps)
-    Q = (1j / eps) * A * carrier
-    Qp = (1j / eps) * (Ap - 1j * A * Sp / eps) * carrier
-    return ZSProblem(
-        Q=SampledFunction(grid, Q),
-        P=SampledFunction(grid, np.conj(Q)),
-        Q_prime=SampledFunction(grid, Qp),
-        back_map_scale=1j * eps,
-    )
+# semiclassical kinds: Q = (i/eps) A e^(-i S/eps) for q = A e^(i S/eps), P = Q*,
+# solved in the lambda = -(i/eps) Lambda frame
+POTENTIALS = {
+    "klaus_shaw": PotentialKind(("s",), "{s}*(-1+3*pi/4+3*x^2)", False, 1.0, None),
+    # A = S = sech(2x)
+    "bronski": PotentialKind(
+        ("epsilon",), "i/{epsilon}*sech(2*x)*exp(-i*sech(2*x)/{epsilon})",
+        True, None, lambda p: 1j * p["epsilon"]),
+    # A = -sech(x), S = -mu log cosh(x)
+    "tovbis": PotentialKind(
+        ("mu", "epsilon"),
+        "i/{epsilon}*(-sech(x))*exp(-i*(-{mu}*log(cosh(x)))/{epsilon})",
+        True, None, lambda p: 1j * p["epsilon"]),
+    "expression": PotentialKind((), None, True, None, None),
+}
 
 
-def materialize_potential(spec: PotentialSpec, grid: Grid | None = None, *,
+def potential_half_width(pot: dict) -> float:
+    """The a of [-a, a] for a potential object."""
+    fixed = POTENTIALS[pot["kind"]].half_width
+    if fixed is not None:
+        return fixed
+    return float(pot.get("half_width", DEFAULT_HALF_WIDTH))
+
+
+def materialize_potential(pot: dict, grid: Grid | None = None, *,
                           panels: int = 16) -> ZSProblem:
-    """Sample a catalog potential on a grid of [-a, a] (uniform with `panels`
-    panels when absent)."""
+    """Sample a potential object ({"kind": ..., its parameters, optional
+    half_width, and Q and P for an expression}) on a grid of [-a, a] (uniform
+    with `panels` panels when absent); Q' is Q's symbolic derivative."""
+    kind = POTENTIALS.get(pot["kind"])
+    if kind is None:
+        raise ValueError(f"unknown potential kind {pot['kind']!r}")
+    a = potential_half_width(pot)
     if grid is None:
-        grid = Grid.uniform(-spec.half_width, spec.half_width, panels)
-    if abs(grid.b - spec.half_width) > 1e-12:
-        raise GridError(
-            f"grid [{grid.a}, {grid.b}] does not span [-{spec.half_width}, "
-            f"{spec.half_width}]")
-    if spec.kind == "klaus_shaw":
-        s = spec.params["s"]
-        x = grid.nodes
-        Q = SampledFunction(grid, s * (-1.0 + 3 * np.pi / 4 + 3 * x**2))
-        return ZSProblem(Q=Q, P=Q, Q_prime=SampledFunction(grid, 6.0 * s * x))
-    if spec.kind == "bronski":
-        eps = spec.params["epsilon"]
-        sech2 = lambda x: 1.0 / np.cosh(2 * x)
-        dsech2 = lambda x: -2.0 * np.tanh(2 * x) / np.cosh(2 * x)
-        return _semiclassical(grid, eps, sech2, dsech2, sech2, dsech2)
-    if spec.kind == "tovbis":
-        mu = spec.params["mu"]
-        eps = spec.params["epsilon"]
-        amp = lambda x: -1.0 / np.cosh(x)
-        amp_p = lambda x: np.tanh(x) / np.cosh(x)
-        phase = lambda x: -mu * np.log(np.cosh(x))
-        phase_p = lambda x: -mu * np.tanh(x)
-        return _semiclassical(grid, eps, amp, amp_p, phase, phase_p)
-    if spec.kind == "expression":
-        q_expr = parse(spec.params["Q"])
-        Q = evaluate_on_grid(q_expr, grid)
-        try:
-            Qp = evaluate_on_grid(differentiate(q_expr), grid)
-        except NonHolomorphicError:
-            Qp = derivative(Q)
-        if "P" in spec.params:
-            P = evaluate_on_grid(parse(spec.params["P"]), grid)
-        else:
-            P = Q.conj()
-        return ZSProblem(Q=Q, P=P, Q_prime=Qp)
-    raise ValueError(f"unknown potential kind {spec.kind!r}")
+        grid = Grid.uniform(-a, a, panels)
+    if abs(grid.b - a) > 1e-12:
+        raise GridError(f"grid [{grid.a}, {grid.b}] does not span [-{a}, {a}]")
+    if kind.Q is None:
+        src = pot["Q"]
+    else:  # repr round-trips, so the template sees the parameters exactly
+        src = kind.Q.format(**{k: f"({float(pot[k])!r})" for k in kind.params})
+    q_expr = parse(src)
+    Q = evaluate_on_grid(q_expr, grid)
+    try:
+        Qp = evaluate_on_grid(differentiate(q_expr), grid)
+    except NonHolomorphicError:
+        Qp = derivative(Q)
+    if "P" in pot:
+        P = evaluate_on_grid(parse(pot["P"]), grid)
+    else:
+        P = Q.conj() if kind.conjugate else Q
+    scale = kind.back_map_scale(pot) if kind.back_map_scale else None
+    return ZSProblem(Q=Q, P=P, Q_prime=Qp, back_map_scale=scale)

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from slpencil import ConfigError, SLPencilError
+from slpencil import ConfigError, SLPencilError, cli
 from slpencil.cli import _record_key, emit_surface, load_config, main, run_solve
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -155,11 +155,21 @@ class TestConfigValidation:
         ({"keep_radius": 0}, "config.keep_radius"),
         ({"keep_radius": -3}, "config.keep_radius"),
         ({"keep_radius": True}, "config.keep_radius"),
+        # only the catalog's numeric parameters can be swept
+        ({**ZS, "potential": {"kind": "expression", "Q": "2+sin(x)",
+                              "half_width": 2.0},
+          "sweep": {"parameter": "Q", "values": [1.0]}},
+         "config.sweep.parameter"),
+        ({**ZS, "potential": {"kind": "klaus_shaw", "s": float("inf")}},
+         "config.potential.s"),
+        ({**ZS, "sweep": {"parameter": "s", "values": [float("nan")]}},
+         "config.sweep.values[0]"),
     ], ids=["boundary_side", "half_width", "expression_P", "bool_truncation",
             "bool_localize", "bool_interval", "bool_shift", "bool_sweep_value",
             "bool_klaus_shaw_half_width", "string_sweep_value", "number_certify",
             "string_require_certified", "string_keep_radius", "zero_keep_radius",
-            "negative_keep_radius", "bool_keep_radius"])
+            "negative_keep_radius", "bool_keep_radius", "expression_sweep_Q",
+            "infinite_parameter", "nan_sweep_value"])
     def test_bad_value_in_block_rejected(self, tmp_path, capsys, overrides, path):
         assert main(["solve", intro_cfg(tmp_path, **overrides)]) == 1
         assert f"config error: {path}: " in capsys.readouterr().err
@@ -249,6 +259,21 @@ class TestSolve:
             lam = complex(rec["re"], rec["im"])
             back = complex(rec["back_map_re"], rec["back_map_im"])
             assert abs(back - 0.5j * lam) < 1e-12
+
+    def test_polished_root_outside_region_is_spurious(self, tmp_path, monkeypatch):
+        """A raw root inside the region whose polished value lies outside it
+        goes to spurious, not to the records."""
+        top = max(run_solve(intro_cfg(tmp_path)).records, key=lambda r: r["re"])
+        region = {"re": [-10.0, top["re"] - 1e-9], "im": [-8.0, 8.0]}
+        roots = cli.poly_roots
+        monkeypatch.setattr(cli, "poly_roots",
+                            lambda series: [z - 2e-9 for z in roots(series)])
+        rs = run_solve(intro_cfg(tmp_path, search_region=region))
+        assert all(r["re"] <= region["re"][1] for r in rs.records)
+        moved = [r for r in rs.spurious
+                 if r["reason"] == "polished outside search region"]
+        assert len(moved) == 2
+        assert all(abs(r["re"] - top["re"]) < 1e-12 for r in moved)
 
     def test_degenerate_linear_series(self, tmp_path):
         """u'' = lambda u with y(0) = 0, y(1) - y'(1) = 0 has the eigenvalue 0

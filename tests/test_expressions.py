@@ -9,7 +9,6 @@ from slpencil.expressions import (
     evaluate,
     evaluate_on_grid,
     parse,
-    to_string,
 )
 
 CATALOG = [
@@ -142,7 +141,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("src", CATALOG)
     def test_print_reparse_same_values(self, src):
         tree = parse(src)
-        again = parse(to_string(tree))
+        again = parse(str(tree))
         x = np.linspace(0.1, 2.0, 57) + 0.05j
         a = evaluate(tree, x) * np.ones_like(x)
         b = evaluate(again, x) * np.ones_like(x)

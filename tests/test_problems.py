@@ -12,7 +12,6 @@ from slpencil.problems import (
     dirac_to_pencil,
     shift_pencil,
     two_point_series,
-    two_point_tail,
 )
 from slpencil.rootfinding import Rectangle, certify, newton_polish, poly_roots
 from slpencil.spps import (
@@ -173,7 +172,7 @@ class TestStringCharacteristic:
         series = string_series(sp, 100)
         lam1 = complex(-1 + np.sqrt(complex(1 - np.pi**2)))
         rect = Rectangle.around(lam1, 0.5)
-        tail = two_point_tail(series, rect.max_abs_from(0.0))
+        tail = series.tail(rect.max_abs_from(0.0))
         assert np.isfinite(tail)
         from slpencil.rootfinding import EigenvalueRecord
         rec = EigenvalueRecord(lam1, 1, "poly_roots", False, 0.0)
@@ -186,7 +185,7 @@ class TestStringCharacteristic:
         s80 = string_series(sp, 80)
         for lam in (0.5 + 0.5j, -1 + 2j, 2.0):
             observed = abs(complex(s80(lam)) - complex(s40(lam)))
-            assert observed <= two_point_tail(s40, abs(lam))
+            assert observed <= s40.tail(abs(lam))
 
 
 class TestTwoPointSeries:
@@ -210,7 +209,7 @@ class TestTwoPointSeries:
                           r=(constant(g, 1.0),))
         table = build_formal_powers(spec, unit_u0(g), 30)
         series = two_point_series(table, left=(1.0, 0.0), right=(0.5, 1.5))
-        t = two_point_tail(series, 2.0)
+        t = series.tail(2.0)
         assert 0 < t < 1e-10
 
 

@@ -42,7 +42,7 @@ def unit_u0(g):
 
 def even_tail(spec, u0, lam_abs, truncation):
     """Sup-norm tail bound of sum lam^n Xtilde^(2n) (or X^(2n)) past order M."""
-    return tail_components(spec, u0, lam_abs, truncation).even
+    return tail_components(spec, u0, lam_abs, truncation)[0]
 
 
 def sum_scale(refs, lam):

@@ -9,12 +9,10 @@ from slpencil.problems import shift_pencil
 from slpencil.rootfinding import newton_polish, poly_roots
 from slpencil.spps import build_formal_powers, chain_particular_solution
 from slpencil.zakharov import (
-    PotentialSpec,
     ZSProblem,
     jost_constants,
     materialize_potential,
     zs_dispersion,
-    zs_dispersion_tail,
     zs_particular_solution,
     zs_solution,
     zs_to_pencil,
@@ -27,12 +25,16 @@ def constant_zs(c=2.0, a=1.0, panels=8):
                      Q_prime=constant(g, 0.0))
 
 
+def dispersion_table(zs, truncation, eval_points=()):
+    """The center-0 formal-power table `slpencil solve` builds."""
+    v0 = zs_particular_solution(zs, truncation=truncation)
+    return build_formal_powers(zs_to_pencil(zs), v0, truncation,
+                               eval_points=eval_points)
+
+
 def dispersion(zs, truncation, eval_points=()):
     """The dispersion series `slpencil solve` builds at center 0."""
-    v0 = zs_particular_solution(zs, truncation=truncation)
-    table = build_formal_powers(zs_to_pencil(zs), v0, truncation,
-                                eval_points=eval_points)
-    return zs_dispersion(table, zs)
+    return zs_dispersion(dispersion_table(zs, truncation, eval_points), zs)
 
 
 class TestPencilReduction:
@@ -45,7 +47,7 @@ class TestPencilReduction:
         assert np.allclose(pencil.r[1].values, 0.5)
 
     def test_klaus_shaw_even_potential_r1_odd(self):
-        zs = materialize_potential(PotentialSpec.klaus_shaw(0.956), panels=8)
+        zs = materialize_potential({"kind": "klaus_shaw", "s": 0.956}, panels=8)
         pencil = zs_to_pencil(zs)
         mid = zs.grid.n_nodes // 2  # x = 0
         assert abs(pencil.r[0].values[mid]) < 1e-14
@@ -117,12 +119,12 @@ class TestParticularSolution:
 
     def test_klaus_shaw_endpoint_phase(self):
         s = 0.7
-        zs = materialize_potential(PotentialSpec.klaus_shaw(s), panels=16)
+        zs = materialize_potential({"kind": "klaus_shaw", "s": s}, panels=16)
         v0 = zs_particular_solution(zs)
         assert abs(v0.u0.values[-1] - np.exp(1.5j * np.pi * s)) < 1e-12
 
     def test_residual_of_pencil_equation(self):
-        zs = materialize_potential(PotentialSpec.klaus_shaw(0.9), panels=16)
+        zs = materialize_potential({"kind": "klaus_shaw", "s": 0.9}, panels=16)
         v0 = zs_particular_solution(zs)
         assert v0.residual <= 1e-8
 
@@ -137,7 +139,7 @@ class TestParticularSolution:
 
 class TestSolution:
     def test_lambda_zero_reduces_to_v0(self):
-        zs = materialize_potential(PotentialSpec.klaus_shaw(0.8), panels=16)
+        zs = materialize_potential({"kind": "klaus_shaw", "s": 0.8}, panels=16)
         v0 = zs_particular_solution(zs)
         table = build_formal_powers(zs_to_pencil(zs), v0, 10, eval_points=(0.0,))
         v1, v2 = zs_solution(zs, table, 0.0, 1.0, 0.0)
@@ -146,7 +148,7 @@ class TestSolution:
         assert np.max(np.abs(v1.values - expected_v1)) < 1e-12
 
     def test_jost_normalization_at_left_end(self):
-        zs = materialize_potential(PotentialSpec.klaus_shaw(0.8), panels=16)
+        zs = materialize_potential({"kind": "klaus_shaw", "s": 0.8}, panels=16)
         v0 = zs_particular_solution(zs)
         lams = (0.3, 0.1 + 0.6j)
         table = build_formal_powers(zs_to_pencil(zs), v0, 30, eval_points=lams)
@@ -170,7 +172,7 @@ class TestSolution:
         assert np.max(np.abs(v2.values - ref)) < 1e-10
 
     def test_first_order_system_residual(self):
-        zs = materialize_potential(PotentialSpec.klaus_shaw(0.9), panels=32)
+        zs = materialize_potential({"kind": "klaus_shaw", "s": 0.9}, panels=32)
         v0 = zs_particular_solution(zs)
         lams = (0.25, 0.05 + 0.5j)
         table = build_formal_powers(zs_to_pencil(zs), v0, 40, eval_points=lams)
@@ -190,16 +192,16 @@ class TestSolution:
 
 class TestDispersion:
     def test_leading_coefficient_formula(self):
-        zs = materialize_potential(PotentialSpec.klaus_shaw(0.8), panels=16)
-        series = dispersion(zs, 5)
-        table = series.meta["table"]
+        zs = materialize_potential({"kind": "klaus_shaw", "s": 0.8}, panels=16)
+        table = dispersion_table(zs, 5)
+        series = zs_dispersion(table, zs)
         v0 = table.u0
         expected = (v0.u0.values[-1] * v0.u0_prime.values[-1] * table.x_end[1]
                     + zs.Q.values[-1])
         assert abs(series.coeffs[0] - expected) < 1e-14
 
     def test_klaus_shaw_complex_pair(self):
-        zs = materialize_potential(PotentialSpec.klaus_shaw(0.956), panels=16)
+        zs = materialize_potential({"kind": "klaus_shaw", "s": 0.956}, panels=16)
         series = dispersion(zs, 100)
         roots = np.array(poly_roots(series))
         adm = roots[(roots.real > 0) & (np.abs(roots) < 2.5)]
@@ -209,7 +211,7 @@ class TestDispersion:
             assert abs(r - e) < 1e-9
 
     def test_conjugate_symmetry_for_real_potential(self):
-        zs = materialize_potential(PotentialSpec.klaus_shaw(0.97), panels=16)
+        zs = materialize_potential({"kind": "klaus_shaw", "s": 0.97}, panels=16)
         series = dispersion(zs, 100)
         roots = np.array(poly_roots(series))
         adm = roots[(roots.real > 1e-4) & (np.abs(roots) < 2.0)]
@@ -219,10 +221,11 @@ class TestDispersion:
     def test_shift_consistency(self):
         """Roots of the series at center 0.03, with v0 chained from the
         center-0 table as the solve loop does, agree with the unshifted ones."""
-        zs = materialize_potential(PotentialSpec.klaus_shaw(0.9999), panels=16)
-        base = dispersion(zs, 100, eval_points=(0.03,))
+        zs = materialize_potential({"kind": "klaus_shaw", "s": 0.9999}, panels=16)
+        base_table = dispersion_table(zs, 100, eval_points=(0.03,))
+        base = zs_dispersion(base_table, zs)
         pencil = shift_pencil(zs_to_pencil(zs), 0.03)
-        v0 = chain_particular_solution(base.meta["table"], 0.03, pencil.p, pencil.q)
+        v0 = chain_particular_solution(base_table, 0.03, pencil.p, pencil.q)
         table = build_formal_powers(pencil, v0, 100)
         shifted = zs_dispersion(table, zs, 0.03)
         assert shifted.center == 0.03
@@ -235,53 +238,101 @@ class TestDispersion:
             assert abs(rb - rs) <= 1e-8
 
     def test_tail_bound_finite_for_compact_nonvanishing_potential(self):
-        zs = materialize_potential(PotentialSpec.klaus_shaw(0.956), panels=16)
+        zs = materialize_potential({"kind": "klaus_shaw", "s": 0.956}, panels=16)
         series = dispersion(zs, 400)
-        tail = zs_dispersion_tail(series, 1.8)
+        tail = series.tail(1.8)
         assert np.isfinite(tail)
         assert tail < 1e-20
 
+    @pytest.mark.parametrize("s", [0.8, 0.956])
+    def test_tail_dominates_actual_truncation_error(self, s):
+        zs = materialize_potential({"kind": "klaus_shaw", "s": s}, panels=16)
+        full = dispersion(zs, 200)
+        for m in (20, 30, 40):
+            series = dispersion(zs, m)
+            for lam in (0.5, 1 + 0.5j, -1.5j, 2.0):
+                observed = abs(complex(full(lam)) - complex(series(lam)))
+                assert observed <= series.tail(abs(lam))
+
+
+def semiclassical(eps, A, dA, S, dS):
+    """Q = (i/eps) A e^(-i S/eps) and Q' = (i/eps)(A' - i A S'/eps) e^(-i S/eps)."""
+    def Q(x):
+        return (1j / eps) * A(x) * np.exp(-1j * S(x) / eps)
+
+    def Qp(x):
+        return (1j / eps) * (dA(x) - 1j * A(x) * dS(x) / eps) * np.exp(-1j * S(x) / eps)
+
+    return Q, Qp
+
+
+def sech(x):
+    return 1.0 / np.cosh(x)
+
+
+# each kind's Q and Q', written out by hand
+CATALOG_ORACLES = {
+    "klaus_shaw": ({"s": 0.956}, (lambda x: 0.956 * (-1 + 3 * np.pi / 4 + 3 * x**2),
+                                  lambda x: 6 * 0.956 * x)),
+    "bronski": ({"epsilon": 0.2}, semiclassical(
+        0.2, lambda x: sech(2 * x), lambda x: -2 * np.tanh(2 * x) * sech(2 * x),
+        lambda x: sech(2 * x), lambda x: -2 * np.tanh(2 * x) * sech(2 * x))),
+    "tovbis": ({"mu": 0.5, "epsilon": 0.5}, semiclassical(
+        0.5, lambda x: -sech(x), lambda x: np.tanh(x) * sech(x),
+        lambda x: -0.5 * np.log(np.cosh(x)), lambda x: -0.5 * np.tanh(x))),
+}
+
 
 class TestPotentialCatalog:
+    @pytest.mark.parametrize("kind", sorted(CATALOG_ORACLES))
+    def test_catalog_matches_hand_written_formulas(self, kind):
+        params, (Q, Qp) = CATALOG_ORACLES[kind]
+        zs = materialize_potential({"kind": kind, **params}, panels=64)
+        x = zs.grid.nodes
+        for got, want in ((zs.Q, Q(x)), (zs.Q_prime, Qp(x))):
+            assert np.max(np.abs(got.values - want)) <= 1e-14 * np.max(np.abs(want))
+        if kind != "klaus_shaw":
+            assert zs.back_map_scale == 1j * params["epsilon"]
+
     def test_klaus_shaw_center_value(self):
-        zs = materialize_potential(PotentialSpec.klaus_shaw(1.0), panels=8)
+        zs = materialize_potential({"kind": "klaus_shaw", "s": 1.0}, panels=8)
         mid = zs.grid.n_nodes // 2  # x = 0
         assert abs(zs.Q.values[mid] - (-1 + 3 * np.pi / 4)) < 1e-14
         assert zs.back_map_scale is None
 
     def test_tovbis_center_value(self):
         eps = 0.3
-        zs = materialize_potential(PotentialSpec.tovbis(0.5, eps), panels=8)
+        zs = materialize_potential({"kind": "tovbis", "mu": 0.5, "epsilon": eps}, panels=8)
         mid = zs.grid.n_nodes // 2  # x = 0
         # q(0) = -1, so Q(0) = (i/eps) q*(0) = -i/eps
         assert abs(zs.Q.values[mid] - (-1j / eps)) < 1e-13
-        assert zs.back_map(1.0) == 1j * eps
+        assert zs.back_map_scale == 1j * eps
 
     def test_bronski_modulus_independent_of_eps(self):
         for eps in (0.2, 0.5):
-            zs = materialize_potential(PotentialSpec.bronski(eps), panels=8)
+            zs = materialize_potential({"kind": "bronski", "epsilon": eps}, panels=8)
             x = zs.grid.nodes
             assert np.max(np.abs(np.abs(zs.Q.values) * eps
                                  - 1 / np.cosh(2 * x))) < 1e-13
 
     def test_expression_potential(self):
-        spec = PotentialSpec.expression("2+sin(x)", half_width=2.0)
-        zs = materialize_potential(spec, panels=8)
+        pot = {"kind": "expression", "Q": "2+sin(x)", "half_width": 2.0}
+        zs = materialize_potential(pot, panels=8)
         x = zs.grid.nodes
         assert np.allclose(zs.Q.values, 2 + np.sin(x))
         assert np.allclose(zs.P.values, np.conj(zs.Q.values))
         assert np.max(np.abs(zs.Q_prime.values - np.cos(x))) < 1e-12
 
     def test_wrong_grid_rejected(self):
-        spec = PotentialSpec.klaus_shaw(0.9)
+        pot = {"kind": "klaus_shaw", "s": 0.9}
         with pytest.raises(Exception):
-            materialize_potential(spec, grid=Grid.uniform(-2.0, 2.0, 8))
+            materialize_potential(pot, grid=Grid.uniform(-2.0, 2.0, 8))
 
 
 class TestTovbisOracle:
     def test_exact_spectrum_row(self):
         mu, eps = 0.5, 0.5
-        zs = materialize_potential(PotentialSpec.tovbis(mu, eps), panels=128)
+        zs = materialize_potential({"kind": "tovbis", "mu": mu, "epsilon": eps}, panels=128)
         series = dispersion(zs, 150)
         roots = np.array(poly_roots(series))
         adm = roots[(roots.real > 0.01) & (np.abs(roots.imag) < 0.5)
