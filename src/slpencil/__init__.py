@@ -5,7 +5,6 @@ from .errors import (
     ExpressionError,
     GridError,
     NodeValueError,
-    NonHolomorphicError,
     ParticularSolutionError,
     RootLocalizationError,
     SLPencilError,
@@ -28,7 +27,6 @@ __all__ = [
     "Grid",
     "GridError",
     "NodeValueError",
-    "NonHolomorphicError",
     "ParticularSolutionError",
     "RootLocalizationError",
     "SLPencilError",

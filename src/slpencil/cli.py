@@ -68,7 +68,6 @@ DEFAULTS = {
     "tolerances": {"localize": 1e-10, "residual": 1e-6, "merge": None},
     "certify": False,
     "require_certified": False,
-    "keep_radius": None,
     "boundary": {"left": [1.0, 0.0], "right": [1.0, 0.0]},
 }
 INITIAL_PANELS = 16
@@ -201,10 +200,6 @@ def validate_config(raw: dict) -> dict:
     if tol.get("merge") is not None and (not _is_number(tol["merge"])
                                          or tol["merge"] <= 0):
         _fail("config.tolerances.merge", "expected a positive number or null")
-
-    kr = cfg["keep_radius"]
-    if kr is not None and (not _is_number(kr) or not kr > 0):
-        _fail("config.keep_radius", f"expected a positive number or null, got {kr!r}")
 
     if not isinstance(cfg["certify"], (bool, dict)):
         _fail("config.certify", "expected false, true or {\"half_width\": h}")
@@ -540,12 +535,10 @@ def _solve_single(cfg: dict, potential_override: dict | None
     for c in cfg["spectral_shifts"]:
         if c != centers[-1]:
             centers.append(c)
-    keep_radius = cfg["keep_radius"]
-    if keep_radius is None:
-        if len(centers) > 1:
-            keep_radius = 2.0 * max(abs(b - a) for a, b in zip(centers, centers[1:]))
-        else:
-            keep_radius = math.inf
+    if len(centers) > 1:
+        keep_radius = 2.0 * max(abs(b - a) for a, b in zip(centers, centers[1:]))
+    else:
+        keep_radius = math.inf
 
     certify_cfg = cfg["certify"]
     certify_hw = 0.5

@@ -38,10 +38,6 @@ class ExpressionError(SLPencilError, ValueError):
         self.position = position
 
 
-class NonHolomorphicError(ExpressionError):
-    """Symbolic differentiation hit abs/conj/re/im."""
-
-
 class RootLocalizationError(SLPencilError):
     """Winding-number or subdivision machinery could not make progress."""
 

@@ -8,8 +8,9 @@ Grammar (whitespace ignored, no implicit multiplication)::
     unary   := '-' unary | primary
     primary := number | name | name '(' expr ')' | '(' expr ')'
 
-All literals are complex; log and sqrt take principal branches.  The symbolic
-derivative refuses abs/conj/re/im, which are not holomorphic.
+All literals are complex; log and sqrt take principal branches.  The module
+only parses and evaluates: a coefficient's derivative, where a reduction needs
+one, is taken spectrally from its samples (`grids.derivative`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExpressionError, NonHolomorphicError
+from .errors import ExpressionError
 from .grids import Grid, NodeValueError, SampledFunction
 
 _MAX_DEPTH = 200
@@ -58,25 +59,15 @@ _FUNCTIONS = {
 class Literal:
     value: complex
 
-    def __str__(self):
-        v = self.value
-        if v.imag == 0:
-            return repr(v.real)
-        return f"({v.real!r}+{v.imag!r}*i)" if v.real else f"({v.imag!r}*i)"
-
 
 @dataclass(frozen=True)
 class Variable:
-    def __str__(self):
-        return "x"
+    pass
 
 
 @dataclass(frozen=True)
 class Neg:
     arg: "Expr"
-
-    def __str__(self):
-        return f"(-{self.arg})"
 
 
 @dataclass(frozen=True)
@@ -85,17 +76,11 @@ class BinOp:
     left: "Expr"
     right: "Expr"
 
-    def __str__(self):
-        return f"({self.left}{self.op}{self.right})"
-
 
 @dataclass(frozen=True)
 class Call:
     name: str
     arg: "Expr"
-
-    def __str__(self):
-        return f"{self.name}({self.arg})"
 
 
 Expr = Literal | Variable | Neg | BinOp | Call
@@ -256,123 +241,18 @@ def evaluate(expr: Expr, x: np.ndarray | complex):
 def evaluate_on_grid(expr: Expr, grid: Grid) -> SampledFunction:
     """Tabulate the expression on the grid; non-finite results name the node."""
     with np.errstate(all="ignore"):
-        vals = np.broadcast_to(
-            np.asarray(evaluate(expr, grid.nodes.astype(np.complex128))), (grid.n_nodes,)
-        ).astype(np.complex128)
+        try:
+            vals = np.broadcast_to(
+                np.asarray(evaluate(expr, grid.nodes.astype(np.complex128))),
+                (grid.n_nodes,)
+            ).astype(np.complex128)
+        except ZeroDivisionError:  # a constant subexpression divides by zero
+            vals = np.full(grid.n_nodes, np.nan, dtype=np.complex128)
     bad = ~np.isfinite(vals)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise NodeValueError(
-            f"expression is not finite at x = {grid.nodes[i]!r}", i
+            f"expression is not finite at x = {float(grid.nodes[i])}", i
         )
     return SampledFunction(grid, vals)
 
-
-# ---------------------------------------------------------------------------
-# symbolic differentiation
-
-
-def _lit(v: complex) -> Literal:
-    return Literal(complex(v))
-
-
-def _is_lit(e: Expr, v: complex | None = None) -> bool:
-    return isinstance(e, Literal) and (v is None or e.value == v)
-
-
-def _add(a: Expr, b: Expr) -> Expr:
-    if _is_lit(a) and _is_lit(b):
-        return _lit(a.value + b.value)
-    if _is_lit(a, 0):
-        return b
-    if _is_lit(b, 0):
-        return a
-    return BinOp("+", a, b)
-
-
-def _sub(a: Expr, b: Expr) -> Expr:
-    if _is_lit(a) and _is_lit(b):
-        return _lit(a.value - b.value)
-    if _is_lit(b, 0):
-        return a
-    if _is_lit(a, 0):
-        return Neg(b)
-    return BinOp("-", a, b)
-
-
-def _mul(a: Expr, b: Expr) -> Expr:
-    if _is_lit(a) and _is_lit(b):
-        return _lit(a.value * b.value)
-    if _is_lit(a, 0) or _is_lit(b, 0):
-        return _lit(0)
-    if _is_lit(a, 1):
-        return b
-    if _is_lit(b, 1):
-        return a
-    return BinOp("*", a, b)
-
-
-def _div(a: Expr, b: Expr) -> Expr:
-    if _is_lit(a, 0):
-        return _lit(0)
-    if _is_lit(b, 1):
-        return a
-    return BinOp("/", a, b)
-
-
-def _chain(outer: Expr, inner_diff: Expr) -> Expr:
-    return _mul(outer, inner_diff)
-
-
-_DERIVATIVES = {
-    "sin": lambda u: Call("cos", u),
-    "cos": lambda u: Neg(Call("sin", u)),
-    "tan": lambda u: _div(_lit(1), BinOp("^", Call("cos", u), _lit(2))),
-    "exp": lambda u: Call("exp", u),
-    "log": lambda u: _div(_lit(1), u),
-    "sqrt": lambda u: _div(_lit(1), _mul(_lit(2), Call("sqrt", u))),
-    "sinh": lambda u: Call("cosh", u),
-    "cosh": lambda u: Call("sinh", u),
-    "tanh": lambda u: BinOp("^", Call("sech", u), _lit(2)),
-    "sech": lambda u: Neg(_mul(Call("sech", u), Call("tanh", u))),
-}
-
-
-def differentiate(expr: Expr) -> Expr:
-    """Structural derivative with literal-arithmetic folding only."""
-    if isinstance(expr, Literal):
-        return _lit(0)
-    if isinstance(expr, Variable):
-        return _lit(1)
-    if isinstance(expr, Neg):
-        d = differentiate(expr.arg)
-        return _lit(0) if _is_lit(d, 0) else Neg(d)
-    if isinstance(expr, Call):
-        if expr.name not in _DERIVATIVES:
-            raise NonHolomorphicError(
-                f"{expr.name} is not holomorphic; cannot differentiate"
-            )
-        return _chain(_DERIVATIVES[expr.name](expr.arg), differentiate(expr.arg))
-    if isinstance(expr, BinOp):
-        a, b = expr.left, expr.right
-        da, db = (differentiate(a), differentiate(b)) if expr.op != "^" else (None, None)
-        if expr.op == "+":
-            return _add(da, db)
-        if expr.op == "-":
-            return _sub(da, db)
-        if expr.op == "*":
-            return _add(_mul(da, b), _mul(a, db))
-        if expr.op == "/":
-            return _div(_sub(_mul(da, b), _mul(a, db)), BinOp("^", b, _lit(2)))
-        # power rule: d(a^b) = a^b * (b' log a + b a'/a); constant exponent folds
-        da = differentiate(a)
-        db = differentiate(b)
-        if _is_lit(db, 0):
-            if _is_lit(b):
-                return _mul(_mul(b, BinOp("^", a, _lit(b.value - 1))), da)
-            return _mul(_mul(b, BinOp("^", a, BinOp("-", b, _lit(1)))), da)
-        return _mul(
-            BinOp("^", a, b),
-            _add(_mul(db, Call("log", a)), _mul(b, _div(da, a))),
-        )
-    raise TypeError(f"not an expression node: {expr!r}")

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridError, NodeValueError
+from .errors import GridError, NodeValueError, SolverError
 from .grids import Grid, SampledFunction, constant, derivative
 from .spps import FormalPowerTable, ParticularSolution, PencilSpec, tail_components
 
@@ -63,10 +63,12 @@ class CharacteristicSeries:
         c = np.asarray(self.coeffs, dtype=np.complex128)
         if c.ndim != 1 or c.size < 2:
             raise ValueError("need a 1-D coefficient array with M >= 1")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("non-finite characteristic coefficients")
-        self.coeffs = c
         self.center = complex(self.center)
+        bad = ~np.isfinite(c)
+        if bad.any():
+            raise SolverError(f"characteristic coefficient {int(np.argmax(bad))} "
+                              f"at center {self.center} is not finite")
+        self.coeffs = c
 
     @property
     def truncation(self) -> int:
@@ -137,7 +139,8 @@ def dirac_to_pencil(d: DiracSpec) -> PencilSpec:
     (w'/(v-E))' + (v-E) w = lambda^2 w/(v-E) + lambda (1/(v-E))' w.
 
     r1 uses the analytic identity (1/(v-E))' = -v'/(v-E)^2, with v'
-    differentiated spectrally on the grid's panels.
+    differentiated spectrally on the grid's panels, as Q' is for the
+    Zakharov-Shabat pencil.
     """
     g = d.v.grid
     vmE = SampledFunction(g, d.v.values - complex(d.energy))
@@ -173,10 +176,11 @@ def characteristic_series(table: FormalPowerTable, functional: Callable,
     xt, x = table.xtilde_end, table.x_end
     M = table.truncation
     coeffs = np.empty(M + 1, dtype=np.complex128)
-    for n in range(M + 1):
-        xt_lag, x_lag = (xt[2 * n - 1], x[2 * n - 1]) if n >= 1 else (0.0, 0.0)
-        coeffs[n] = functional(*constants, xt[2 * n], xt_lag, x[2 * n + 1],
-                               x[2 * n], x_lag)
+    with np.errstate(over="ignore", invalid="ignore"):  # CharacteristicSeries checks
+        for n in range(M + 1):
+            xt_lag, x_lag = (xt[2 * n - 1], x[2 * n - 1]) if n >= 1 else (0.0, 0.0)
+            coeffs[n] = functional(*constants, xt[2 * n], xt_lag, x[2 * n + 1],
+                                   x[2 * n], x_lag)
     moduli = tuple(abs(c) for c in constants)
 
     def tail(lam_abs: float) -> float:

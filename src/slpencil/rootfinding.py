@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import RootLocalizationError
+from .errors import RootLocalizationError, SolverError
 from .problems import CharacteristicSeries
 
 BOUNDARY_ABS_FLOOR = 1e-280
@@ -103,7 +103,8 @@ def poly_roots(series: CharacteristicSeries) -> list[complex]:
     """
     coeffs = series.coeffs
     if not np.any(coeffs != 0):
-        raise ValueError("all characteristic coefficients vanish")
+        raise SolverError(
+            f"all characteristic coefficients at center {series.center} vanish")
     top = np.max(np.abs(coeffs))
     deg = len(coeffs) - 1
     while deg > 0 and abs(coeffs[deg]) <= 1e-300 * top:

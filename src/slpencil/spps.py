@@ -95,7 +95,8 @@ class ParticularSolution:
             i = int(np.argmin(np.abs(u0.values)))
             raise ParticularSolutionError(
                 f"u0 modulus falls below {U0_FLOOR_RATIO:g} of its maximum at node {i} "
-                f"(x = {u0.grid.nodes[i]!r}); supply a different u0 or use a spectral shift"
+                f"(x = {float(u0.grid.nodes[i])}); supply a different u0 or use a "
+                "spectral shift"
             )
         res = _ode_residual(u0, u0_prime, p, q)
         return ParticularSolution(u0, u0_prime, provenance, res, ratio)
@@ -245,9 +246,13 @@ def build_formal_powers(spec: PencilSpec, u0: ParticularSolution,
     eval_points = tuple(complex(lam) for lam in eval_points)
 
     integrands = (weighted_r, inv_u0sq_p, eval_points)
-    xtilde_end, st_even, st_odd, st_mag, xt_top = _run_family(
-        grid, n_top, N, True, *integrands)
-    x_end, s_even, s_odd, s_mag, x_top = _run_family(grid, n_top, N, False, *integrands)
+    # powers that overflow are reported by the characteristic series built
+    # from them, which names its center
+    with np.errstate(over="ignore", invalid="ignore"):
+        xtilde_end, st_even, st_odd, st_mag, xt_top = _run_family(
+            grid, n_top, N, True, *integrands)
+        x_end, s_even, s_odd, s_mag, x_top = _run_family(
+            grid, n_top, N, False, *integrands)
     sums = {lam: PowerSums(lam, st_even[lam], st_odd[lam], s_even[lam], s_odd[lam],
                            st_mag[lam] + s_mag[lam]) for lam in eval_points}
     # each integrand to within its rounding error, twice u0's relative error

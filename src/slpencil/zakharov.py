@@ -9,9 +9,10 @@ shift.  The dispersion relation is one characteristic functional of the
 table's right-end formal powers: it gives the series' coefficients, and
 applied to the families' tail bounds, its Rouche tail.  A catalog of standard
 test potentials (a truncated parabola and two semiclassical sech profiles) is
-kept as Q templates in x, sampled and differentiated on the expression path
-like a config's own Q; semiclassical potentials are solved in the
-lambda = -(i/eps) Lambda frame and reported in both coordinates."""
+kept as Q templates in x, sampled on the expression path like a config's own
+Q, with Q' differentiated spectrally from the samples; semiclassical
+potentials are solved in the lambda = -(i/eps) Lambda frame and reported in
+both coordinates."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridError, NodeValueError
-from .expressions import NonHolomorphicError, differentiate, evaluate_on_grid, parse
+from .expressions import evaluate_on_grid, parse
 from .grids import Grid, SampledFunction, cumulative_integral, derivative
 from .problems import CharacteristicSeries, characteristic_series
 from .spps import (
@@ -180,7 +181,8 @@ def materialize_potential(pot: dict, grid: Grid | None = None, *,
                           panels: int = 16) -> ZSProblem:
     """Sample a potential object ({"kind": ..., its parameters, optional
     half_width, and Q and P for an expression}) on a grid of [-a, a] (uniform
-    with `panels` panels when absent); Q' is Q's symbolic derivative."""
+    with `panels` panels when absent); Q' is Q's spectral derivative on the
+    grid's panels, as v' is in `problems.dirac_to_pencil`."""
     kind = POTENTIALS.get(pot["kind"])
     if kind is None:
         raise ValueError(f"unknown potential kind {pot['kind']!r}")
@@ -193,15 +195,10 @@ def materialize_potential(pot: dict, grid: Grid | None = None, *,
         src = pot["Q"]
     else:  # repr round-trips, so the template sees the parameters exactly
         src = kind.Q.format(**{k: f"({float(pot[k])!r})" for k in kind.params})
-    q_expr = parse(src)
-    Q = evaluate_on_grid(q_expr, grid)
-    try:
-        Qp = evaluate_on_grid(differentiate(q_expr), grid)
-    except NonHolomorphicError:
-        Qp = derivative(Q)
+    Q = evaluate_on_grid(parse(src), grid)
     if "P" in pot:
         P = evaluate_on_grid(parse(pot["P"]), grid)
     else:
         P = Q.conj() if kind.conjugate else Q
     scale = kind.back_map_scale(pot) if kind.back_map_scale else None
-    return ZSProblem(Q=Q, P=P, Q_prime=Qp, back_map_scale=scale)
+    return ZSProblem(Q=Q, P=P, Q_prime=derivative(Q), back_map_scale=scale)

@@ -62,7 +62,7 @@ class TestConfigValidation:
                 "p": "1", "q": "2*", "r": ["1"]}))
 
     def test_arg_principle_needs_region(self, tmp_path):
-        cfg = json.loads(open(intro_cfg(tmp_path)).read())
+        cfg = json.loads(pathlib.Path(intro_cfg(tmp_path)).read_text())
         cfg["method"] = "arg_principle"
         del cfg["search_region"]
         with pytest.raises(ConfigError, match="search_region"):
@@ -76,6 +76,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key,value", [
         ("u0", {"mode": "auto"}),
         ("x0", 0.0),
+        ("keep_radius", 2.5),
     ])
     def test_removed_key_rejected(self, tmp_path, capsys, key, value):
         path = intro_cfg(tmp_path, **{key: value})
@@ -150,11 +151,6 @@ class TestConfigValidation:
         # and a number is not a boolean
         ({"certify": 1}, "config.certify"),
         ({"require_certified": "false"}, "config.require_certified"),
-        # keep_radius is null or a positive number
-        ({"keep_radius": "abc"}, "config.keep_radius"),
-        ({"keep_radius": 0}, "config.keep_radius"),
-        ({"keep_radius": -3}, "config.keep_radius"),
-        ({"keep_radius": True}, "config.keep_radius"),
         # only the catalog's numeric parameters can be swept
         ({**ZS, "potential": {"kind": "expression", "Q": "2+sin(x)",
                               "half_width": 2.0},
@@ -167,15 +163,11 @@ class TestConfigValidation:
     ], ids=["boundary_side", "half_width", "expression_P", "bool_truncation",
             "bool_localize", "bool_interval", "bool_shift", "bool_sweep_value",
             "bool_klaus_shaw_half_width", "string_sweep_value", "number_certify",
-            "string_require_certified", "string_keep_radius", "zero_keep_radius",
-            "negative_keep_radius", "bool_keep_radius", "expression_sweep_Q",
+            "string_require_certified", "expression_sweep_Q",
             "infinite_parameter", "nan_sweep_value"])
     def test_bad_value_in_block_rejected(self, tmp_path, capsys, overrides, path):
         assert main(["solve", intro_cfg(tmp_path, **overrides)]) == 1
         assert f"config error: {path}: " in capsys.readouterr().err
-
-    def test_positive_keep_radius_accepted(self, tmp_path):
-        assert load_config(intro_cfg(tmp_path, keep_radius=2.5))["keep_radius"] == 2.5
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
     def test_shipped_config_loads(self, name):
@@ -288,23 +280,46 @@ class TestSolve:
         assert len(rs.records) == 1
         assert abs(complex(rs.records[0]["re"], rs.records[0]["im"])) < 1e-8
 
-    def test_arg_principle_keep_box_outside_region(self, tmp_path):
-        """The keep box of the center at 15i misses the search region; that
-        center has no roots to find and the others still give theirs."""
+    def test_arg_principle_keep_box_outside_region(self, tmp_path, monkeypatch):
+        """Centers 0, 3i and 6i keep roots within twice the step, 6, so the
+        keep box of center 0 only touches the search region along Im = 6 and
+        that center is skipped; the others still give their modes."""
         cfg = json.loads((CONFIGS / "intro_pencil.json").read_text())
-        cfg.update(method="arg_principle", spectral_shifts=[[0, 6], [0, 15]],
-                   keep_radius=3)
+        cfg.update(method="arg_principle", spectral_shifts=[[0, 3], [0, 6]],
+                   search_region={"re": [-30.0, 0.5], "im": [6.0, 10.0]})
         path = write_config(tmp_path, "c.json", cfg)
         assert main(["solve", path, "--out", str(tmp_path / "out")]) == 0
+        boxes = []
+        localize = cli.localize
+
+        def recording_localize(series, box, tol):
+            boxes.append(box)
+            return localize(series, box, tol)
+
+        monkeypatch.setattr(cli, "localize", recording_localize)
         rs = run_solve(path)
-        # -1/4 + i sqrt(8 n^2 pi^2 - 1)/4 for n = 1..4 lie in the boxes of 0 and 6i
-        modes = [complex(-0.25, s * math.sqrt(8 * n**2 * math.pi**2 - 1) / 4)
-                 for n in (1, 2, 3, 4) for s in (1, -1)]
-        modes = [lam for lam in modes if abs(lam.imag) < 3 or 3 < lam.imag < 9]
+        # the keep boxes of 3i and 6i, clipped to the region; none from 0
+        assert [(b.im_min, b.im_max) for b in boxes] == [(6.0, 9.0), (6.0, 10.0)]
+        # -1/4 + i sqrt(8 n^2 pi^2 - 1)/4 for n = 3, 4: 6.66i and 8.88i
+        modes = [complex(-0.25, math.sqrt(8 * n**2 * math.pi**2 - 1) / 4)
+                 for n in (3, 4)]
         assert len(rs.records) == len(modes)
         for lam in modes:
             best = min(abs(complex(r["re"], r["im"]) - lam) for r in rs.records)
             assert best < 1e-9
+
+    @pytest.mark.parametrize("r,boundary,message", [
+        # Neumann ends and r = 0: u = 1 solves for every lambda, so Phi = 0
+        ("0", {"left": [0, 1], "right": [0, 1]},
+         "all characteristic coefficients at center 0j vanish"),
+        ("1e200", {}, r"characteristic coefficient \d+ at center 0j is not finite"),
+        ("1/0", {}, r"expression is not finite at x = 0\.0 \(node 0\)"),
+    ], ids=["vanishing_series", "overflowing_powers", "constant_division_by_zero"])
+    def test_solver_error_exit_2(self, tmp_path, capsys, r, boundary, message):
+        path = intro_cfg(tmp_path, truncation=10, boundary=boundary,
+                         coefficients={"p": "1", "q": "0", "r": [r]})
+        assert main(["solve", path]) == 2
+        assert re.search(f"^solver error: {message}$", capsys.readouterr().err, re.M)
 
     @pytest.mark.parametrize("name", [
         "intro_pencil.json", "bronski_eps02.json", "tovbis_mu05_eps05.json"])
@@ -505,7 +520,7 @@ class TestSurface:
         return write_config(tmp_path, "surf.json", cfg)
 
     def read_surface(self, path):
-        lines = open(path).read().strip().splitlines()
+        lines = pathlib.Path(path).read_text().strip().splitlines()
         header_region = lines[0].split(":")[1].split()
         nx, ny = (int(v) for v in lines[1].split(":")[1].split())
         grid = np.array([[float(v) for v in ln.split()] for ln in lines[2:]])

@@ -1,15 +1,11 @@
-"""Coefficient-expression parser, evaluator and symbolic derivative."""
+"""Coefficient-expression parser and evaluator, and the spectral derivative
+of an expression's samples."""
 
 import numpy as np
 import pytest
 
-from slpencil import ExpressionError, Grid, NodeValueError, NonHolomorphicError
-from slpencil.expressions import (
-    differentiate,
-    evaluate,
-    evaluate_on_grid,
-    parse,
-)
+from slpencil import ExpressionError, Grid, NodeValueError, derivative
+from slpencil.expressions import evaluate, evaluate_on_grid, parse
 
 CATALOG = [
     "2*x^2",
@@ -104,45 +100,34 @@ class TestEvaluationErrors:
 
 
 class TestDifferentiate:
+    """Derivatives of parsed expressions, taken from their samples on a panel
+    grid by grids.derivative."""
+
     def test_square(self):
-        d = differentiate(parse("x^2"))
-        assert evaluate(d, 3.0) == pytest.approx(6.0)
+        g = Grid.uniform(2.0, 4.0, 2)  # x = 3 is the shared panel end
+        d = derivative(evaluate_on_grid(parse("x^2"), g))
+        mid = int(np.flatnonzero(g.nodes == 3.0)[0])
+        assert d.values[mid] == pytest.approx(6.0)
 
     def test_sech_chain_rule(self):
-        d = differentiate(parse("sech(2*x)"))
-        assert evaluate(d, 0.0) == pytest.approx(0.0)
-        x = 0.37
+        g = Grid.uniform(-1.0, 1.0, 8)
+        d = derivative(evaluate_on_grid(parse("sech(2*x)"), g))
+        x = g.nodes
         expected = -2 * (1 / np.cosh(2 * x)) * np.tanh(2 * x)
-        assert evaluate(d, x) == pytest.approx(expected)
+        assert np.max(np.abs(d.values - expected)) < 1e-10
+        assert abs(d.values[g.n_nodes // 2]) < 1e-12  # x = 0
 
     def test_constant(self):
-        d = differentiate(parse("pi*e"))
-        assert evaluate(d, 5.0) == 0.0
-
-    def test_non_holomorphic_rejected(self):
-        for src in ["abs(x)", "conj(x)", "re(x)", "im(x)"]:
-            with pytest.raises(NonHolomorphicError):
-                differentiate(parse(src))
+        d = derivative(evaluate_on_grid(parse("pi*e"), Grid.uniform(0.0, 5.0, 2)))
+        assert np.all(d.values == 0.0)
 
     @pytest.mark.parametrize("src", CATALOG)
     def test_matches_finite_differences(self, src):
         tree = parse(src)
-        d = differentiate(tree)
-        rng = np.random.default_rng(42)
-        pts = rng.uniform(0.2, 1.8, size=200)
+        g = Grid.uniform(0.2, 1.8, 8)
+        pts = g.nodes
         h = 1e-6
         num = (evaluate(tree, pts + h) - evaluate(tree, pts - h)) / (2 * h)
-        sym = evaluate(d, pts + 0j) * np.ones_like(pts)
+        spectral = derivative(evaluate_on_grid(tree, g)).values
         scale = np.maximum(np.abs(num), 1.0)
-        assert np.max(np.abs(sym - num) / scale) < 1e-6
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("src", CATALOG)
-    def test_print_reparse_same_values(self, src):
-        tree = parse(src)
-        again = parse(str(tree))
-        x = np.linspace(0.1, 2.0, 57) + 0.05j
-        a = evaluate(tree, x) * np.ones_like(x)
-        b = evaluate(again, x) * np.ones_like(x)
-        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a) + 1)
+        assert np.max(np.abs(spectral - num) / scale) < 1e-6

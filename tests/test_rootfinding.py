@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from slpencil import RootLocalizationError, rootfinding
+from slpencil import RootLocalizationError, SolverError, rootfinding
 from slpencil.problems import CharacteristicSeries
 from slpencil.rootfinding import (
     EigenvalueRecord,
@@ -47,7 +47,7 @@ class TestPolyRoots:
 
     def test_all_zero_rejected(self):
         s = CharacteristicSeries(0.0, np.array([0.0, 0.0, 0.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(SolverError, match="vanish"):
             poly_roots(s)
 
     def test_center_shift(self):
