@@ -71,6 +71,13 @@ DEFAULTS = {
     "boundary": {"left": [1.0, 0.0], "right": [1.0, 0.0]},
 }
 INITIAL_PANELS = 16
+CERTIFY_HALF_WIDTH = 0.5
+# truncation-drift test: a companion root is kept only if DRIFT_STEPS Newton
+# steps on the series truncated DRIFT_ORDERS orders lower move it by at most
+# DRIFT_TOL |lambda|; Taylor-section zeros and near-duplicates move far
+DRIFT_ORDERS = 5
+DRIFT_TOL = 1e-3
+DRIFT_STEPS = 2
 # keys with no default: required ones, and blocks that are off when absent
 CONFIG_KEYS = frozenset(DEFAULTS) | {
     "problem", "interval", "coefficients", "potential", "search_region",
@@ -207,7 +214,7 @@ def validate_config(raw: dict) -> dict:
         _fail("config.require_certified", "expected false or true")
     if isinstance(cfg["certify"], dict):
         _reject_unknown(cfg["certify"], ("half_width",), "config.certify")
-        hw = cfg["certify"].get("half_width", 0.5)
+        hw = cfg["certify"].get("half_width", CERTIFY_HALF_WIDTH)
         if not _is_number(hw) or hw <= 0:
             _fail("config.certify.half_width", "expected a positive number")
 
@@ -541,9 +548,9 @@ def _solve_single(cfg: dict, potential_override: dict | None
         keep_radius = math.inf
 
     certify_cfg = cfg["certify"]
-    certify_hw = 0.5
+    certify_hw = CERTIFY_HALF_WIDTH
     if isinstance(certify_cfg, dict):
-        certify_hw = float(certify_cfg.get("half_width", 0.5))
+        certify_hw = float(certify_cfg.get("half_width", CERTIFY_HALF_WIDTH))
     do_certify = bool(certify_cfg)
 
     merge_eps = tol["merge"] if tol["merge"] is not None else 10.0 * tol["localize"]
@@ -600,7 +607,8 @@ def _relative_residual(series: CharacteristicSeries, z: complex) -> float:
 
 def _poly_records(series, center, keep_radius, region, spurious
                   ) -> list[tuple[EigenvalueRecord, float, float]]:
-    """Records from the companion-matrix roots within keep_radius of center.
+    """Records from the companion-matrix roots within keep_radius of center
+    that pass the truncation-drift test.
 
     The region is checked on the raw root, so no root outside it is
     polished, and again on the polished value, which may have moved out."""
@@ -610,11 +618,12 @@ def _poly_records(series, center, keep_radius, region, spurious
         spurious.append({"re": z.real, "im": z.imag, "reason": reason})
         return True
 
+    roots = [z for z in poly_roots(series) if abs(z - center) <= keep_radius]
     recs = []
-    for root in poly_roots(series):
-        if abs(root - center) > keep_radius:
-            continue
+    for root, drift in zip(roots, _truncation_drift(series, roots)):
         if outside(root, "outside search region"):
+            continue
+        if not drift <= DRIFT_TOL * abs(root):
             continue
         z = newton_polish(series, root, steps=8)
         if outside(z, "polished outside search region"):
@@ -625,6 +634,21 @@ def _poly_records(series, center, keep_radius, region, spurious
         )
         recs.append((rec, _relative_residual(series, z), abs(z - center)))
     return recs
+
+
+def _truncation_drift(series: CharacteristicSeries, roots: list[complex]
+                      ) -> np.ndarray:
+    """How far Newton on the series truncated DRIFT_ORDERS orders lower moves
+    each root (zeros when the truncation is too short to drop them)."""
+    lam = np.array(roots, dtype=np.complex128)
+    if series.truncation <= DRIFT_ORDERS:
+        return np.zeros(len(lam))
+    lower = CharacteristicSeries(series.center, series.coeffs[:-DRIFT_ORDERS])
+    z = lam
+    with np.errstate(all="ignore"):  # far roots overflow and count as drifted
+        for _ in range(DRIFT_STEPS):
+            z = z - lower(z) / lower.deriv(z)
+    return np.abs(z - lam)
 
 
 def _arg_records(series, center, keep_radius, region, tol

@@ -1,35 +1,38 @@
-"""Recursive-descent parser and evaluator for coefficient expressions in x.
+"""Parser and evaluator for coefficient expressions in x.
 
 Grammar (whitespace ignored, no implicit multiplication)::
 
     expr    := term (('+'|'-') term)*
-    term    := factor (('*'|'/') factor)*
-    factor  := unary ('^' factor)?
-    unary   := '-' unary | primary
+    term    := unary (('*'|'/') unary)*
+    unary   := '-' unary | power
+    power   := primary ('^' unary)?
     primary := number | name | name '(' expr ')' | '(' expr ')'
 
-All literals are complex; log and sqrt take principal branches.  The module
-only parses and evaluates: a coefficient's derivative, where a reduction needs
-one, is taken spectrally from its samples (`grids.derivative`).
+Python's own parser reads the text, with '^' written '**'; a walk over its
+tree then accepts only the nodes of this grammar.  All literals are complex;
+log and sqrt take principal branches.  The module only parses and evaluates:
+a coefficient's derivative, where a reduction needs one, is taken spectrally
+from its samples (`grids.derivative`).
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
-from dataclasses import dataclass
+import warnings
 
 import numpy as np
 
 from .errors import ExpressionError
 from .grids import Grid, NodeValueError, SampledFunction
 
-_MAX_DEPTH = 200
+# evaluate recurses once per level, so this keeps it inside the interpreter's
+# recursion limit of 1000
+_MAX_DEPTH = 500
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]|−))"
-)
+_BAD_CHAR_RE = re.compile(r"[^0-9A-Za-z_.+\-*/^() ]")
+_NUMBER_RE = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
 
 _CONSTANTS = {"pi": complex(np.pi), "e": complex(np.e), "i": 1j}
 
@@ -50,195 +53,80 @@ _FUNCTIONS = {
     "im": np.imag,
 }
 
-
-# ---------------------------------------------------------------------------
-# syntax tree
-
-
-@dataclass(frozen=True)
-class Literal:
-    value: complex
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: np.power}
 
 
-@dataclass(frozen=True)
-class Variable:
-    pass
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Call:
-    name: str
-    arg: "Expr"
-
-
-Expr = Literal | Variable | Neg | BinOp | Call
-
-
-# ---------------------------------------------------------------------------
-# tokenizer / parser
-
-
-def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            rest = src[pos:].lstrip()
-            if not rest:
-                break
-            at = len(src) - len(rest)
-            raise ExpressionError(f"unexpected character {rest[0]!r}", at)
-        if m.lastgroup == "op":
-            text = "-" if m.group("op") == "−" else m.group("op")
-            tokens.append(("op", text, m.start("op")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("number", m.group("number"), m.start("number")))
-        pos = m.end()
-    tokens.append(("eof", "", len(src)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, text: str):
-        kind, val, at = self.take()
-        if kind != "op" or val != text:
-            raise ExpressionError(f"expected {text!r}, found {val or 'end of input'!r}", at)
-
-    def _enter(self):
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise ExpressionError("expression too deeply nested", self.peek()[2])
-
-    def parse(self) -> Expr:
-        node = self.expr()
-        kind, val, at = self.peek()
-        if kind != "eof":
-            raise ExpressionError(f"unexpected token {val!r}", at)
-        return node
-
-    def expr(self) -> Expr:
-        self._enter()
-        try:
-            node = self.term()
-            while self.peek()[:2] in (("op", "+"), ("op", "-")):
-                op = self.take()[1]
-                node = BinOp(op, node, self.term())
-            return node
-        finally:
-            self.depth -= 1
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.take()[1]
-            node = BinOp(op, node, self.factor())
-        return node
-
-    def factor(self) -> Expr:
-        node = self.unary()
-        if self.peek()[:2] == ("op", "^"):
-            self.take()
-            node = BinOp("^", node, self.factor())
-        return node
-
-    def unary(self) -> Expr:
-        self._enter()
-        try:
-            if self.peek()[:2] == ("op", "-"):
-                self.take()
-                return Neg(self.unary())
-            return self.primary()
-        finally:
-            self.depth -= 1
-
-    def primary(self) -> Expr:
-        kind, val, at = self.take()
-        if kind == "number":
-            return Literal(complex(float(val)))
-        if kind == "name":
-            if self.peek()[:2] == ("op", "("):
-                if val not in _FUNCTIONS:
-                    raise ExpressionError(f"unknown function {val!r}", at)
-                self.take()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(val, arg)
-            if val == "x":
-                return Variable()
-            if val in _CONSTANTS:
-                return Literal(_CONSTANTS[val])
-            raise ExpressionError(f"unknown name {val!r}", at)
-        if (kind, val) == ("op", "("):
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionError(f"unexpected token {val or 'end of input'!r}", at)
-
-
-def parse(src: str) -> Expr:
+def parse(src: str) -> ast.expr:
     """Parse an expression in the variable x; raises ExpressionError with position."""
-    return _Parser(src).parse()
+    text = re.sub(r"\s", " ", src).replace("−", "-")
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:
+        raise ExpressionError(f"unexpected character {src[bad.start()]!r}", bad.start())
+    if "**" in text:
+        raise ExpressionError("powers are written '^', not '**'", text.index("**"))
+    body = text.strip()
+    lead = len(text) - len(text.lstrip())
+    # origin[k] is the offset in src of character k of the parsed text
+    origin = [lead + i for i, c in enumerate(body) for _ in range(1 + (c == "^"))]
+    origin.append(lead + len(body))
+    code = body.replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the newline makes errors at the end point at the end
+            tree = ast.parse(code + "\n", mode="eval").body
+    except SyntaxError as err:
+        at = min(max((err.offset or 1) - 1, 0), len(code))
+        raise ExpressionError(err.msg, origin[at]) from None
+    except RecursionError:
+        raise ExpressionError("expression too deeply nested", origin[0]) from None
+    _check(tree, code, origin, 1)
+    return tree
 
 
-# ---------------------------------------------------------------------------
-# evaluation
+def _check(node: ast.expr, code: str, origin: list[int], depth: int):
+    """Accept only the grammar's nodes; store each number's complex value."""
+    at, text = origin[node.col_offset], code[node.col_offset:node.end_col_offset]
+    if depth > _MAX_DEPTH:
+        raise ExpressionError("expression too deeply nested", at)
+    children = ()
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        children = (node.left, node.right)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        children = (node.operand,)
+    elif isinstance(node, ast.Call):
+        name = code[node.func.col_offset:node.func.end_col_offset]
+        if name not in _FUNCTIONS:
+            raise ExpressionError(f"unknown function {name!r}", at)
+        if len(node.args) != 1 or node.keywords:
+            raise ExpressionError(f"{name} takes one argument", at)
+        children = node.args
+    elif isinstance(node, ast.Name):
+        if node.id != "x" and node.id not in _CONSTANTS:
+            raise ExpressionError(f"unknown name {node.id!r}", at)
+    elif isinstance(node, ast.Constant) and _NUMBER_RE.fullmatch(text):
+        node.value = complex(float(text))
+    else:
+        raise ExpressionError(f"unexpected {text!r}", at)
+    for child in children:
+        _check(child, code, origin, depth + 1)
 
 
-def evaluate(expr: Expr, x: np.ndarray | complex):
+def evaluate(tree: ast.expr, x: np.ndarray | complex):
     """Evaluate on complex inputs; numpy broadcasting applies."""
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, Variable):
-        return x
-    if isinstance(expr, Neg):
-        return -evaluate(expr.arg, x)
-    if isinstance(expr, Call):
-        return _FUNCTIONS[expr.name](evaluate(expr.arg, x))
-    if isinstance(expr, BinOp):
-        a = evaluate(expr.left, x)
-        b = evaluate(expr.right, x)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if expr.op == "/":
-            return a / b
-        return np.power(a, b)
-    raise TypeError(f"not an expression node: {expr!r}")
+    if isinstance(tree, ast.Constant):
+        return tree.value
+    if isinstance(tree, ast.Name):
+        return x if tree.id == "x" else _CONSTANTS[tree.id]
+    if isinstance(tree, ast.UnaryOp):
+        return -evaluate(tree.operand, x)
+    if isinstance(tree, ast.Call):
+        return _FUNCTIONS[tree.func.id](evaluate(tree.args[0], x))
+    return _BINARY[type(tree.op)](evaluate(tree.left, x), evaluate(tree.right, x))
 
 
-def evaluate_on_grid(expr: Expr, grid: Grid) -> SampledFunction:
+def evaluate_on_grid(expr: ast.expr, grid: Grid) -> SampledFunction:
     """Tabulate the expression on the grid; non-finite results name the node."""
     with np.errstate(all="ignore"):
         try:

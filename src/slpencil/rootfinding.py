@@ -27,6 +27,7 @@ from .problems import CharacteristicSeries
 BOUNDARY_ABS_FLOOR = 1e-280
 MAX_PHASE_STEP = math.pi / 2
 MAX_LOCAL_REFINES = 10  # per-segment density doublings before giving up
+POLISH_STEPS = 5  # Newton steps after the residue formula
 _SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split of a binary64 into 26-bit halves
 
 
@@ -40,10 +41,6 @@ class Rectangle:
     def __post_init__(self):
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError(f"degenerate rectangle {self}")
-
-    @property
-    def center(self) -> complex:
-        return complex((self.re_min + self.re_max) / 2, (self.im_min + self.im_max) / 2)
 
     @property
     def diameter(self) -> float:
@@ -95,16 +92,21 @@ class EigenvalueRecord:
 # polynomial route
 
 
+def _require_nonzero(series: CharacteristicSeries):
+    """Both routes refuse a series that vanishes identically, naming its center."""
+    if not np.any(series.coeffs != 0):
+        raise SolverError(
+            f"all characteristic coefficients at center {series.center} vanish")
+
+
 def poly_roots(series: CharacteristicSeries) -> list[complex]:
     """All roots of the truncated polynomial, shifted back by the series center.
 
     Leading coefficients too small to divide by in double precision (they only
     move roots near infinity) are dropped before forming the companion matrix.
     """
+    _require_nonzero(series)
     coeffs = series.coeffs
-    if not np.any(coeffs != 0):
-        raise SolverError(
-            f"all characteristic coefficients at center {series.center} vanish")
     top = np.max(np.abs(coeffs))
     deg = len(coeffs) - 1
     while deg > 0 and abs(coeffs[deg]) <= 1e-300 * top:
@@ -286,7 +288,7 @@ def residue_refine(series, rect: Rectangle, multiplicity: int,
     return complex(integral / (2j * math.pi * multiplicity))
 
 
-def _evaluation_noise(series, z: complex) -> float:
+def _evaluation_noise(series: CharacteristicSeries, z: complex) -> float:
     """Rounding-noise scale of Phi_M evaluated at z.
 
     Below a small multiple of this level a sampled value is cancellation
@@ -295,18 +297,14 @@ def _evaluation_noise(series, z: complex) -> float:
     meaningful, which happens inside the natural resolution radius of
     multiple zeros.
     """
-    term_scale = getattr(series, "term_scale", None)
-    if term_scale is None:
-        return 0.0
-    m = getattr(series, "truncation", 64)
-    return 8.0 * math.sqrt(m + 1) * np.finfo(float).eps * term_scale(z)
+    return (8.0 * math.sqrt(series.truncation + 1) * np.finfo(float).eps
+            * series.term_scale(z))
 
 
-def _finalize(series, region: Rectangle, winding: int, samples: int,
-              polish_steps: int) -> list[EigenvalueRecord]:
-    z = residue_refine(series, region, winding, samples)
-    if polish_steps > 0:
-        z = newton_polish(series, z, steps=polish_steps)
+def _finalize(series, region: Rectangle, winding: int,
+              samples: int) -> list[EigenvalueRecord]:
+    z = newton_polish(series, residue_refine(series, region, winding, samples),
+                      steps=POLISH_STEPS)
     return [EigenvalueRecord(
         value=z, multiplicity=winding, method="arg_principle",
         certified=False, residual=float(abs(series(z))),
@@ -314,7 +312,7 @@ def _finalize(series, region: Rectangle, winding: int, samples: int,
 
 
 def localize(series, region: Rectangle, tol: float = 1e-10, *,
-             samples_per_contour: int = 4000, polish_steps: int = 5,
+             samples_per_contour: int = 4000,
              _winding: WindingResult | None = None) -> list[EigenvalueRecord]:
     """Zeros in region by winding numbers, bisecting only until a rectangle
     holds a single zero.
@@ -330,8 +328,9 @@ def localize(series, region: Rectangle, tol: float = 1e-10, *,
     record.  Bisection also stops once the boundary minimum sinks into the
     rounding noise taken at that boundary point, the resolution limit of a
     multiple zero; clusters tighter than that come back as one record with
-    the summed winding.
+    the summed winding.  A series that vanishes identically is a SolverError.
     """
+    _require_nonzero(series)
     w = _winding if _winding is not None else winding_number(
         series, region, samples_per_contour)
     if w.winding == 0:
@@ -342,10 +341,9 @@ def localize(series, region: Rectangle, tol: float = 1e-10, *,
         )
     noise = _evaluation_noise(series, w.boundary_min_at)
     if region.diameter <= tol or w.boundary_min_abs < noise:
-        return _finalize(series, region, w.winding, samples_per_contour,
-                         polish_steps)
+        return _finalize(series, region, w.winding, samples_per_contour)
     if w.winding == 1:
-        rec = _finalize(series, region, 1, samples_per_contour, polish_steps)[0]
+        rec = _finalize(series, region, 1, samples_per_contour)[0]
         if region.contains(rec.value) and rec.residual <= min(
                 _evaluation_noise(series, rec.value), w.boundary_min_abs):
             return [rec]
@@ -372,14 +370,13 @@ def localize(series, region: Rectangle, tol: float = 1e-10, *,
         if w1.winding + w2.winding != w.winding:
             continue
         out = localize(series, r1, tol, samples_per_contour=samples_per_contour,
-                       polish_steps=polish_steps, _winding=w1)
+                       _winding=w1)
         out += localize(series, r2, tol, samples_per_contour=samples_per_contour,
-                        polish_steps=polish_steps, _winding=w2)
+                        _winding=w2)
         return sorted(out, key=lambda rec: (rec.value.real, rec.value.imag))
     if w.boundary_min_abs < 16 * noise:
         # every cut line lands in the noise skirt of an (almost) multiple zero
-        return _finalize(series, region, w.winding, samples_per_contour,
-                         polish_steps)
+        return _finalize(series, region, w.winding, samples_per_contour)
     raise RootLocalizationError(
         f"could not split {region} without landing on a zero after 8 jitters"
     )

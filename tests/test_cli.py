@@ -254,9 +254,12 @@ class TestSolve:
 
     def test_polished_root_outside_region_is_spurious(self, tmp_path, monkeypatch):
         """A raw root inside the region whose polished value lies outside it
-        goes to spurious, not to the records."""
-        top = max(run_solve(intro_cfg(tmp_path)).records, key=lambda r: r["re"])
-        region = {"re": [-10.0, top["re"] - 1e-9], "im": [-8.0, 8.0]}
+        goes to spurious, not to the records.  The region holds one pair of
+        modes, -1/4 +- 2.21i, so no other record shares its Re."""
+        im = [-3.0, 3.0]
+        top = max(run_solve(intro_cfg(tmp_path, search_region={
+            "re": [-10.0, 0.5], "im": im})).records, key=lambda r: r["re"])
+        region = {"re": [-10.0, top["re"] - 1e-9], "im": im}
         roots = cli.poly_roots
         monkeypatch.setattr(cli, "poly_roots",
                             lambda series: [z - 2e-9 for z in roots(series)])
@@ -308,18 +311,43 @@ class TestSolve:
             best = min(abs(complex(r["re"], r["im"]) - lam) for r in rs.records)
             assert best < 1e-9
 
-    @pytest.mark.parametrize("r,boundary,message", [
+    @pytest.mark.parametrize("r,boundary,method,message", [
         # Neumann ends and r = 0: u = 1 solves for every lambda, so Phi = 0
-        ("0", {"left": [0, 1], "right": [0, 1]},
+        ("0", {"left": [0, 1], "right": [0, 1]}, "poly_roots",
          "all characteristic coefficients at center 0j vanish"),
-        ("1e200", {}, r"characteristic coefficient \d+ at center 0j is not finite"),
-        ("1/0", {}, r"expression is not finite at x = 0\.0 \(node 0\)"),
-    ], ids=["vanishing_series", "overflowing_powers", "constant_division_by_zero"])
-    def test_solver_error_exit_2(self, tmp_path, capsys, r, boundary, message):
-        path = intro_cfg(tmp_path, truncation=10, boundary=boundary,
+        ("0", {"left": [0, 1], "right": [0, 1]}, "arg_principle",
+         "all characteristic coefficients at center 0j vanish"),
+        ("1e200", {}, "poly_roots",
+         r"characteristic coefficient \d+ at center 0j is not finite"),
+        ("1/0", {}, "poly_roots", r"expression is not finite at x = 0\.0 \(node 0\)"),
+    ], ids=["vanishing_series", "vanishing_series_arg_principle",
+            "overflowing_powers", "constant_division_by_zero"])
+    def test_solver_error_exit_2(self, tmp_path, capsys, r, boundary, method, message):
+        path = intro_cfg(tmp_path, truncation=10, boundary=boundary, method=method,
                          coefficients={"p": "1", "q": "0", "r": [r]})
         assert main(["solve", path]) == 2
         assert re.search(f"^solver error: {message}$", capsys.readouterr().err, re.M)
+
+    def test_long_sum_is_config_error(self, tmp_path, capsys):
+        path = intro_cfg(tmp_path, coefficients={
+            "p": "+".join(["1"] * 1000), "q": "0", "r": ["1"]})
+        assert main(["solve", path]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: config.coefficients.p: bad expression")
+
+    def test_constant_damping_records_near_closed_form(self, tmp_path):
+        """Every record of the single-center M = 100 config lies within 1e-4
+        (relative) of -1 +- i sqrt(n^2 pi^2 - 1): the drift test drops the
+        Taylor-section zeros past the series' accurate radius."""
+        cfg = json.loads((CONFIGS / "string_constant_damping.json").read_text())
+        cfg["output"] = None
+        rs = run_solve(write_config(tmp_path, "c.json", cfg))
+        assert len(rs.records) >= 16
+        exact = [complex(-1.0, s * math.sqrt(n**2 * math.pi**2 - 1))
+                 for n in range(1, 20) for s in (1, -1)]
+        for r in rs.records:
+            z = complex(r["re"], r["im"])
+            assert min(abs(z - m) for m in exact) <= 1e-4 * abs(z)
 
     @pytest.mark.parametrize("name", [
         "intro_pencil.json", "bronski_eps02.json", "tovbis_mu05_eps05.json"])
@@ -419,7 +447,7 @@ class TestPanelGrid:
     def test_x2_chain_matches_stored_reference(self, tmp_path):
         """Center 0 and three shifts give a record within 1e-10 of every mode
         of the stored shooting reference within 13 of a center (M = 50 has
-        5e-8 at 15.7 from a center)."""
+        5e-8 at 15.7 from a center), and every record is a distinct mode."""
         ref = json.loads((CONFIGS.parent / "bench" / "data"
                           / "string_x2_reference.json").read_text())
         modes = [complex(re, im) for re, im in ref["modes"]]
@@ -431,6 +459,12 @@ class TestPanelGrid:
         found = [complex(r["re"], r["im"]) for r in rs.records]
         for m in band:
             assert min(abs(z - m) for z in found) <= 1e-10 * abs(m)
+        matched = []
+        for z in found:
+            m = min(modes, key=lambda m: abs(z - m))
+            assert abs(z - m) <= 1e-6 * abs(m)
+            matched.append(m)
+        assert len(set(matched)) == len(matched)
 
 
 class TestOutputs:

@@ -35,9 +35,16 @@ class TestParseAndEvaluate:
     def test_power_right_associative(self):
         assert evaluate(parse("2^3^2"), 0.0) == pytest.approx(512.0)
 
-    def test_unary_minus_binds_before_power(self):
-        # factor := unary ('^' factor)?  so -2^2 = (-2)^2
-        assert evaluate(parse("-2^2"), 0.0) == pytest.approx(4.0)
+    def test_unary_minus_binds_after_power(self):
+        # unary := '-' unary | power  so -2^2 = -(2^2)
+        assert evaluate(parse("-2^2"), 0.0) == pytest.approx(-4.0)
+
+    def test_gaussian(self):
+        assert evaluate(parse("exp(-x^2)"), 2.0) == pytest.approx(np.exp(-4.0))
+
+    def test_negative_exponent(self):
+        assert evaluate(parse("2^-1"), 0.0) == pytest.approx(0.5)
+        assert evaluate(parse("2^-x^2"), 1.0) == pytest.approx(0.5)
 
     def test_variable_on_grid(self):
         g = Grid.uniform(0.0, 1.0, 1)
@@ -61,7 +68,11 @@ class TestParseAndEvaluate:
 
 
 class TestParseErrors:
-    @pytest.mark.parametrize("src", ["2*", "(1+2", "sin 3)", "foo(1)", "1 2", "@", ""])
+    # from "x**2" on: Python syntax outside the grammar
+    @pytest.mark.parametrize("src", [
+        "2*", "(1+2", "sin 3)", "foo(1)", "1 2", "@", "",
+        "x**2", "x # c", "1j", "0x10", "1_0", "+x", "sin(x, x)", "sin(x=1)",
+        "x.real", "x[0]", "True", "x if x else 1", "x // 2", "sin()"])
     def test_syntax_errors(self, src):
         with pytest.raises(ExpressionError):
             parse(src)
@@ -71,6 +82,17 @@ class TestParseErrors:
             parse("1+*2")
         assert err.value.position == 2
 
+    @pytest.mark.parametrize("src, position", [
+        ("x^2+*1", 4),  # each earlier '^' is read as two characters
+        ("  x^2^+*1", 7),  # and the leading blanks are stripped
+        ("x^2+ ", 4),  # an error at the end points at the end
+        ("2x", 0),
+    ])
+    def test_position_in_source(self, src, position):
+        with pytest.raises(ExpressionError) as err:
+            parse(src)
+        assert err.value.position == position
+
     def test_unknown_function_named(self):
         with pytest.raises(ExpressionError, match="sinc"):
             parse("sinc(x)")
@@ -78,6 +100,21 @@ class TestParseErrors:
     def test_deep_nesting_terminates(self):
         with pytest.raises(ExpressionError, match="nested"):
             parse("(" * 5000 + "1" + ")" * 5000)
+
+    @pytest.mark.parametrize("src", [
+        "-" * 5000 + "1", "+".join(["1"] * 3000), "+".join(["1"] * 1000)],
+        ids=["minus_5000", "sum_3000", "sum_1000"])
+    def test_deep_tree_rejected(self, src):
+        with pytest.raises(ExpressionError, match="nested"):
+            parse(src)
+
+    def test_long_sum_evaluates(self):
+        assert evaluate(parse("+".join(["1"] * 500)), 0.0) == 500.0
+
+    def test_no_warning_printed(self, recwarn):
+        with pytest.raises(ExpressionError):
+            parse("1if x else 2")
+        assert not recwarn.list
 
     def test_fuzz_never_crashes(self):
         rng = np.random.default_rng(123)
