@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ExpressionError, SLPencilError, SolverError
+from .errors import ConfigError, ExpressionError, SLPencilError
 from .expressions import evaluate_on_grid, parse as parse_expr
 from .grids import P, Grid, constant, refine, unresolved
 from .problems import (
@@ -72,9 +72,10 @@ DEFAULTS = {
 }
 INITIAL_PANELS = 16
 CERTIFY_HALF_WIDTH = 0.5
-# truncation-drift test: a companion root is kept only if DRIFT_STEPS Newton
-# steps on the series truncated DRIFT_ORDERS orders lower move it by at most
-# DRIFT_TOL |lambda|; Taylor-section zeros and near-duplicates move far
+# truncation-drift test, under both root methods: a root is kept only if
+# DRIFT_STEPS Newton steps on the series truncated DRIFT_ORDERS orders lower
+# move it by at most DRIFT_TOL |lambda|; Taylor-section zeros and
+# near-duplicates move far
 DRIFT_ORDERS = 5
 DRIFT_TOL = 1e-3
 DRIFT_STEPS = 2
@@ -208,15 +209,9 @@ def validate_config(raw: dict) -> dict:
                                          or tol["merge"] <= 0):
         _fail("config.tolerances.merge", "expected a positive number or null")
 
-    if not isinstance(cfg["certify"], (bool, dict)):
-        _fail("config.certify", "expected false, true or {\"half_width\": h}")
-    if not isinstance(cfg["require_certified"], bool):
-        _fail("config.require_certified", "expected false or true")
-    if isinstance(cfg["certify"], dict):
-        _reject_unknown(cfg["certify"], ("half_width",), "config.certify")
-        hw = cfg["certify"].get("half_width", CERTIFY_HALF_WIDTH)
-        if not _is_number(hw) or hw <= 0:
-            _fail("config.certify.half_width", "expected a positive number")
+    for key in ("certify", "require_certified"):
+        if not isinstance(cfg[key], bool):
+            _fail(f"config.{key}", "expected false or true")
 
     if kind == "zakharov_shabat":
         _validate_potential(cfg)
@@ -547,12 +542,6 @@ def _solve_single(cfg: dict, potential_override: dict | None
     else:
         keep_radius = math.inf
 
-    certify_cfg = cfg["certify"]
-    certify_hw = CERTIFY_HALF_WIDTH
-    if isinstance(certify_cfg, dict):
-        certify_hw = float(certify_cfg.get("half_width", CERTIFY_HALF_WIDTH))
-    do_certify = bool(certify_cfg)
-
     merge_eps = tol["merge"] if tol["merge"] is not None else 10.0 * tol["localize"]
 
     all_records: list[EigenvalueRecord] = []
@@ -572,8 +561,8 @@ def _solve_single(cfg: dict, potential_override: dict | None
             recs = _poly_records(series, center, keep_radius, region, spurious)
         else:
             recs = _arg_records(series, center, keep_radius, region, tol["localize"])
-        if do_certify:
-            recs = [(_certify_record(rec, series, certify_hw), rel, dist)
+        if cfg["certify"]:
+            recs = [(_certify_record(rec, series), rel, dist)
                     for rec, rel, dist in recs]
         all_records.extend(recs)
 
@@ -605,6 +594,13 @@ def _relative_residual(series: CharacteristicSeries, z: complex) -> float:
     return res / scale if scale > 0 else math.inf
 
 
+def _candidate(series, center, rec: EigenvalueRecord
+               ) -> tuple[EigenvalueRecord, float, float]:
+    """A record with its relative residual and its distance from the center,
+    which _merge_records rank copies by."""
+    return rec, _relative_residual(series, rec.value), abs(rec.value - center)
+
+
 def _poly_records(series, center, keep_radius, region, spurious
                   ) -> list[tuple[EigenvalueRecord, float, float]]:
     """Records from the companion-matrix roots within keep_radius of center
@@ -620,56 +616,53 @@ def _poly_records(series, center, keep_radius, region, spurious
 
     roots = [z for z in poly_roots(series) if abs(z - center) <= keep_radius]
     recs = []
-    for root, drift in zip(roots, _truncation_drift(series, roots)):
-        if outside(root, "outside search region"):
+    for root, steady in zip(roots, _drift_passed(series, roots)):
+        if outside(root, "outside search region") or not steady:
             continue
-        if not drift <= DRIFT_TOL * abs(root):
-            continue
-        z = newton_polish(series, root, steps=8)
+        z = newton_polish(series, root)
         if outside(z, "polished outside search region"):
             continue
-        rec = EigenvalueRecord(
+        recs.append(_candidate(series, center, EigenvalueRecord(
             value=z, multiplicity=1, method="poly_roots", certified=False,
             residual=float(abs(complex(series(z)))),
-        )
-        recs.append((rec, _relative_residual(series, z), abs(z - center)))
+        )))
     return recs
 
 
-def _truncation_drift(series: CharacteristicSeries, roots: list[complex]
-                      ) -> np.ndarray:
-    """How far Newton on the series truncated DRIFT_ORDERS orders lower moves
-    each root (zeros when the truncation is too short to drop them)."""
+def _drift_passed(series: CharacteristicSeries, roots: list[complex]
+                  ) -> np.ndarray:
+    """Whether Newton on the series truncated DRIFT_ORDERS orders lower moves
+    each root by at most DRIFT_TOL |root| (all pass when the truncation is too
+    short to drop them)."""
     lam = np.array(roots, dtype=np.complex128)
     if series.truncation <= DRIFT_ORDERS:
-        return np.zeros(len(lam))
+        return np.ones(len(lam), dtype=bool)
     lower = CharacteristicSeries(series.center, series.coeffs[:-DRIFT_ORDERS])
     z = lam
     with np.errstate(all="ignore"):  # far roots overflow and count as drifted
         for _ in range(DRIFT_STEPS):
             z = z - lower(z) / lower.deriv(z)
-    return np.abs(z - lam)
+        return np.abs(z - lam) <= DRIFT_TOL * np.abs(lam)
 
 
 def _arg_records(series, center, keep_radius, region, tol
                  ) -> list[tuple[EigenvalueRecord, float, float]]:
+    """Records that localize finds in the search region, cut to the box of
+    half-width keep_radius around center, and that pass the truncation-drift
+    test."""
+    box = region
     if math.isfinite(keep_radius):
-        box = Rectangle.around(center, keep_radius)
-        if region is not None:
-            box = box.intersection(region)
-            if box is None:  # the keep box misses the search region
-                return []
-    else:
-        box = region
-    if box is None:
-        raise SolverError("arg_principle needs a search_region")
-    return [(rec, _relative_residual(series, rec.value), abs(rec.value - center))
-            for rec in localize(series, box, tol)]
+        box = Rectangle.around(center, keep_radius).intersection(region)
+        if box is None:  # the keep box misses the search region
+            return []
+    recs = localize(series, box, tol)
+    steady = _drift_passed(series, [rec.value for rec in recs])
+    return [_candidate(series, center, rec) for rec, ok in zip(recs, steady) if ok]
 
 
-def _certify_record(rec: EigenvalueRecord, series: CharacteristicSeries,
-                    half_width: float) -> EigenvalueRecord:
-    rect = Rectangle.around(rec.value, half_width)
+def _certify_record(rec: EigenvalueRecord, series: CharacteristicSeries
+                    ) -> EigenvalueRecord:
+    rect = Rectangle.around(rec.value, CERTIFY_HALF_WIDTH)
     lam_abs = rect.max_abs_from(series.center)
     return certify(rec, series, series.tail(lam_abs), rect)
 

@@ -184,8 +184,10 @@ def characteristic_series(table: FormalPowerTable, functional: Callable,
     moduli = tuple(abs(c) for c in constants)
 
     def tail(lam_abs: float) -> float:
-        return functional(*moduli, *tail_components(table.pencil, table.u0,
-                                                    lam_abs, M))
+        bounds = tail_components(table.pencil, table.u0, lam_abs, M)
+        if math.inf in bounds:  # a zero constant times inf would give nan
+            return math.inf
+        return functional(*moduli, *bounds)
 
     return CharacteristicSeries(center=center, coeffs=coeffs, tail=tail)
 

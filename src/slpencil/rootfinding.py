@@ -8,10 +8,10 @@ then pin: the bisection tolerance is a floor, not the record's precision.
 Its rounding-noise floor is taken where the sampled boundary |Phi_M| is
 smallest.  Both routes end in a Newton polish in double precision whose
 residual comes from the compensated Horner scheme, as accurate as Horner in
-twice the working precision.  A root is certified
-when the sampled boundary minimum of |Phi_M| beats a rigorous bound on
-|Phi - Phi_M|, which by Rouche's theorem puts the truncated roots in
-bijection with true eigenvalues inside the rectangle.
+twice the working precision.  A root is certified when the sampled boundary
+minimum of |Phi_M| beats a rigorous bound on |Phi - Phi_M|, so that by
+Rouche's theorem Phi has as many zeros inside the rectangle as the winding of
+Phi_M, and when that winding is the record's multiplicity.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .problems import CharacteristicSeries
 BOUNDARY_ABS_FLOOR = 1e-280
 MAX_PHASE_STEP = math.pi / 2
 MAX_LOCAL_REFINES = 10  # per-segment density doublings before giving up
-POLISH_STEPS = 5  # Newton steps after the residue formula
+POLISH_STEPS = 5  # Newton steps from a companion root or a residue-formula estimate
 _SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split of a binary64 into 26-bit halves
 
 
@@ -160,7 +160,7 @@ def _compensated_horner(cs: list, z: complex) -> complex:
 
 
 def newton_polish(series: CharacteristicSeries, z0: complex, *,
-                  steps: int = 5) -> complex:
+                  steps: int = POLISH_STEPS) -> complex:
     """Newton iteration z <- z - p(z)/p'(z) in double precision, in the series'
     local variable.
 
@@ -303,8 +303,7 @@ def _evaluation_noise(series: CharacteristicSeries, z: complex) -> float:
 
 def _finalize(series, region: Rectangle, winding: int,
               samples: int) -> list[EigenvalueRecord]:
-    z = newton_polish(series, residue_refine(series, region, winding, samples),
-                      steps=POLISH_STEPS)
+    z = newton_polish(series, residue_refine(series, region, winding, samples))
     return [EigenvalueRecord(
         value=z, multiplicity=winding, method="arg_principle",
         certified=False, residual=float(abs(series(z))),
@@ -384,15 +383,18 @@ def localize(series, region: Rectangle, tol: float = 1e-10, *,
 
 def certify(record: EigenvalueRecord, series, tail: float,
             rect: Rectangle, samples_per_contour: int = 4000) -> EigenvalueRecord:
-    """Rouche check: certified when min boundary |Phi_M| exceeds the tail bound.
+    """Rouche check: certified when min boundary |Phi_M| exceeds the tail bound
+    and the winding of Phi_M on the boundary equals the record's multiplicity.
 
     tail must bound |Phi - Phi_M| on the rectangle boundary; the count of true
-    zeros inside then equals the winding of Phi_M, so the record's multiplicity
-    is trustworthy.
+    zeros inside then equals the winding of Phi_M, which must be the record's
+    alone.  A boundary whose winding cannot be resolved certifies nothing.
     """
     if not math.isfinite(tail):
         return replace(record, certified=False)
-    pts = _boundary_points(rect, samples_per_contour)
-    vals = np.abs(np.asarray(series(pts), dtype=np.complex128))
-    ok = bool(np.min(vals) > tail)
-    return replace(record, certified=ok)
+    try:
+        w = winding_number(series, rect, samples_per_contour)
+    except RootLocalizationError:
+        return replace(record, certified=False)
+    ok = w.boundary_min_abs > tail and w.winding == record.multiplicity
+    return replace(record, certified=bool(ok))  # a numpy bool would not serialize

@@ -105,7 +105,7 @@ class TestConfigValidation:
     ZS = {"problem": "zakharov_shabat", "potential": {"kind": "klaus_shaw", "s": 0.9}}
 
     @pytest.mark.parametrize("overrides,path,key", [
-        ({"certify": {"half_widht": 0.1}}, "certify", "half_widht"),
+        ({"tolerances": {"residual": 1e-6, "mrege": 1e-6}}, "tolerances", "mrege"),
         ({"surface": {"region": {"re": [0, 1], "im": [0, 1]}, "nx": 3, "ny": 3,
                       "kap": 5.0}}, "surface", "kap"),
         ({"boundary": {"left": [1, 0], "rigth": [1, 0]}}, "boundary", "rigth"),
@@ -150,6 +150,7 @@ class TestConfigValidation:
          "config.sweep.values[1]"),
         # and a number is not a boolean
         ({"certify": 1}, "config.certify"),
+        ({"certify": {"half_width": 0.4}}, "config.certify"),
         ({"require_certified": "false"}, "config.require_certified"),
         # only the catalog's numeric parameters can be swept
         ({**ZS, "potential": {"kind": "expression", "Q": "2+sin(x)",
@@ -163,7 +164,7 @@ class TestConfigValidation:
     ], ids=["boundary_side", "half_width", "expression_P", "bool_truncation",
             "bool_localize", "bool_interval", "bool_shift", "bool_sweep_value",
             "bool_klaus_shaw_half_width", "string_sweep_value", "number_certify",
-            "string_require_certified", "expression_sweep_Q",
+            "dict_certify", "string_require_certified", "expression_sweep_Q",
             "infinite_parameter", "nan_sweep_value"])
     def test_bad_value_in_block_rejected(self, tmp_path, capsys, overrides, path):
         assert main(["solve", intro_cfg(tmp_path, **overrides)]) == 1
@@ -219,8 +220,7 @@ class TestSolve:
         assert all(r["method"] == "arg_principle" for r in arg.records)
 
     def test_certification_flag_set(self, tmp_path):
-        path = intro_cfg(tmp_path, certify={"half_width": 0.4},
-                         truncation=60, n_nodes=5001)
+        path = intro_cfg(tmp_path, certify=True, truncation=60, n_nodes=5001)
         rs = run_solve(path)
         lam1 = complex(-0.25, math.sqrt(8 * math.pi**2 - 1) / 4)
         rec = min(rs.records,
@@ -466,6 +466,29 @@ class TestPanelGrid:
             matched.append(m)
         assert len(set(matched)) == len(matched)
 
+    def test_x2_modes_once_under_both_methods(self, tmp_path):
+        """Both root methods give the same records on the x^2 chain, each
+        within 1e-6 of a mode of the stored shooting reference and no mode
+        twice: the truncation-drift test drops the Taylor-section zeros that
+        localize finds in the keep box of twice the step."""
+        ref = json.loads((CONFIGS.parent / "bench" / "data"
+                          / "string_x2_reference.json").read_text())
+        modes = [complex(re, im) for re, im in ref["modes"]]
+        region = {"re": [-3.0, 0.5], "im": [-45.0, 10.0]}
+        matched = {}
+        for method in ("poly_roots", "arg_principle"):
+            cfg = x2_chain_cfg(method=method, search_region=region)
+            rs = run_solve(write_config(tmp_path, f"{method}.json", cfg))
+            found = []
+            for r in rs.records:
+                z = complex(r["re"], r["im"])
+                k = min(range(len(modes)), key=lambda k: abs(z - modes[k]))
+                assert abs(z - modes[k]) <= 1e-6 * abs(modes[k]), (method, z)
+                found.append(k)
+            assert len(set(found)) == len(found) >= 12
+            matched[method] = sorted(found)
+        assert matched["arg_principle"] == matched["poly_roots"]
+
 
 class TestOutputs:
     def test_csv_and_report_written(self, tmp_path):
@@ -479,6 +502,21 @@ class TestOutputs:
         report = json.loads(rep.read_text())
         assert report["metadata"]["record_count"] == len(report["records"])
         assert "wall_time_s" not in report["metadata"]
+
+    def test_format_report_prints_report(self, tmp_path, capsys):
+        """With no output configured, --format report prints the report."""
+        path = intro_cfg(tmp_path)
+        assert main(["solve", path, "--format", "report"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == json.loads(json.dumps(cli._report_dict(run_solve(path))))
+
+    def test_verbose_prints_counts(self, tmp_path, capsys):
+        path = intro_cfg(tmp_path, tolerances={"residual": 1e-30, "merge": 1e-6})
+        assert main(["solve", path, "--verbose"]) == 0
+        meta = run_solve(path).metadata
+        line = (f"records: {meta['record_count']}  "
+                f"excluded: {meta['excluded_by_residual']}  wall: ")
+        assert re.search(rf"^{line}\d+\.\d\ds$", capsys.readouterr().err, re.M)
 
     def test_reruns_bit_identical(self, tmp_path):
         csv = tmp_path / "out.csv"

@@ -1,5 +1,7 @@
 """Spectral shift, string characteristic series, Dirac reduction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,14 @@ class TestStringCharacteristic:
         from slpencil.rootfinding import EigenvalueRecord
         rec = EigenvalueRecord(lam1, 1, "poly_roots", False, 0.0)
         assert certify(rec, series, tail, rect).certified
+
+    def test_tail_is_inf_where_a_bound_overflows(self):
+        """Dirichlet ends give the exact zero constants c1 = 0 and beta2 = 0;
+        where the family bounds overflow, the tail is inf, not 0 * inf = nan
+        with a RuntimeWarning (an error under this suite's settings)."""
+        g = Grid.uniform(0.0, 1.0, 32)
+        sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
+        assert string_series(sp, 40).tail(1e6) == math.inf
 
     def test_tail_dominates_actual_truncation_error(self):
         g = Grid.uniform(0.0, 1.0, 32)

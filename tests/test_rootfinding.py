@@ -253,3 +253,13 @@ class TestCertify:
         s = series_from_roots([0.5])
         rec = certify(self.make_record(0.5), s, 1e6, Rectangle(0.0, 1.0, -0.5, 0.5))
         assert not rec.certified
+
+    def test_box_holding_two_zeros_fails_multiplicity_one(self):
+        """Zeros z0 and z0 + 1e-9 share the 0.5 box around z0: its winding is
+        2, so a simple record there is not certified even with a zero tail;
+        the simple zero at 2 + i still certifies."""
+        z0 = 0.3 - 0.2j
+        s = series_from_roots([z0, z0 + 1e-9, 2 + 1j])
+        for z, certified in ((z0, False), (2 + 1j, True)):
+            rec = certify(self.make_record(z), s, 0.0, Rectangle.around(z, 0.5))
+            assert rec.certified is certified
