@@ -331,6 +331,8 @@ def _validate_potential(cfg: dict):
 
 
 def _parse_region(raw, path: str) -> dict:
+    if isinstance(raw, dict):
+        _reject_unknown(raw, ("re", "im"), path)
     if (not isinstance(raw, dict) or "re" not in raw or "im" not in raw):
         _fail(path, "expected {\"re\": [lo, hi], \"im\": [lo, hi]}")
     for axis in ("re", "im"):

@@ -184,7 +184,7 @@ def characteristic_series(table: FormalPowerTable, functional: Callable,
     moduli = tuple(abs(c) for c in constants)
 
     def tail(lam_abs: float) -> float:
-        bounds = tail_components(table.pencil, table.u0, lam_abs, M)
+        bounds = tail_components(table, lam_abs)
         if math.inf in bounds:  # a zero constant times inf would give nan
             return math.inf
         return functional(*moduli, *bounds)

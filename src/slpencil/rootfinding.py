@@ -9,9 +9,10 @@ Its rounding-noise floor is taken where the sampled boundary |Phi_M| is
 smallest.  Both routes end in a Newton polish in double precision whose
 residual comes from the compensated Horner scheme, as accurate as Horner in
 twice the working precision.  A root is certified when the sampled boundary
-minimum of |Phi_M| beats a rigorous bound on |Phi - Phi_M|, so that by
-Rouche's theorem Phi has as many zeros inside the rectangle as the winding of
-Phi_M, and when that winding is the record's multiplicity.
+minimum of |Phi_M|, less what |Phi_M| can lose between samples, beats a
+rigorous bound on |Phi - Phi_M|, so that by Rouche's theorem Phi has as many
+zeros inside the rectangle as the winding of Phi_M, and when that winding is
+the record's multiplicity.
 """
 
 from __future__ import annotations
@@ -383,12 +384,17 @@ def localize(series, region: Rectangle, tol: float = 1e-10, *,
 
 def certify(record: EigenvalueRecord, series, tail: float,
             rect: Rectangle, samples_per_contour: int = 4000) -> EigenvalueRecord:
-    """Rouche check: certified when min boundary |Phi_M| exceeds the tail bound
-    and the winding of Phi_M on the boundary equals the record's multiplicity.
+    """Rouche check: certified when |Phi_M| on the rectangle boundary exceeds
+    the tail bound and the winding of Phi_M on the boundary equals the
+    record's multiplicity.
 
     tail must bound |Phi - Phi_M| on the rectangle boundary; the count of true
     zeros inside then equals the winding of Phi_M, which must be the record's
-    alone.  A boundary whose winding cannot be resolved certifies nothing.
+    alone.  Between two samples h apart |Phi_M| falls by at most
+    (h/2) sum_k k |a_k| R^(k-1), R the farthest corner's distance from the
+    center, so that much comes off the sampled minimum before it is compared
+    with the tail.  A boundary whose winding cannot be resolved certifies
+    nothing.
     """
     if not math.isfinite(tail):
         return replace(record, certified=False)
@@ -396,5 +402,12 @@ def certify(record: EigenvalueRecord, series, tail: float,
         w = winding_number(series, rect, samples_per_contour)
     except RootLocalizationError:
         return replace(record, certified=False)
-    ok = w.boundary_min_abs > tail and w.winding == record.multiplicity
+    pts = _boundary_points(rect, samples_per_contour)
+    gap = float(np.max(np.abs(np.diff(pts, append=pts[:1]))))
+    k = np.arange(1, len(series.coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):  # a nan slope certifies nothing
+        slope = np.sum(k * np.abs(series.coeffs[1:])
+                       * rect.max_abs_from(series.center) ** (k - 1))
+        floor = w.boundary_min_abs - 0.5 * gap * slope
+    ok = floor > tail and w.winding == record.multiplicity
     return replace(record, certified=bool(ok))  # a numpy bool would not serialize

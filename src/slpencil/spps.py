@@ -8,8 +8,8 @@ spectral integration over the grid's panels.  This module builds a table of
 their right-end values and of their series sums at requested lambdas, flags
 the panels on which the table's integrands are not resolved, evaluates the two
 fundamental solutions u1, u2 and their derivatives there, constructs u0 when
-it is not supplied, and computes the rigorous factorial-type majorant used to
-bound series-truncation tails.
+it is not supplied, and bounds the series-truncation tails by Gronwall's
+inequality, restarted from the last orders the table computed.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ EPS = np.finfo(np.float64).eps
 # modulus ratio is this much larger: near ties flip between centers, and the
 # chain loses digits when u0 changes character from one center to the next
 WAVE_GAIN = 1.5
-TAIL_REL_CUTOFF = 1e-18
-TAIL_MAX_TERMS = 200000
 
 
 @dataclass(frozen=True)
@@ -164,6 +162,9 @@ class FormalPowerTable:
     x_end: np.ndarray       # X^(n)(b)
     sums: dict[complex, PowerSums]
     unresolved: np.ndarray
+    # the last (up to 2N) whole-grid powers of the Xtilde and the X family,
+    # oldest first and ending at order 2M+1, which tail_components restarts from
+    last_orders: tuple[list[np.ndarray], list[np.ndarray]]
 
     @property
     def grid(self) -> Grid:
@@ -176,7 +177,8 @@ def _run_family(grid, n_top: int, N: int, r_on_odd: bool,
     """One recursion chain (the Xtilde family has r_on_odd=True, X has False).
 
     Returns (right-end column, series sums at the eval points split by
-    parity, the sums of their terms' moduli, top-order integrand).
+    parity, the sums of their terms' moduli, top-order integrand, the last
+    2N powers).
     """
     n_nodes = grid.n_nodes
     one = np.ones(n_nodes, dtype=np.complex128)
@@ -216,7 +218,7 @@ def _run_family(grid, n_top: int, N: int, r_on_odd: bool,
         hist.append(F)
         if len(hist) > window:
             del hist[0]
-    return col_end, even_sums, odd_sums, mag_sums, acc
+    return col_end, even_sums, odd_sums, mag_sums, acc, hist
 
 
 def build_formal_powers(spec: PencilSpec, u0: ParticularSolution,
@@ -249,9 +251,9 @@ def build_formal_powers(spec: PencilSpec, u0: ParticularSolution,
     # powers that overflow are reported by the characteristic series built
     # from them, which names its center
     with np.errstate(over="ignore", invalid="ignore"):
-        xtilde_end, st_even, st_odd, st_mag, xt_top = _run_family(
+        xtilde_end, st_even, st_odd, st_mag, xt_top, xt_last = _run_family(
             grid, n_top, N, True, *integrands)
-        x_end, s_even, s_odd, s_mag, x_top = _run_family(
+        x_end, s_even, s_odd, s_mag, x_top, x_last = _run_family(
             grid, n_top, N, False, *integrands)
     sums = {lam: PowerSums(lam, st_even[lam], st_odd[lam], s_even[lam], s_odd[lam],
                            st_mag[lam] + s_mag[lam]) for lam in eval_points}
@@ -263,7 +265,7 @@ def build_formal_powers(spec: PencilSpec, u0: ParticularSolution,
 
     return FormalPowerTable(pencil=spec, u0=u0, truncation=truncation,
                             xtilde_end=xtilde_end, x_end=x_end, sums=sums,
-                            unresolved=bad)
+                            unresolved=bad, last_orders=(xt_last, x_last))
 
 
 def evaluate_solution(table: FormalPowerTable, lam: complex, c1: complex,
@@ -357,7 +359,7 @@ def chain_particular_solution(table: FormalPowerTable, lam: complex,
 
 
 # ---------------------------------------------------------------------------
-# truncation-tail majorant
+# truncation tails
 #
 # Each characteristic functional (problems.characteristic_series) is a sum of
 # products of boundary constants and right-end formal powers.  Bounding each
@@ -365,87 +367,64 @@ def chain_particular_solution(table: FormalPowerTable, lam: complex,
 # moduli into the same functional bounds the series' tail.
 
 
-def majorant_scale(spec: PencilSpec, u0: ParticularSolution) -> float:
-    """Grid maximum of |u0^2 r_k| over all k and of |1/(u0^2 p)|."""
-    u0sq = u0.u0.values * u0.u0.values
-    m = float(np.max(np.abs(1.0 / (u0sq * spec.p.values))))
-    for rk in spec.r:
-        m = max(m, float(np.max(np.abs(u0sq * rk.values))))
-    return m
+def _family_tails(grid: Grid, last: list[np.ndarray], odd: int, rho, r, M: int,
+                  gamma, kappa):
+    """(F cosh(kappa L), F gamma sinh(kappa L)/kappa), the bounds on one
+    family's forced and integrated tails, with F = sum_k sum_{M-k<i<=M}
+    r^(k+i) max_x |int_a^x rho_k P^(2i+odd)| over its last powers P."""
+    F = sum(r ** (k + i) * np.max(np.abs(_cumulative_values(
+        grid, rk * last[2 * (i - M) + odd - 2])))
+        for k, rk in enumerate(rho, 1) for i in range(max(0, M - k + 1), M + 1))
+    if F == 0.0:  # an unforced tail vanishes, whatever overflows below
+        return 0.0, 0.0
+    L = grid.b - grid.a
+    spread = np.sinh(kappa * L) / kappa if kappa != 0.0 else L
+    return F * np.cosh(kappa * L), F * gamma * spread
 
 
-def tail_series(m_hat: float, truncation: int, degree: int) -> float:
-    """sum_{n > truncation} m_hat^n / (2*floor(n/degree))!, or inf on overflow.
-
-    The terms eventually decay factorially, so the sum is finite whenever the
-    floating-point terms do not overflow along the way.
-    """
-    if m_hat == 0.0:
-        return 0.0
-    if not np.isfinite(m_hat):
-        return math.inf
-    n = truncation + 1
-    q = n // degree
-    log_term = n * math.log(m_hat) - math.lgamma(2 * q + 1)
-    if log_term > 700.0:
-        return math.inf
-    term = math.exp(log_term)
-    total = 0.0
-    for _ in range(TAIL_MAX_TERMS):
-        total += term
-        n += 1
-        term *= m_hat
-        if n % degree == 0:
-            q = n // degree
-            term /= (2 * q) * (2 * q - 1)
-        if not np.isfinite(term) or not np.isfinite(total):
-            return math.inf
-        if term < TAIL_REL_CUTOFF * total:
-            return total + term
-    return math.inf
-
-
-def tail_components(spec: PencilSpec, u0: ParticularSolution, lam_abs: float,
-                    truncation: int) -> tuple[float, float, float, float, float]:
-    """Rigorous tail bounds for |lambda| <= lam_abs past order M = truncation,
-    one per right-end family a characteristic functional reads.
-
-    Returns bounds on sum_{n>M} |lam^n| sup|F_n| for F_n = Xtilde^(2n),
+def tail_components(table: FormalPowerTable, lam_abs: float
+                    ) -> tuple[float, float, float, float, float]:
+    """Rigorous bounds, for |lambda| <= r = lam_abs, on the right-end tails
+    |sum_{n>M} lambda^n F_n(b)| past M = table.truncation of the five
+    families a characteristic functional reads: F_n = Xtilde^(2n),
     Xtilde^(2n-1), X^(2n+1), X^(2n) and X^(2n-1), in the order of
-    problems.characteristic_series, which applies the functional to them.
-    Every even-index family (tilde or not) obeys the factorial majorant
-    sum_{n>M} m_hat^n / (2*floor(n/N))! with m_hat = lam_abs ((m (b-a))^2 + 1).
+    problems.characteristic_series.
+
+    With g = 1/(u0^2 p), rho_k = u0^2 r_k and Lambda = sum_k lambda^k rho_k,
+    S = sum_n lambda^n Xtilde^(2n) and A = sum_n lambda^n Xtilde^(2n-1)
+    solve the Volterra system S = 1 + int_a g A, A = int_a Lambda S, so their
+    tails past M solve T_S = int_a g T_A, T_A = f + int_a Lambda T_S, forced
+    by f = sum_k lambda^k int_a rho_k sum_{M-k<i<=M} lambda^i Xtilde^(2i),
+    which reads only the last orders the table kept.  Gronwall's inequality
+    gives on all of [a, b], with L = b - a,
+        |T_A| <= F cosh(kappa L),   |T_S| <= F gamma sinh(kappa L) / kappa
+    (F gamma L when kappa = 0), where gamma = max|g|, mu = sum_k r^k
+    max|rho_k|, kappa = sqrt(gamma mu) and F = sum_{k,i} r^(k+i) max_x
+    |int_a^x rho_k Xtilde^(2i)| bounds |f|.  The X family solves the same
+    system with X^(2i+1) in the forcing and bounds the X^(2n) and X^(2n+1)
+    tails; sum_{n>M} lambda^n X^(2n-1) = lambda (lambda^M X^(2M+1) +
+    sum_{n>M} lambda^n X^(2n+1)).
+
+    The maxima are taken over the grid's nodes, so the bound holds up to how
+    far |g|, |rho_k| and the integrals exceed their node values between
+    nodes, and up to the quadrature error of the powers themselves, both at
+    rounding level on panels the table resolves.  A bound with an
+    overflowing factor is inf, never nan.
     """
-    m = majorant_scale(spec, u0)
-    length = spec.grid.b - spec.grid.a
-    N = spec.degree
-    m_hat = lam_abs * ((m * length) ** 2 + 1.0)
-
-    def T(M: int) -> float:
-        return tail_series(m_hat, M, N)
-
-    def term(n: int) -> float:
-        if m_hat == 0.0:
-            return 0.0
-        q = n // N
-        lt = n * math.log(m_hat) - math.lgamma(2 * q + 1)
-        return math.exp(lt) if lt < 700 else math.inf
-
-    even = T(truncation)
-    # |X^(2n+1)| <= m*length * sup|X^(2n)|
-    odd_x = m * length * even
-    # |Xtilde^(2n+1)| <= m*length * sum_{k=1..N} sup|Xtilde^(2(n-k+1))|
-    odd_xtilde = 0.0
-    head_xtilde = 0.0  # same bound applied to the single order-M odd power
-    for k in range(1, N + 1):
-        odd_xtilde += (lam_abs ** (k - 1)) * T(truncation - k + 1)
-        head_xtilde += (lam_abs ** (k - 1)) * term(truncation - k + 1)
-    odd_xtilde *= m * length
-    head_xtilde *= m * length
-    # sum_{n>M} |lam^n X^(2n-1)| = lam * sum_{j>=M} |lam^j X^(2j+1)|
-    lagged_x = lam_abs * (m * length * term(truncation) + odd_x)
-    lagged_xtilde = lam_abs * (head_xtilde + odd_xtilde)
-    return even, lagged_xtilde, odd_x, even, lagged_x
+    M = table.truncation
+    u0sq = table.u0.u0.values * table.u0.u0.values
+    rho = [u0sq * rk.values for rk in table.pencil.r]
+    r = np.float64(lam_abs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = np.max(np.abs(1.0 / (u0sq * table.pencil.p.values)))
+        kappa = np.sqrt(gamma * sum(r ** k * np.max(np.abs(rk))
+                                    for k, rk in enumerate(rho, 1)))
+        xt_last, x_last = table.last_orders
+        xt_lag, xt_even = _family_tails(table.grid, xt_last, 0, rho, r, M, gamma, kappa)
+        x_even, x_odd = _family_tails(table.grid, x_last, 1, rho, r, M, gamma, kappa)
+        x_lag = r * (r ** M * abs(table.x_end[2 * M + 1]) + x_odd)
+    bounds = (xt_even, xt_lag, x_odd, x_even, x_lag)
+    return tuple(float(v) if v <= math.inf else math.inf for v in bounds)
 
 
 def wronskian(table: FormalPowerTable, lam: complex) -> SampledFunction:

@@ -14,6 +14,7 @@ import pytest
 
 from slpencil import ConfigError, SLPencilError, cli
 from slpencil.cli import _record_key, emit_surface, load_config, main, run_solve
+from slpencil.rootfinding import Rectangle
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -121,6 +122,10 @@ class TestConfigValidation:
          "potential", "epsilon"),
         ({**ZS, "potential": {"kind": "bronski", "epsilon": 0.2, "P": "x"}},
          "potential", "P"),
+        ({"search_region": {"re": [-10.0, 0.5], "im": [-8.0, 8.0], "imag": [0, 1]}},
+         "search_region", "imag"),
+        ({"surface": {"region": {"rea": [0, 1], "im": [0, 1]}, "nx": 3, "ny": 3}},
+         "surface.region", "rea"),
     ])
     def test_unknown_key_in_block_rejected(self, tmp_path, capsys, overrides,
                                            path, key):
@@ -488,6 +493,34 @@ class TestPanelGrid:
             assert len(set(found)) == len(found) >= 12
             matched[method] = sorted(found)
         assert matched["arg_principle"] == matched["poly_roots"]
+
+
+class TestCertification:
+    """certify: true on two chains against independent references: each
+    certified record's box holds exactly one mode."""
+
+    def certified(self, tmp_path, cfg, modes):
+        rs = run_solve(write_config(tmp_path, "c.json", {**cfg, "certify": True}))
+        out = [complex(r["re"], r["im"]) for r in rs.records if r["certified"]]
+        for z in out:
+            box = Rectangle.around(z, cli.CERTIFY_HALF_WIDTH)
+            assert sum(box.contains(m) for m in modes) == 1, z
+        return len(out), len(rs.records)
+
+    def test_x2_chain(self, tmp_path):
+        ref = json.loads((CONFIGS.parent / "bench" / "data"
+                          / "string_x2_reference.json").read_text())
+        modes = [complex(re, im) for re, im in ref["modes"]]
+        certified, total = self.certified(tmp_path, x2_chain_cfg(), modes)
+        assert total == 22 and certified >= 10
+
+    def test_constant_damping_chain(self, tmp_path):
+        cfg = json.loads((CONFIGS / "string_constant_damping_shifted.json").read_text())
+        cfg["spectral_shifts"] = cfg["spectral_shifts"][:2]
+        cfg["output"] = None
+        modes = [complex(-1.0, s * math.sqrt(n**2 * math.pi**2 - 1))
+                 for n in range(1, 60) for s in (1, -1)]
+        assert self.certified(tmp_path, cfg, modes) == (5, 5)
 
 
 class TestOutputs:

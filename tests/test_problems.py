@@ -20,6 +20,7 @@ from slpencil.spps import (
     ParticularSolution,
     PencilSpec,
     build_formal_powers,
+    build_particular_solution,
     chain_particular_solution,
     evaluate_solution,
 )
@@ -196,6 +197,28 @@ class TestStringCharacteristic:
         for lam in (0.5 + 0.5j, -1 + 2j, 2.0):
             observed = abs(complex(s80(lam)) - complex(s40(lam)))
             assert observed <= s40.tail(abs(lam))
+        # a cubic pencil with Robin ends, a complex pencil with a Neumann
+        # right end, and a pencil shifted to 3 + 2i, each with an SPPS-built
+        # u0, against 40 more orders at offsets from the center
+        cubic = PencilSpec(p=sample(g, lambda x: 1 + x / 2), q=sample(g, np.sin),
+                           r=(sample(g, lambda x: 1 + x), sample(g, np.cos),
+                              constant(g, 0.5)))
+        cplx = PencilSpec(p=constant(g, 1.0), q=sample(g, lambda x: (1 + 0.5j) * x),
+                          r=(sample(g, lambda x: (1 + 1j) * np.exp(x)),))
+        shifted = shift_pencil(PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0),
+                                          r=(sample(g, lambda x: 1 + x / 2),)), 3 + 2j)
+        for pencil, m, kw in ((cubic, 10, {"left": (1.0, 0.5), "right": (0.5, 1.5)}),
+                              (cplx, 6, {"right": (0.0, 1.0)}),
+                              (shifted, 6, {"center": 3 + 2j})):
+            u0 = build_particular_solution(pencil.p, pencil.q)
+            lo, hi = (two_point_series(build_formal_powers(pencil, u0, t), **kw)
+                      for t in (m, m + 40))
+            errors = []
+            for lam in (0.5 + 0.5j, -1 + 2j, 2.0, 8j):
+                z = lo.center + lam
+                errors.append(abs(complex(hi(z)) - complex(lo(z))))
+                assert errors[-1] <= lo.tail(abs(lam))
+            assert max(errors) > 0.0
 
 
 class TestTwoPointSeries:

@@ -263,3 +263,18 @@ class TestCertify:
         for z, certified in ((z0, False), (2 + 1j, True)):
             rec = certify(self.make_record(z), s, 0.0, Rectangle.around(z, 0.5))
             assert rec.certified is certified
+
+    def test_zero_between_samples_is_not_certified(self):
+        """Phi_M = z (z - z_out) with z_out 1e-7 outside the right edge of
+        [-0.5, 0.5]^2, midway between two boundary samples: |Phi_M| is 5e-8
+        there and 2.5e-4 at the samples, so a tail of half the sampled
+        minimum must not certify the zero at 0."""
+        rect = Rectangle(-0.5, 0.5, -0.5, 0.5)
+        pts = rootfinding._boundary_points(rect, 4000)
+        edge = np.sort(pts[pts.real == 0.5].imag)
+        z_out = complex(0.5 + 1e-7, (edge[500] + edge[501]) / 2)
+        s = series_from_roots([0.0, z_out])
+        w = winding_number(s, rect)
+        assert w.winding == 1 and abs(s(z_out - 1e-7)) < 1e-3 * w.boundary_min_abs
+        rec = certify(self.make_record(0.0), s, w.boundary_min_abs / 2, rect)
+        assert not rec.certified

@@ -261,6 +261,14 @@ class TestDispersion:
                 observed = abs(complex(full(lam)) - complex(series(lam)))
                 assert observed <= series.tail(abs(lam))
 
+    def test_tail_within_1e4_of_observed_error(self):
+        """At M = 20 and |lambda| = 2 on Klaus-Shaw the truncation error seen
+        against M = 200 is 2.7e-7; the tail is within a factor 1e4 of it."""
+        zs = materialize_potential({"kind": "klaus_shaw", "s": 0.956}, panels=16)
+        full, series = dispersion(zs, 200), dispersion(zs, 20)
+        observed = abs(complex(full(2.0)) - complex(series(2.0)))
+        assert 0.0 < observed <= series.tail(2.0) <= 1e4 * observed
+
 
 def semiclassical(eps, A, dA, S, dS):
     """Q = (i/eps) A e^(-i S/eps) and Q' = (i/eps)(A' - i A S'/eps) e^(-i S/eps)."""
