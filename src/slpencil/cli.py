@@ -52,7 +52,7 @@ from .zakharov import (
     POTENTIALS,
     materialize_potential,
     potential_half_width,
-    zs_dispersion,
+    zs_boundary,
     zs_particular_solution,
     zs_to_pencil,
 )
@@ -297,6 +297,12 @@ def validate_config(raw: dict) -> dict:
                 _fail("config.output", f"unknown output target {key!r}")
             if not isinstance(val, str):
                 _fail(f"config.output.{key}", "expected a path string")
+    # keys that only the other kinds read, looked up in the raw dict because
+    # the defaults give every kind a boundary
+    for key in (("interval", "coefficients", "boundary")
+                if kind == "zakharov_shabat" else ("potential",)):
+        if key in raw:
+            _fail("config", f"unknown key {key!r} for problem kind {kind!r}")
     return cfg
 
 
@@ -362,19 +368,16 @@ class _Assembly:
 
     base_pencil: PencilSpec
     initial_u0: ParticularSolution
-    series_from_table: callable  # (table, center) -> CharacteristicSeries
+    left: tuple   # the ends, as two_point_series takes them
+    right: tuple
     back_map_scale: complex | None
 
 
-def _build_assembly(cfg: dict, potential_override: dict | None = None) -> _Assembly:
+def _build_assembly(cfg: dict) -> _Assembly:
     """The problem sampled on the coarsest split of a uniform grid on which
     its coefficients and its center-0 u0 are resolved."""
-    pot = None
     if cfg["problem"] == "zakharov_shabat":
-        pot = dict(cfg["potential"])
-        if potential_override:
-            pot.update(potential_override)
-        b = potential_half_width(pot)
+        b = potential_half_width(cfg["potential"])
         a = -b
     else:
         a, b = (float(v) for v in cfg["interval"])
@@ -382,7 +385,7 @@ def _build_assembly(cfg: dict, potential_override: dict | None = None) -> _Assem
     grid = Grid.uniform(a, b, min(INITIAL_PANELS, (ceiling - 1) // (P - 1)))
 
     def build(g: Grid):
-        asm = _assemble(cfg, g, pot)
+        asm = _assemble(cfg, g)
         pencil, u0 = asm.base_pencil, asm.initial_u0
         return asm, unresolved(g, *(f.values for f in (
             pencil.p, pencil.q, *pencil.r, u0.u0, u0.u0_prime)))
@@ -390,17 +393,13 @@ def _build_assembly(cfg: dict, potential_override: dict | None = None) -> _Assem
     return refine(grid, build, ceiling, "center 0 coefficients")
 
 
-def _assemble(cfg: dict, grid: Grid, pot: dict | None) -> _Assembly:
+def _assemble(cfg: dict, grid: Grid) -> _Assembly:
     kind = cfg["problem"]
     m = cfg["truncation"]
     if kind == "zakharov_shabat":
-        zs = materialize_potential(pot, grid)
-        return _Assembly(
-            base_pencil=zs_to_pencil(zs),
-            initial_u0=zs_particular_solution(zs, truncation=m),
-            series_from_table=lambda table, center: zs_dispersion(table, zs, center),
-            back_map_scale=zs.back_map_scale,
-        )
+        zs = materialize_potential(cfg["potential"], grid)
+        return _Assembly(zs_to_pencil(zs), zs_particular_solution(zs, truncation=m),
+                         *zs_boundary(zs), zs.back_map_scale)
 
     coeffs = cfg["coefficients"]
     if kind == "string":
@@ -420,21 +419,14 @@ def _assemble(cfg: dict, grid: Grid, pot: dict | None) -> _Assembly:
                       energy=complex(*coeffs["energy"]))
         pencil = dirac_to_pencil(d)
 
-    left = tuple(cfg["boundary"]["left"])
-    right = tuple(cfg["boundary"]["right"])
-
     if np.max(np.abs(pencil.q.values)) == 0.0:
         u0 = ParticularSolution(constant(grid, 1.0), constant(grid, 0.0),
                                 "closed-form", 0.0, 1.0)
     else:
         u0 = build_particular_solution(pencil.p, pencil.q, truncation=m)
 
-    return _Assembly(
-        base_pencil=pencil, initial_u0=u0,
-        series_from_table=lambda table, center: two_point_series(
-            table, left=left, right=right, center=center),
-        back_map_scale=None,
-    )
+    return _Assembly(pencil, u0, tuple(cfg["boundary"]["left"]),
+                     tuple(cfg["boundary"]["right"]), None)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +466,8 @@ def run_solve(config_path: str, *, output_override: dict | None = None) -> Resul
     sweep = cfg.get("sweep")
     if sweep:
         values = sweep["values"]
-        partials = [_solve_single(cfg, {sweep["parameter"]: float(v)}) for v in values]
+        partials = [_solve_single({**cfg, "potential": {
+            **cfg["potential"], sweep["parameter"]: float(v)}}) for v in values]
         records, spurious, grids, excluded = [], [], [], 0
         for v, (recs, spur, excl, grid) in zip(values, partials):
             tag = {"sweep_value": float(v)}
@@ -483,7 +476,7 @@ def run_solve(config_path: str, *, output_override: dict | None = None) -> Resul
             grids += [{**tag, **g} for g in grid]
             excluded += excl
     else:
-        records, spurious, excluded, grids = _solve_single(cfg, None)
+        records, spurious, excluded, grids = _solve_single(cfg)
 
     metadata = {
         "problem": cfg["problem"],
@@ -527,11 +520,10 @@ def _resolved_table(pencil: PencilSpec, u0: ParticularSolution, m: int,
     return refine(pencil.grid, build, ceiling, where)
 
 
-def _solve_single(cfg: dict, potential_override: dict | None
-                  ) -> tuple[list[dict], list[dict], int, list[dict]]:
+def _solve_single(cfg: dict) -> tuple[list[dict], list[dict], int, list[dict]]:
     """Records, spurious roots, the residual-excluded count and the grid
     (panels and nodes) of each center."""
-    asm = _build_assembly(cfg, potential_override)
+    asm = _build_assembly(cfg)
     m = cfg["truncation"]
     tol = cfg["tolerances"]
     region = _region_rect(cfg["search_region"]) if cfg.get("search_region") else None
@@ -557,7 +549,8 @@ def _solve_single(cfg: dict, potential_override: dict | None
                                 f"center {j} at {center}")
         grids.append({"center": list(_c_pair(center)),
                       "panels": table.grid.panels, "nodes": table.grid.n_nodes})
-        series = asm.series_from_table(table, center)
+        series = two_point_series(table, left=asm.left, right=asm.right,
+                                  center=center)
 
         if cfg["method"] == "poly_roots":
             recs = _poly_records(series, center, keep_radius, region, spurious)
@@ -749,10 +742,10 @@ def emit_surface(config_path: str, *, out_path: str | None = None) -> str:
     if target is None:
         raise ConfigError("no surface output path (config.output.surface or --out)")
 
-    asm = _build_assembly(cfg, None)
+    asm = _build_assembly(cfg)
     table = _resolved_table(asm.base_pencil, asm.initial_u0, cfg["truncation"], (),
                             cfg["n_nodes"], "center 0")
-    series = asm.series_from_table(table, 0.0 + 0.0j)
+    series = two_point_series(table, left=asm.left, right=asm.right)
 
     nx, ny = surf["nx"], surf["ny"]
     cap = surf["cap"]

@@ -4,18 +4,23 @@ reduction.
 
 A spectral shift re-centers the power series at lambda0 by transforming the
 pencil coefficients; the series variable becomes Lambda = lambda - lambda0.
-A characteristic functional combines a few boundary constants with the
-right-end values of five formal-power families, written once: applied to a
-built table it gives the Taylor coefficients of the characteristic series, so
-eigenvalues become polynomial roots downstream, and applied to the constants'
-moduli and the families' tail bounds it gives the series' Rouche tail.  The
-damped string is a two-point Dirichlet problem for StringProblem.pencil.
+One boundary functional, written once, gives the characteristic series of
+every problem kind: beta1 u(b) + beta2 (p u')(b) of the solution that the
+left end condition fixes, read from the right-end values of four formal-power
+families, with beta1 and beta2 constants or polynomials in lambda.  Applied to
+a built table it gives the Taylor coefficients of the characteristic series,
+so eigenvalues become polynomial roots downstream, and applied to the
+constants' moduli and the families' tail bounds it gives the series' Rouche
+tail.  The damped string is a two-point Dirichlet problem for
+StringProblem.pencil; the Zakharov-Shabat dispersion relation is the
+two-point problem with a lambda-dependent right end (zakharov.zs_boundary).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Callable
 
 import numpy as np
@@ -158,38 +163,7 @@ def dirac_first_component(w: SampledFunction, w_prime: SampledFunction,
 
 
 # ---------------------------------------------------------------------------
-# characteristic functionals
-
-
-def characteristic_series(table: FormalPowerTable, functional: Callable,
-                          constants: tuple, center: complex = 0.0
-                          ) -> CharacteristicSeries:
-    """The series of a boundary functional of the table's right-end formal powers.
-
-    functional(*constants, xt_even, xt_lag, x_odd, x_even, x_lag) gives
-    coefficient n from Xtilde^(2n)(b), Xtilde^(2n-1)(b), X^(2n+1)(b),
-    X^(2n)(b) and X^(2n-1)(b) (the lagged ones 0 at n = 0).  It may only add,
-    multiply and divide by constants, so the same functional applied to the
-    constants' moduli and to tail_components' bounds on the five families
-    bounds |Phi - Phi_M| by the triangle inequality; that is the series' tail.
-    """
-    xt, x = table.xtilde_end, table.x_end
-    M = table.truncation
-    coeffs = np.empty(M + 1, dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):  # CharacteristicSeries checks
-        for n in range(M + 1):
-            xt_lag, x_lag = (xt[2 * n - 1], x[2 * n - 1]) if n >= 1 else (0.0, 0.0)
-            coeffs[n] = functional(*constants, xt[2 * n], xt_lag, x[2 * n + 1],
-                                   x[2 * n], x_lag)
-    moduli = tuple(abs(c) for c in constants)
-
-    def tail(lam_abs: float) -> float:
-        bounds = tail_components(table, lam_abs)
-        if math.inf in bounds:  # a zero constant times inf would give nan
-            return math.inf
-        return functional(*moduli, *bounds)
-
-    return CharacteristicSeries(center=center, coeffs=coeffs, tail=tail)
+# the boundary functional
 
 
 def _boundary_combination(u0: ParticularSolution, p: SampledFunction,
@@ -209,27 +183,67 @@ def _boundary_combination(u0: ParticularSolution, p: SampledFunction,
     return c1 / lead, c2 / lead
 
 
-def _two_point(c1, c2, b1, b2, u0b, pu0pb, xt_even, xt_lag, x_odd, x_even, x_lag):
-    """beta1 u(b) + beta2 (p u')(b) of u = c1 u1 + c2 u2, per power of lambda."""
+def _two_point(c1, c2, b1, b2, u0b, pu0pb, xt_even, xt_lag, x_odd, x_even):
+    """beta1 u(b) + beta2 (p u')(b) of u = c1 u1 + c2 u2 at order n, from
+    Xtilde^(2n), Xtilde^(2n-1) (0 at n = 0), X^(2n+1) and X^(2n) at b; applied
+    to moduli and to tail_components' four bounds, it bounds their tails."""
     return (c1 * (b1 * u0b * xt_even + b2 * pu0pb * xt_even + b2 * xt_lag / u0b)
             + c2 * (b1 * u0b * x_odd + b2 * pu0pb * x_odd + b2 * x_even / u0b))
 
 
+def _about(poly, center: complex) -> list[complex]:
+    """Coefficients, lowest first, of sum_k poly[k] lambda^k in powers of
+    lambda - center, by the binomial theorem; a number is a constant."""
+    b = [complex(v) for v in np.atleast_1d(poly)]
+    return [sum((math.comb(k, j) * center ** (k - j) * b[k]
+                 for k in range(j + 1, len(b))), b[j]) for j in range(len(b))]
+
+
 def two_point_series(table: FormalPowerTable, *,
                      left: tuple[complex, complex] = (1.0, 0.0),
-                     right: tuple[complex, complex] = (1.0, 0.0),
+                     right: tuple = (1.0, 0.0),
                      center: complex = 0.0) -> CharacteristicSeries:
     """Series whose zeros are eigenvalues of the separated boundary problem.
 
     The left condition alpha1 u + alpha2 (p u') = 0 at a, where the table's
-    formal powers are anchored, fixes the solution combination; the
-    coefficients collect beta1 u(b) + beta2 (p u')(b) per power of
-    (lambda - center), read from the table's right-end values.
+    formal powers are anchored, fixes the solution combination.  In the right
+    condition beta1 u + beta2 (p u') = 0 at b, each of beta1, beta2 is a number
+    or the coefficients of a polynomial in lambda, lowest first.  Re-expanded
+    as sum_j beta_j Lambda^j, Lambda = lambda - center, they make coefficient n
+    the Cauchy product sum_j F_(n-j)(beta_j) of _two_point's orders F_n, and
+    the tail for |Lambda| <= r is sum_j r^j [F(|c|, |beta_j|, |u0(b)|,
+    |p u0'(b)|; family tail bounds) + sum_(M-j<n<=M) r^n |F_n(beta_j)|], the
+    second sum being the in-table orders that Lambda^j pushes past M.
     """
-    b1, b2 = (complex(v) for v in right)
+    center = complex(center)
+    ends = list(zip_longest(*(_about(v, center) for v in right), fillvalue=0j))
     pencil = table.pencil
     u0b = table.u0.u0.values[-1]
     pu0pb = pencil.p.values[-1] * table.u0.u0_prime.values[-1]
     c1, c2 = _boundary_combination(table.u0, pencil.p, left)
-    return characteristic_series(table, _two_point, (c1, c2, b1, b2, u0b, pu0pb),
-                                 center)
+    xt, x = table.xtilde_end, table.x_end
+    M = table.truncation
+
+    def order(n, b1, b2):
+        xt_lag = xt[2 * n - 1] if n >= 1 else 0.0
+        return _two_point(c1, c2, b1, b2, u0b, pu0pb, xt[2 * n], xt_lag,
+                          x[2 * n + 1], x[2 * n])
+
+    with np.errstate(over="ignore", invalid="ignore"):  # CharacteristicSeries checks
+        terms = [[order(n, *b) for n in range(M + 1)] for b in ends]
+        coeffs = [sum((terms[j][n - j] for j in range(1, min(n, len(ends) - 1) + 1)),
+                      terms[0][n]) for n in range(M + 1)]
+
+    def tail(lam_abs: float) -> float:
+        bounds, r = tail_components(table, lam_abs), np.float64(lam_abs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = sum(r ** j * (
+                _two_point(abs(c1), abs(c2), abs(b1), abs(b2), abs(u0b), abs(pu0pb),
+                           *bounds)
+                + sum(r ** n * abs(terms[j][n])
+                      for n in range(max(0, M - j + 1), M + 1)))
+                for j, (b1, b2) in enumerate(ends))
+        # nan where an overflowing bound or power meets a zero factor
+        return total if total <= math.inf else math.inf
+
+    return CharacteristicSeries(center=center, coeffs=coeffs, tail=tail)

@@ -361,10 +361,10 @@ def chain_particular_solution(table: FormalPowerTable, lam: complex,
 # ---------------------------------------------------------------------------
 # truncation tails
 #
-# Each characteristic functional (problems.characteristic_series) is a sum of
-# products of boundary constants and right-end formal powers.  Bounding each
-# family's tail past order M and substituting the bounds and the constants'
-# moduli into the same functional bounds the series' tail.
+# The boundary functional (problems.two_point_series) is a sum of products of
+# boundary constants and the right-end values of four formal-power families.
+# Bounding each family's tail past order M and substituting the bounds and the
+# constants' moduli into the same functional bounds the series' tail.
 
 
 def _family_tails(grid: Grid, last: list[np.ndarray], odd: int, rho, r, M: int,
@@ -383,12 +383,12 @@ def _family_tails(grid: Grid, last: list[np.ndarray], odd: int, rho, r, M: int,
 
 
 def tail_components(table: FormalPowerTable, lam_abs: float
-                    ) -> tuple[float, float, float, float, float]:
+                    ) -> tuple[float, float, float, float]:
     """Rigorous bounds, for |lambda| <= r = lam_abs, on the right-end tails
-    |sum_{n>M} lambda^n F_n(b)| past M = table.truncation of the five
-    families a characteristic functional reads: F_n = Xtilde^(2n),
-    Xtilde^(2n-1), X^(2n+1), X^(2n) and X^(2n-1), in the order of
-    problems.characteristic_series.
+    |sum_{n>M} lambda^n F_n(b)| past M = table.truncation of the four
+    families the boundary functional reads: F_n = Xtilde^(2n),
+    Xtilde^(2n-1), X^(2n+1) and X^(2n), in the order of
+    problems._two_point.
 
     With g = 1/(u0^2 p), rho_k = u0^2 r_k and Lambda = sum_k lambda^k rho_k,
     S = sum_n lambda^n Xtilde^(2n) and A = sum_n lambda^n Xtilde^(2n-1)
@@ -402,8 +402,7 @@ def tail_components(table: FormalPowerTable, lam_abs: float
     max|rho_k|, kappa = sqrt(gamma mu) and F = sum_{k,i} r^(k+i) max_x
     |int_a^x rho_k Xtilde^(2i)| bounds |f|.  The X family solves the same
     system with X^(2i+1) in the forcing and bounds the X^(2n) and X^(2n+1)
-    tails; sum_{n>M} lambda^n X^(2n-1) = lambda (lambda^M X^(2M+1) +
-    sum_{n>M} lambda^n X^(2n+1)).
+    tails.
 
     The maxima are taken over the grid's nodes, so the bound holds up to how
     far |g|, |rho_k| and the integrals exceed their node values between
@@ -422,8 +421,7 @@ def tail_components(table: FormalPowerTable, lam_abs: float
         xt_last, x_last = table.last_orders
         xt_lag, xt_even = _family_tails(table.grid, xt_last, 0, rho, r, M, gamma, kappa)
         x_even, x_odd = _family_tails(table.grid, x_last, 1, rho, r, M, gamma, kappa)
-        x_lag = r * (r ** M * abs(table.x_end[2 * M + 1]) + x_odd)
-    bounds = (xt_even, xt_lag, x_odd, x_even, x_lag)
+    bounds = (xt_even, xt_lag, x_odd, x_even)
     return tuple(float(v) if v <= math.inf else math.inf for v in bounds)
 
 

@@ -3,16 +3,15 @@
 Eliminating v1 turns the system into a quadratic pencil for v2, so the SPPS
 machinery applies directly.  For a potential compactly supported on [-a, a]
 the Jost boundary conditions reduce the eigenvalue problem to the zeros (with
-Re lambda > 0) of an explicit dispersion series, which this module builds from
-a formal-power table of the pencil, optionally re-centered by a spectral
-shift.  The dispersion relation is one characteristic functional of the
-table's right-end formal powers: it gives the series' coefficients, and
-applied to the families' tail bounds, its Rouche tail.  A catalog of standard
-test potentials (a truncated parabola and two semiclassical sech profiles) is
-kept as Q templates in x, sampled on the expression path like a config's own
-Q, with Q' differentiated spectrally from the samples; semiclassical
-potentials are solved in the lambda = -(i/eps) Lambda frame and reported in
-both coordinates."""
+Re lambda > 0) of an explicit dispersion series.  It is the pencil's two-point
+series (problems.two_point_series) with the ends of zs_boundary, one of them
+lambda-dependent, built from a formal-power table optionally re-centered by a
+spectral shift; the same functional gives its Rouche tail.  A catalog of
+standard test potentials (a truncated parabola and two semiclassical sech
+profiles) is kept as Q templates in x, sampled on the expression path like a
+config's own Q, with Q' differentiated spectrally from the samples;
+semiclassical potentials are solved in the lambda = -(i/eps) Lambda frame and
+reported in both coordinates."""
 
 from __future__ import annotations
 
@@ -24,7 +23,6 @@ import numpy as np
 from .errors import GridError, NodeValueError
 from .expressions import evaluate_on_grid, parse
 from .grids import Grid, SampledFunction, cumulative_integral, derivative
-from .problems import CharacteristicSeries, characteristic_series
 from .spps import (
     FormalPowerTable,
     ParticularSolution,
@@ -107,26 +105,18 @@ def jost_constants(v0: ParticularSolution) -> tuple[complex, complex]:
     return 0.0, -complex(v0.u0.values[0])
 
 
-def _dispersion(v0a, w, Qa, xt_even, xt_lag, x_odd, x_even, x_lag):
-    """v0(a) (w X^(2k+1)(a) + v0(a) X^(2k-1)(a)) + Q(a) X^(2k)(a)."""
-    return v0a * (w * x_odd + v0a * x_lag) + Qa * x_even
+def zs_boundary(zs: ZSProblem) -> tuple[tuple, tuple]:
+    """(left, right) ends of the ZS pencil for problems.two_point_series.
 
-
-def zs_dispersion(table: FormalPowerTable, zs: ZSProblem,
-                  center: complex = 0.0) -> CharacteristicSeries:
-    """Dispersion series whose zeros (Re lambda > 0) are the ZS eigenvalues.
-
-    table holds the formal powers of the ZS pencil shifted to center, anchored
-    at the left end -a, with v0 = table.u0.  Coefficient k collects
-    v0(a) (w X^(2k+1)(a) + v0(a) X^(2k-1)(a)) + Q(a) X^(2k)(a) with
-    w = v0'(a) + center v0(a), and the same functional bounds the tail.
+    Past [-a, a] the system is v1' = lambda v1, v2' = -lambda v2, so for
+    Re lambda > 0 the Jost solutions decaying at -inf and +inf have v2(-a) = 0
+    and v1(a) = 0.  With u = v2, p = 1/Q and v1 = -(v2' + lambda v2)/Q these
+    are u(-a) = 0 and lambda u(a) + Q(a) (p u')(a) = 0 (beta1 = lambda has
+    coefficients (0, 1)).  The series is the paper's dispersion relation
+    v0(a) (w X^(2n+1)(a) + v0(a) X^(2n-1)(a)) + Q(a) X^(2n)(a),
+    w = v0'(a) + center v0(a), divided by v0(a).
     """
-    center = complex(center)
-    v0 = table.u0
-    v0a = v0.u0.values[-1]
-    w = v0.u0_prime.values[-1] + center * v0a
-    return characteristic_series(table, _dispersion, (v0a, w, zs.Q.values[-1]),
-                                 center)
+    return (1, 0), ((0, 1), zs.Q.values[-1])
 
 
 # ---------------------------------------------------------------------------

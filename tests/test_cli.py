@@ -126,15 +126,33 @@ class TestConfigValidation:
          "search_region", "imag"),
         ({"surface": {"region": {"rea": [0, 1], "im": [0, 1]}, "nx": 3, "ny": 3}},
          "surface.region", "rea"),
+        # a key that only another problem kind reads (path None: top level)
+        ({"potential": ZS["potential"]}, None, "potential"),
+        ({"problem": "string", "coefficients": {"damping": "1", "density": "1"},
+          "potential": ZS["potential"]}, None, "potential"),
+        ({"problem": "dirac", "coefficients": {"v": "2"},
+          "potential": ZS["potential"]}, None, "potential"),
     ])
     def test_unknown_key_in_block_rejected(self, tmp_path, capsys, overrides,
                                            path, key):
         cfg_path = intro_cfg(tmp_path, **overrides)
-        message = f"config.{path}: unknown key '{key}'"
+        message = f"config{'' if path is None else '.' + path}: unknown key '{key}'"
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(cfg_path)
         assert main(["solve", cfg_path]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("interval", [-1.0, 1.0]), ("coefficients", {"p": "1"}),
+        ("boundary", {"left": [1, 0], "right": [1, 0]}),
+    ])
+    def test_key_of_other_kind_rejected(self, tmp_path, key, value):
+        """The ends and the interval of a ZS problem are fixed by the problem,
+        so its config may not carry them, not even the default boundary."""
+        cfg = {**self.ZS, "n_nodes": 501, "truncation": 10, key: value}
+        message = f"config: unknown key '{key}' for problem kind 'zakharov_shabat'"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(write_config(tmp_path, "c.json", cfg))
 
     @pytest.mark.parametrize("overrides,path", [
         ({"boundary": {"left": 5}}, "config.boundary.left"),

@@ -207,9 +207,16 @@ class TestStringCharacteristic:
                           r=(sample(g, lambda x: (1 + 1j) * np.exp(x)),))
         shifted = shift_pencil(PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0),
                                           r=(sample(g, lambda x: 1 + x / 2),)), 3 + 2j)
+        # and the damped-end string, whose right end depends on lambda, at
+        # center 0 and shifted to 1 + 2i
+        damped = damped_end_string(g)
+        right = {"right": ((0.0, 2.0), 1.0)}
         for pencil, m, kw in ((cubic, 10, {"left": (1.0, 0.5), "right": (0.5, 1.5)}),
                               (cplx, 6, {"right": (0.0, 1.0)}),
-                              (shifted, 6, {"center": 3 + 2j})):
+                              (shifted, 6, {"center": 3 + 2j}),
+                              (damped, 6, right),
+                              (shift_pencil(damped, 1 + 2j), 6,
+                               {**right, "center": 1 + 2j})):
             u0 = build_particular_solution(pencil.p, pencil.q)
             lo, hi = (two_point_series(build_formal_powers(pencil, u0, t), **kw)
                       for t in (m, m + 40))
@@ -221,7 +228,39 @@ class TestStringCharacteristic:
             assert max(errors) > 0.0
 
 
+def damped_end_string(g):
+    """y'' = lambda^2 y: p = 1, q = 0, r = (0, 1)."""
+    return PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0),
+                      r=(constant(g, 0.0), constant(g, 1.0)))
+
+
 class TestTwoPointSeries:
+    @pytest.mark.parametrize("alpha,half", [(2.0, 0.0), (0.5, 0.5)])
+    def test_damped_end_string_modes(self, alpha, half):
+        """y'' = lambda^2 y on [0, 1], y(0) = 0, y'(1) + alpha lambda y(1) = 0
+        has tanh lambda = -1/alpha, so lambda_k = ln|(alpha-1)/(alpha+1)|/2 +
+        i pi (k + half).  At center 0 and at a center on the alpha = 2 line,
+        with u0 chained from the center-0 table as the solve loop does, every
+        mode within 6 of the center is a polished root exactly once."""
+        g = Grid.uniform(0.0, 1.0, 32)
+        pencil = damped_end_string(g)
+        line = 0.5 * np.log(abs((alpha - 1) / (alpha + 1)))
+        far = 0.5 * np.log(1 / 3) + 3j * np.pi
+        table = build_formal_powers(pencil, unit_u0(g), 60, eval_points=(far,))
+        shifted = shift_pencil(pencil, far)
+        u0 = chain_particular_solution(table, far, shifted.p, shifted.q)
+        for center, tab in ((0.0, table), (far, build_formal_powers(shifted, u0, 60))):
+            series = two_point_series(tab, left=(1.0, 0.0),
+                                      right=((0.0, alpha), 1.0), center=center)
+            modes = [line + 1j * np.pi * (k + half) for k in range(-3, 7)]
+            modes = [z for z in modes if abs(z - center) <= 6.0]
+            roots = [newton_polish(series, z) for z in poly_roots(series)
+                     if abs(z - center) <= 6.0]
+            assert len(roots) == len(modes) >= 3
+            for z in modes:
+                assert sum(abs(r - z) <= 1e-12 * abs(z) for r in roots) == 1
+
+
     def test_neumann_right_matches_derivative_zero(self):
         """With left Dirichlet and right Neumann the series zeros satisfy
         y(0) = 0, y'(1) = 0 for y'' = lambda y: lambda_n = -((n+1/2) pi)^2."""

@@ -10,14 +10,14 @@ import pytest
 from slpencil import Grid, NodeValueError, SampledFunction, cli, constant, sample
 from slpencil.cli import run_solve
 from slpencil.grids import cumulative_integral
-from slpencil.problems import shift_pencil
+from slpencil.problems import shift_pencil, two_point_series
 from slpencil.rootfinding import newton_polish, poly_roots
 from slpencil.spps import build_formal_powers, chain_particular_solution
 from slpencil.zakharov import (
     ZSProblem,
     jost_constants,
     materialize_potential,
-    zs_dispersion,
+    zs_boundary,
     zs_particular_solution,
     zs_solution,
     zs_to_pencil,
@@ -39,9 +39,16 @@ def dispersion_table(zs, truncation, eval_points=()):
                                eval_points=eval_points)
 
 
+def zs_series(table, zs, center=0.0):
+    """The dispersion series `slpencil solve` builds from a table of the ZS
+    pencil shifted to center."""
+    left, right = zs_boundary(zs)
+    return two_point_series(table, left=left, right=right, center=center)
+
+
 def dispersion(zs, truncation, eval_points=()):
     """The dispersion series `slpencil solve` builds at center 0."""
-    return zs_dispersion(dispersion_table(zs, truncation, eval_points), zs)
+    return zs_series(dispersion_table(zs, truncation, eval_points), zs)
 
 
 class TestPencilReduction:
@@ -199,13 +206,24 @@ class TestSolution:
 
 class TestDispersion:
     def test_leading_coefficient_formula(self):
+        """Coefficients 0 and 1, at center 0 and at 0.03 with v0 chained as
+        the solve loop does, are the paper's dispersion relation
+        v0(a) (w X^(2n+1) + v0(a) X^(2n-1)) + Q(a) X^(2n), w = v0'(a) +
+        center v0(a), divided by v0(a); order 1 checks the lambda term of the
+        right end."""
         zs = materialize_potential({"kind": "klaus_shaw", "s": 0.8}, panels=16)
-        table = dispersion_table(zs, 5)
-        series = zs_dispersion(table, zs)
-        v0 = table.u0
-        expected = (v0.u0.values[-1] * v0.u0_prime.values[-1] * table.x_end[1]
-                    + zs.Q.values[-1])
-        assert abs(series.coeffs[0] - expected) < 1e-14
+        base_table = dispersion_table(zs, 5, eval_points=(0.03,))
+        pencil = shift_pencil(zs_to_pencil(zs), 0.03)
+        v0 = chain_particular_solution(base_table, 0.03, pencil.p, pencil.q)
+        for center, table in ((0.0, base_table),
+                              (0.03, build_formal_powers(pencil, v0, 5))):
+            series = zs_series(table, zs, center)
+            v0a, x, Qa = table.u0.u0.values[-1], table.x_end, zs.Q.values[-1]
+            w = table.u0.u0_prime.values[-1] + center * v0a
+            for n, x_lag in ((0, 0.0), (1, x[1])):
+                expected = (v0a * (w * x[2 * n + 1] + v0a * x_lag)
+                            + Qa * x[2 * n]) / v0a
+                assert abs(series.coeffs[n] - expected) <= 1e-14 * abs(expected)
 
     def test_klaus_shaw_complex_pair(self):
         zs = materialize_potential({"kind": "klaus_shaw", "s": 0.956}, panels=16)
@@ -230,11 +248,11 @@ class TestDispersion:
         center-0 table as the solve loop does, agree with the unshifted ones."""
         zs = materialize_potential({"kind": "klaus_shaw", "s": 0.9999}, panels=16)
         base_table = dispersion_table(zs, 100, eval_points=(0.03,))
-        base = zs_dispersion(base_table, zs)
+        base = zs_series(base_table, zs)
         pencil = shift_pencil(zs_to_pencil(zs), 0.03)
         v0 = chain_particular_solution(base_table, 0.03, pencil.p, pencil.q)
         table = build_formal_powers(pencil, v0, 100)
-        shifted = zs_dispersion(table, zs, 0.03)
+        shifted = zs_series(table, zs, 0.03)
         assert shifted.center == 0.03
         b_roots = np.array(poly_roots(base))
         s_roots = np.array(poly_roots(shifted))
