@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ExpressionError, SLPencilError
 from .expressions import evaluate_on_grid, parse as parse_expr
-from .grids import P, Grid, constant, refine, unresolved
+from .grids import P, Grid, refine, unresolved
 from .problems import (
     CharacteristicSeries,
     DiracSpec,
@@ -102,8 +102,11 @@ def _fail(path: str, msg: str):
 
 
 def _is_number(val) -> bool:
-    """True for a JSON number; JSON true and false load as ints but are not."""
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    """True for a JSON number a double holds.  JSON true and false load as
+    ints but are not numbers; Python's json reads NaN and Infinity, and an
+    int past the double range, none of which any key takes."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
 
 
 def _require(cfg: dict, key: str, kind, path: str):
@@ -279,7 +282,7 @@ def validate_config(raw: dict) -> dict:
             _fail("config.sweep", "expected {\"parameter\": name, \"values\": [...]}")
         _reject_unknown(sweep, ("parameter", "values"), "config.sweep")
         for i, v in enumerate(sweep["values"]):
-            if not (_is_number(v) and math.isfinite(v)):
+            if not _is_number(v):
                 _fail(f"config.sweep.values[{i}]",
                       f"expected a finite number, got {v!r}")
         allowed = POTENTIALS[cfg["potential"]["kind"]].params
@@ -316,9 +319,8 @@ def _validate_potential(cfg: dict):
     own = ("Q", "P") if entry.Q is None else ()
     _reject_unknown(pot, ("kind", "half_width", *entry.params, *own),
                     "config.potential")
-    for key in entry.params:  # a template cannot take inf or nan
-        if not math.isfinite(_require(pot, key, float, "config.potential")):
-            _fail(f"config.potential.{key}", "expected a finite number")
+    for key in entry.params:
+        _require(pot, key, float, "config.potential")
     if entry.Q is None:
         _as_expression(_require(pot, "Q", str, "config.potential"),
                        "config.potential.Q")
@@ -420,8 +422,7 @@ def _assemble(cfg: dict, grid: Grid) -> _Assembly:
         pencil = dirac_to_pencil(d)
 
     if np.max(np.abs(pencil.q.values)) == 0.0:
-        u0 = ParticularSolution(constant(grid, 1.0), constant(grid, 0.0),
-                                "closed-form", 0.0, 1.0)
+        u0 = ParticularSolution.unit(grid)
     else:
         u0 = build_particular_solution(pencil.p, pencil.q, truncation=m)
 
@@ -464,19 +465,17 @@ def run_solve(config_path: str, *, output_override: dict | None = None) -> Resul
         cfg["output"] = {**(cfg.get("output") or {}), **output_override}
     t0 = time.monotonic()
     sweep = cfg.get("sweep")
-    if sweep:
-        values = sweep["values"]
-        partials = [_solve_single({**cfg, "potential": {
-            **cfg["potential"], sweep["parameter"]: float(v)}}) for v in values]
-        records, spurious, grids, excluded = [], [], [], 0
-        for v, (recs, spur, excl, grid) in zip(values, partials):
-            tag = {"sweep_value": float(v)}
-            records += [{**tag, **rec} for rec in recs]
-            spurious += [{**tag, **rec} for rec in spur]
-            grids += [{**tag, **g} for g in grid]
-            excluded += excl
-    else:
-        records, spurious, excluded, grids = _solve_single(cfg)
+    runs = [({}, cfg)] if not sweep else [
+        ({"sweep_value": float(v)},
+         {**cfg, "potential": {**cfg["potential"], sweep["parameter"]: float(v)}})
+        for v in sweep["values"]]
+    records, spurious, grids, excluded = [], [], [], 0
+    for tag, run in runs:
+        recs, spur, excl, grid = _solve_single(run)
+        records += [{**tag, **rec} for rec in recs]
+        spurious += [{**tag, **rec} for rec in spur]
+        grids += [{**tag, **g} for g in grid]
+        excluded += excl
 
     metadata = {
         "problem": cfg["problem"],

@@ -29,8 +29,6 @@ P = 16
 #: relative to the function's sup norm over the grid
 TAIL_TOL = 1e-13
 
-DIV_FLOOR = 1e-300
-
 
 def _chebyshev_matrices() -> tuple[np.ndarray, ...]:
     """Panel nodes t_j = -cos(pi j / (P-1)) on [-1, 1] and the maps from
@@ -133,7 +131,10 @@ class Grid:
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Complex values at the nodes of a grid; immutable after construction."""
+    """Complex values at the nodes of a grid; immutable after construction.
+
+    Nodewise arithmetic is numpy arithmetic on `.values`, wrapped in a new
+    SampledFunction on the same grid."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)
@@ -150,54 +151,6 @@ class SampledFunction:
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    # -- nodewise arithmetic -------------------------------------------------
-    def _check_same_grid(self, other: "SampledFunction"):
-        if other.grid != self.grid:
-            raise GridError("operands live on different grids")
-
-    def __add__(self, other):
-        if isinstance(other, SampledFunction):
-            self._check_same_grid(other)
-            return SampledFunction(self.grid, self.values + other.values)
-        return SampledFunction(self.grid, self.values + complex(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, SampledFunction):
-            self._check_same_grid(other)
-            return SampledFunction(self.grid, self.values - other.values)
-        return SampledFunction(self.grid, self.values - complex(other))
-
-    def __mul__(self, other):
-        if isinstance(other, SampledFunction):
-            self._check_same_grid(other)
-            return SampledFunction(self.grid, self.values * other.values)
-        return SampledFunction(self.grid, self.values * complex(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, SampledFunction):
-            self._check_same_grid(other)
-            _check_divisor(other.values)
-            return SampledFunction(self.grid, self.values / other.values)
-        return SampledFunction(self.grid, self.values / complex(other))
-
-    def __neg__(self):
-        return SampledFunction(self.grid, -self.values)
-
-    def conj(self) -> "SampledFunction":
-        return SampledFunction(self.grid, np.conj(self.values))
-
-
-def _check_divisor(values: np.ndarray):
-    mags = np.abs(values)
-    if mags.min() < DIV_FLOOR:
-        raise NodeValueError(
-            f"division by value of modulus below {DIV_FLOOR}", int(np.argmin(mags))
-        )
 
 
 def sample(grid: Grid, fn) -> SampledFunction:

@@ -31,24 +31,15 @@ from .spps import FormalPowerTable, ParticularSolution, PencilSpec, tail_compone
 
 
 def shift_pencil(spec: PencilSpec, lam0: complex) -> PencilSpec:
-    """Pencil re-centered at lambda0 by binomial expansion of the right-hand side.
+    """Pencil re-centered at lambda0: L0 u = u * sum_k Lambda^k r_eff[k-1].
 
-    L0 u = u * sum_k Lambda^k r_eff[k-1] with
-    r_eff[k] = sum_{l=0}^{N-k} C(k+l, l) lam0^l r_{k+l};
-    q_eff = q - sum_k lam0^k r_k.
+    q - sum_k lambda^k r_k re-expanded in powers of Lambda = lambda - lambda0
+    by _about, nodewise: the constant term is -q_eff, the others r_eff.
     """
-    lam0 = complex(lam0)
-    N = spec.degree
-    q_eff = spec.q.values.copy()
-    for k in range(1, N + 1):
-        q_eff = q_eff - (lam0 ** k) * spec.r[k - 1].values
-    r_eff = []
-    for k in range(1, N + 1):
-        acc = np.zeros(spec.grid.n_nodes, dtype=np.complex128)
-        for ell in range(0, N - k + 1):
-            acc += math.comb(k + ell, ell) * (lam0 ** ell) * spec.r[k + ell - 1].values
-        r_eff.append(SampledFunction(spec.grid, acc))
-    return PencilSpec(p=spec.p, q=SampledFunction(spec.grid, q_eff), r=tuple(r_eff))
+    g = spec.grid
+    about = _about([-spec.q.values, *(rk.values for rk in spec.r)], complex(lam0))
+    return PencilSpec(p=spec.p, q=SampledFunction(g, -about[0]),
+                      r=tuple(SampledFunction(g, v) for v in about[1:]))
 
 
 @dataclass
@@ -122,7 +113,7 @@ class StringProblem:
     def pencil(self) -> PencilSpec:
         g = self.grid
         return PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0),
-                          r=(2.0 * self.damping, self.density))
+                          r=(SampledFunction(g, 2.0 * self.damping.values), self.density))
 
 
 @dataclass(frozen=True)
@@ -191,10 +182,10 @@ def _two_point(c1, c2, b1, b2, u0b, pu0pb, xt_even, xt_lag, x_odd, x_even):
             + c2 * (b1 * u0b * x_odd + b2 * pu0pb * x_odd + b2 * x_even / u0b))
 
 
-def _about(poly, center: complex) -> list[complex]:
-    """Coefficients, lowest first, of sum_k poly[k] lambda^k in powers of
-    lambda - center, by the binomial theorem; a number is a constant."""
-    b = [complex(v) for v in np.atleast_1d(poly)]
+def _about(b: list, center: complex) -> list:
+    """Coefficients, lowest first, of sum_k b[k] lambda^k in powers of
+    lambda - center, by the binomial theorem; each b[k] is a number or a node
+    array."""
     return [sum((math.comb(k, j) * center ** (k - j) * b[k]
                  for k in range(j + 1, len(b))), b[j]) for j in range(len(b))]
 
@@ -216,7 +207,8 @@ def two_point_series(table: FormalPowerTable, *,
     second sum being the in-table orders that Lambda^j pushes past M.
     """
     center = complex(center)
-    ends = list(zip_longest(*(_about(v, center) for v in right), fillvalue=0j))
+    ends = list(zip_longest(*(_about([complex(c) for c in np.atleast_1d(v)], center)
+                              for v in right), fillvalue=0j))
     pencil = table.pencil
     u0b = table.u0.u0.values[-1]
     pu0pb = pencil.p.values[-1] * table.u0.u0_prime.values[-1]

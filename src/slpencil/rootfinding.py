@@ -78,6 +78,7 @@ class WindingResult:
     winding: int
     boundary_min_abs: float
     boundary_min_at: complex  # the sampled boundary point where |Phi| is smallest
+    gap: float  # the largest distance between neighbouring samples
 
 
 @dataclass(frozen=True)
@@ -260,7 +261,8 @@ def winding_number(series, rect: Rectangle,
         raise RootLocalizationError(
             f"total argument change {total:.3f} is not close to a multiple of 2*pi"
         )
-    return WindingResult(rect, winding, min_abs, complex(pts[i_min]))
+    gap = float(np.max(np.abs(np.diff(pts, append=pts[:1]))))
+    return WindingResult(rect, winding, min_abs, complex(pts[i_min]), gap)
 
 
 def _residue_trapezoid(series, rect: Rectangle, samples: int) -> complex:
@@ -390,7 +392,8 @@ def certify(record: EigenvalueRecord, series, tail: float,
 
     tail must bound |Phi - Phi_M| on the rectangle boundary; the count of true
     zeros inside then equals the winding of Phi_M, which must be the record's
-    alone.  Between two samples h apart |Phi_M| falls by at most
+    alone.  Between two of the winding's samples, h = WindingResult.gap
+    apart at most, |Phi_M| falls by at most
     (h/2) sum_k k |a_k| R^(k-1), R the farthest corner's distance from the
     center, so that much comes off the sampled minimum before it is compared
     with the tail.  A boundary whose winding cannot be resolved certifies
@@ -402,12 +405,10 @@ def certify(record: EigenvalueRecord, series, tail: float,
         w = winding_number(series, rect, samples_per_contour)
     except RootLocalizationError:
         return replace(record, certified=False)
-    pts = _boundary_points(rect, samples_per_contour)
-    gap = float(np.max(np.abs(np.diff(pts, append=pts[:1]))))
     k = np.arange(1, len(series.coeffs))
     with np.errstate(over="ignore", invalid="ignore"):  # a nan slope certifies nothing
         slope = np.sum(k * np.abs(series.coeffs[1:])
                        * rect.max_abs_from(series.center) ** (k - 1))
-        floor = w.boundary_min_abs - 0.5 * gap * slope
+        floor = w.boundary_min_abs - 0.5 * w.gap * slope
     ok = floor > tail and w.winding == record.multiplicity
     return replace(record, certified=bool(ok))  # a numpy bool would not serialize

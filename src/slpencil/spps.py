@@ -85,6 +85,12 @@ class ParticularSolution:
     noise: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
+    def unit(grid: Grid) -> "ParticularSolution":
+        """u0 = 1, u0' = 0: the particular solution of a pencil with q = 0."""
+        return ParticularSolution(constant(grid, 1.0), constant(grid, 0.0),
+                                  "closed-form", 0.0, 1.0)
+
+    @staticmethod
     def from_samples(u0: SampledFunction, u0_prime: SampledFunction,
                      p: SampledFunction, q: SampledFunction,
                      provenance: str = "user-supplied") -> "ParticularSolution":
@@ -162,6 +168,8 @@ class FormalPowerTable:
     x_end: np.ndarray       # X^(n)(b)
     sums: dict[complex, PowerSums]
     unresolved: np.ndarray
+    # the recursion kernels (g, rho): g = 1/(u0^2 p) and rho_k = u0^2 r_k
+    kernels: tuple[np.ndarray, list[np.ndarray]]
     # the last (up to 2N) whole-grid powers of the Xtilde and the X family,
     # oldest first and ending at order 2M+1, which tail_components restarts from
     last_orders: tuple[list[np.ndarray], list[np.ndarray]]
@@ -265,7 +273,8 @@ def build_formal_powers(spec: PencilSpec, u0: ParticularSolution,
 
     return FormalPowerTable(pencil=spec, u0=u0, truncation=truncation,
                             xtilde_end=xtilde_end, x_end=x_end, sums=sums,
-                            unresolved=bad, last_orders=(xt_last, x_last))
+                            unresolved=bad, kernels=(inv_u0sq_p, weighted_r),
+                            last_orders=(xt_last, x_last))
 
 
 def evaluate_solution(table: FormalPowerTable, lam: complex, c1: complex,
@@ -302,12 +311,9 @@ def build_particular_solution(p: SampledFunction, q: SampledFunction, *,
     is checked numerically.
     """
     grid = p.grid
-    seed = ParticularSolution(
-        u0=constant(grid, 1.0), u0_prime=constant(grid, 0.0),
-        provenance="closed-form", residual=0.0, min_modulus_ratio=1.0,
-    )
-    aux = PencilSpec(p=p, q=constant(grid, 0.0), r=(-q,))
-    table = build_formal_powers(aux, seed, truncation, eval_points=(1.0 + 0.0j,))
+    aux = PencilSpec(p=p, q=constant(grid, 0.0), r=(SampledFunction(grid, -q.values),))
+    table = build_formal_powers(aux, ParticularSolution.unit(grid), truncation,
+                                eval_points=(1.0 + 0.0j,))
     u1, u1p = evaluate_solution(table, 1.0, 1.0, 0.0)
     u2, u2p = evaluate_solution(table, 1.0, 0.0, 1.0)
     u0 = SampledFunction(grid, u1.values + 1j * u2.values)
@@ -390,7 +396,8 @@ def tail_components(table: FormalPowerTable, lam_abs: float
     Xtilde^(2n-1), X^(2n+1) and X^(2n), in the order of
     problems._two_point.
 
-    With g = 1/(u0^2 p), rho_k = u0^2 r_k and Lambda = sum_k lambda^k rho_k,
+    With the table's kernels g = 1/(u0^2 p) and rho_k = u0^2 r_k (read from
+    table.kernels, as the recursion used them) and Lambda = sum_k lambda^k rho_k,
     S = sum_n lambda^n Xtilde^(2n) and A = sum_n lambda^n Xtilde^(2n-1)
     solve the Volterra system S = 1 + int_a g A, A = int_a Lambda S, so their
     tails past M solve T_S = int_a g T_A, T_A = f + int_a Lambda T_S, forced
@@ -411,11 +418,10 @@ def tail_components(table: FormalPowerTable, lam_abs: float
     overflowing factor is inf, never nan.
     """
     M = table.truncation
-    u0sq = table.u0.u0.values * table.u0.u0.values
-    rho = [u0sq * rk.values for rk in table.pencil.r]
+    g, rho = table.kernels
     r = np.float64(lam_abs)
     with np.errstate(over="ignore", invalid="ignore"):
-        gamma = np.max(np.abs(1.0 / (u0sq * table.pencil.p.values)))
+        gamma = np.max(np.abs(g))
         kappa = np.sqrt(gamma * sum(r ** k * np.max(np.abs(rk))
                                     for k, rk in enumerate(rho, 1)))
         xt_last, x_last = table.last_orders

@@ -100,11 +100,6 @@ def zs_solution(zs: ZSProblem, table: FormalPowerTable, lam: complex,
     return v1, v2
 
 
-def jost_constants(v0: ParticularSolution) -> tuple[complex, complex]:
-    """(c1, c2) giving v1(-a) = 1, v2(-a) = 0."""
-    return 0.0, -complex(v0.u0.values[0])
-
-
 def zs_boundary(zs: ZSProblem) -> tuple[tuple, tuple]:
     """(left, right) ends of the ZS pencil for problems.two_point_series.
 
@@ -189,6 +184,6 @@ def materialize_potential(pot: dict, grid: Grid | None = None, *,
     if "P" in pot:
         P = evaluate_on_grid(parse(pot["P"]), grid)
     else:
-        P = Q.conj() if kind.conjugate else Q
+        P = SampledFunction(grid, np.conj(Q.values)) if kind.conjugate else Q
     scale = kind.back_map_scale(pot) if kind.back_map_scale else None
     return ZSProblem(Q=Q, P=P, Q_prime=derivative(Q), back_map_scale=scale)

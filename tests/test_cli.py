@@ -184,11 +184,29 @@ class TestConfigValidation:
          "config.potential.s"),
         ({**ZS, "sweep": {"parameter": "s", "values": [float("nan")]}},
          "config.sweep.values[0]"),
+        # Python's json reads NaN and Infinity; no key takes them
+        ({"spectral_shifts": [float("inf")]}, "config.spectral_shifts[0]"),
+        ({"spectral_shifts": [[float("nan"), 1.0]]}, "config.spectral_shifts[0]"),
+        ({"tolerances": {"localize": float("nan")}}, "config.tolerances.localize"),
+        ({"tolerances": {"merge": float("inf")}}, "config.tolerances.merge"),
+        ({"tolerances": {"residual": float("inf")}}, "config.tolerances.residual"),
+        ({"boundary": {"left": [float("nan"), 0]}}, "config.boundary.left[0]"),
+        ({"interval": [0.0, float("inf")]}, "config.interval"),
+        ({"search_region": {"re": [float("-inf"), 5.0], "im": [-8.0, 8.0]}},
+         "config.search_region.re"),
+        ({**ZS, "potential": {"kind": "bronski", "epsilon": 0.2,
+                              "half_width": float("inf")}},
+         "config.potential.half_width"),
+        # nor an int past the double range
+        ({"spectral_shifts": [10**400]}, "config.spectral_shifts[0]"),
     ], ids=["boundary_side", "half_width", "expression_P", "bool_truncation",
             "bool_localize", "bool_interval", "bool_shift", "bool_sweep_value",
             "bool_klaus_shaw_half_width", "string_sweep_value", "number_certify",
             "dict_certify", "string_require_certified", "expression_sweep_Q",
-            "infinite_parameter", "nan_sweep_value"])
+            "infinite_parameter", "nan_sweep_value", "infinite_shift", "nan_shift",
+            "nan_localize", "infinite_merge", "infinite_residual", "nan_boundary",
+            "infinite_interval", "infinite_region", "infinite_half_width",
+            "huge_int_shift"])
     def test_bad_value_in_block_rejected(self, tmp_path, capsys, overrides, path):
         assert main(["solve", intro_cfg(tmp_path, **overrides)]) == 1
         assert f"config error: {path}: " in capsys.readouterr().err

@@ -126,9 +126,9 @@ class TestCumulativeIntegral:
         f = sample(g, np.exp)
         h = sample(g, np.sin)
         a, b = 2.0 - 1.0j, -0.5 + 3.0j
-        lhs = cumulative_integral(a * f + b * h)
-        rhs = a * cumulative_integral(f) + b * cumulative_integral(h)
-        assert np.max(np.abs(lhs.values - rhs.values)) < 1e-13 * np.max(np.abs(lhs.values))
+        lhs = cumulative_integral(SampledFunction(g, a * f.values + b * h.values)).values
+        rhs = a * cumulative_integral(f).values + b * cumulative_integral(h).values
+        assert np.max(np.abs(lhs - rhs)) < 1e-13 * np.max(np.abs(lhs))
 
     def test_anchored_at_zero(self):
         F = cumulative_integral(sample(grid01(3), np.exp))
@@ -157,41 +157,6 @@ class TestCumulativeIntegral:
             errs.append(np.max(np.abs(F.values - anti(g.nodes))))
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert min(orders) >= 7.0
-
-
-class TestPointwise:
-    def test_mul_constants(self):
-        f = constant(grid01(), 2.0)
-        g = constant(grid01(), 3.0)
-        assert np.all((f * g).values == 6.0)
-
-    def test_self_division_is_one(self):
-        g = grid01(2)
-        f = sample(g, lambda x: np.exp(x) + 1j)
-        q = f / f
-        assert np.max(np.abs(q.values - 1.0)) < 1e-15
-
-    def test_odd_symmetry_add(self):
-        g = Grid.uniform(-1.0, 1.0, 2)
-        f = sample(g, lambda x: x)
-        s = f + (-f)
-        assert np.all(s.values == 0.0)
-
-    def test_grid_mismatch(self):
-        with pytest.raises(GridError):
-            constant(grid01(1), 1.0) + constant(grid01(2), 1.0)
-
-    def test_division_floor_reports_node(self):
-        v = np.ones(grid01().n_nodes, dtype=complex)
-        v[4] = 0.0
-        g = SampledFunction(grid01(), v)
-        with pytest.raises(NodeValueError) as err:
-            constant(grid01(), 1.0) / g
-        assert err.value.node_index == 4
-
-    def test_scale(self):
-        f = constant(grid01(), 2.0)
-        assert np.all((f * 1.5j).values == 3.0j)
 
 
 class TestDerivative:

@@ -32,11 +32,6 @@ def intro_pencil(panels=16):
                       r=(constant(g, 1.0), constant(g, 2.0)))
 
 
-def unit_u0(g):
-    return ParticularSolution(constant(g, 1.0), constant(g, 0.0),
-                              "closed-form", 0.0, 1.0)
-
-
 class TestShiftPencil:
     def test_zero_shift_is_identity(self):
         spec = intro_pencil(4)
@@ -57,6 +52,24 @@ class TestShiftPencil:
         assert np.array_equal(sh.r[1].values, r2.values)
         assert np.allclose(sh.q.values,
                            q.values - lam0 * r1.values - lam0**2 * r2.values)
+
+    def test_matches_binomial_loop(self):
+        """The re-expansion equals, value for value, the direct loops
+        q_eff = q - sum_k lam0^k r_k and
+        r_eff[k] = sum_l C(k+l, l) lam0^l r_(k+l), summed in the same order."""
+        g = Grid.uniform(0.0, 1.0, 4)
+        q = sample(g, lambda x: np.sin(x) + 0.5j)
+        r = [sample(g, lambda x, k=k: np.exp(k * x) - 1j * x) for k in range(1, 4)]
+        lam0 = -1.1 - 3.0j
+        sh = shift_pencil(PencilSpec(p=constant(g, 1.0), q=q, r=tuple(r)), lam0)
+        q_eff = q.values
+        for k in range(1, 4):
+            q_eff = q_eff - lam0**k * r[k - 1].values
+        assert np.array_equal(sh.q.values, q_eff)
+        for k in range(1, 4):
+            r_eff = sum(math.comb(k + ell, ell) * lam0**ell * r[k + ell - 1].values
+                        for ell in range(4 - k))
+            assert np.array_equal(sh.r[k - 1].values, r_eff)
 
     def test_shift_then_unshift_roundtrip(self):
         g = Grid.uniform(0.0, 1.0, 4)
@@ -81,7 +94,7 @@ class TestShiftPencil:
         exact = np.cosh(np.sqrt(lam + 2 * lam**2))
 
         lam0 = 1.0
-        table0 = build_formal_powers(spec, unit_u0(g), 60, eval_points=(lam, lam0))
+        table0 = build_formal_powers(spec, ParticularSolution.unit(g), 60, eval_points=(lam, lam0))
         u_direct, _ = evaluate_solution(table0, lam, 1.0, 0.0)
 
         sh = shift_pencil(spec, lam0)
@@ -100,7 +113,7 @@ def string_series(sp, truncation, center=0.0, u0=None):
     """The Dirichlet series `slpencil solve` builds for a string at one center:
     the string pencil, shifted to center, through two_point_series."""
     pencil = sp.pencil if center == 0 else shift_pencil(sp.pencil, center)
-    table = build_formal_powers(pencil, u0 or unit_u0(sp.grid), truncation)
+    table = build_formal_powers(pencil, u0 or ParticularSolution.unit(sp.grid), truncation)
     return two_point_series(table, center=center)
 
 
@@ -147,7 +160,7 @@ class TestStringCharacteristic:
         g = Grid.uniform(0.0, 1.0, 32)
         sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
         lam0 = -1.0 - 3.0j
-        table = build_formal_powers(sp.pencil, unit_u0(g), 100, eval_points=(lam0,))
+        table = build_formal_powers(sp.pencil, ParticularSolution.unit(g), 100, eval_points=(lam0,))
         base = two_point_series(table)
         pencil = shift_pencil(sp.pencil, lam0)
         u0 = chain_particular_solution(table, lam0, pencil.p, pencil.q)
@@ -165,7 +178,7 @@ class TestStringCharacteristic:
         g = Grid.uniform(0.0, 1.0, 32)
         sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
         lam1 = complex(-1 + np.sqrt(complex(1 - np.pi**2)))
-        table = build_formal_powers(sp.pencil, unit_u0(g), 60, eval_points=(lam1,))
+        table = build_formal_powers(sp.pencil, ParticularSolution.unit(g), 60, eval_points=(lam1,))
         y, _ = evaluate_solution(table, lam1, 0.0, 1.0)
         assert abs(y.values[-1]) <= 1e-6 * np.max(np.abs(y.values))
 
@@ -246,7 +259,7 @@ class TestTwoPointSeries:
         pencil = damped_end_string(g)
         line = 0.5 * np.log(abs((alpha - 1) / (alpha + 1)))
         far = 0.5 * np.log(1 / 3) + 3j * np.pi
-        table = build_formal_powers(pencil, unit_u0(g), 60, eval_points=(far,))
+        table = build_formal_powers(pencil, ParticularSolution.unit(g), 60, eval_points=(far,))
         shifted = shift_pencil(pencil, far)
         u0 = chain_particular_solution(table, far, shifted.p, shifted.q)
         for center, tab in ((0.0, table), (far, build_formal_powers(shifted, u0, 60))):
@@ -267,7 +280,7 @@ class TestTwoPointSeries:
         g = Grid.uniform(0.0, 1.0, 32)
         spec = PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0),
                           r=(constant(g, 1.0),))
-        table = build_formal_powers(spec, unit_u0(g), 60)
+        table = build_formal_powers(spec, ParticularSolution.unit(g), 60)
         series = two_point_series(table, left=(1.0, 0.0), right=(0.0, 1.0))
         roots = np.array(poly_roots(series))
         for n in range(3):
@@ -279,7 +292,7 @@ class TestTwoPointSeries:
         g = Grid.uniform(0.0, 1.0, 16)
         spec = PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0),
                           r=(constant(g, 1.0),))
-        table = build_formal_powers(spec, unit_u0(g), 30)
+        table = build_formal_powers(spec, ParticularSolution.unit(g), 30)
         series = two_point_series(table, left=(1.0, 0.0), right=(0.5, 1.5))
         t = series.tail(2.0)
         assert 0 < t < 1e-10

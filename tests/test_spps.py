@@ -33,11 +33,6 @@ def intro_pencil(panels=16):
                       r=(constant(g, 1.0), constant(g, 2.0)))
 
 
-def unit_u0(g):
-    return ParticularSolution(constant(g, 1.0), constant(g, 0.0),
-                              "closed-form", 0.0, 1.0)
-
-
 def even_tail(spec, u0, lam_abs, truncation):
     """Bound on the right-end tail of sum lam^n Xtilde^(2n) past order M."""
     return tail_components(build_formal_powers(spec, u0, truncation), lam_abs)[0]
@@ -62,7 +57,7 @@ class TestFormalPowers:
     def test_base_cases(self):
         spec = intro_pencil(4)
         lams = (0.37 + 0.2j, -1.5, 2.0j)
-        t = build_formal_powers(spec, unit_u0(spec.grid), 3, eval_points=lams)
+        t = build_formal_powers(spec, ParticularSolution.unit(spec.grid), 3, eval_points=lams)
         assert t.xtilde_end[0] == 1.0 and t.x_end[0] == 1.0
         assert t.xtilde_end.shape == t.x_end.shape == (8,)
         # every power of order >= 1 vanishes at the anchor, so at the left end
@@ -77,7 +72,7 @@ class TestFormalPowers:
         spec = intro_pencil(16)
         x = spec.grid.nodes
         lam = 0.6 - 0.45j
-        t = build_formal_powers(spec, unit_u0(spec.grid), 3, eval_points=(lam,))
+        t = build_formal_powers(spec, ParticularSolution.unit(spec.grid), 3, eval_points=(lam,))
         expected = {
             2: x**2 / 2,
             4: x**2 + x**4 / 24,
@@ -94,7 +89,7 @@ class TestFormalPowers:
         g = Grid.uniform(0.0, 1.0, 8)
         spec = PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0), r=(constant(g, 1.0),))
         lam = -2.0 + 1.0j
-        t = build_formal_powers(spec, unit_u0(g), 5, eval_points=(lam,))
+        t = build_formal_powers(spec, ParticularSolution.unit(g), 5, eval_points=(lam,))
         x = g.nodes
         refs = [x ** (2 * n) / math.factorial(2 * n) for n in range(6)]
         for n in range(1, 6):
@@ -159,20 +154,20 @@ class TestFormalPowers:
 class TestEvaluateSolution:
     def test_lambda_zero_returns_u0(self):
         spec = intro_pencil(4)
-        table = build_formal_powers(spec, unit_u0(spec.grid), 5, eval_points=(0.0,))
+        table = build_formal_powers(spec, ParticularSolution.unit(spec.grid), 5, eval_points=(0.0,))
         u, up = evaluate_solution(table, 0.0, 1.0, 0.0)
         assert np.max(np.abs(u.values - 1.0)) == 0.0
         assert np.max(np.abs(up.values)) == 0.0
 
     def test_lambda_not_in_eval_points_rejected(self):
         spec = intro_pencil(4)
-        table = build_formal_powers(spec, unit_u0(spec.grid), 5, eval_points=(0.5,))
+        table = build_formal_powers(spec, ParticularSolution.unit(spec.grid), 5, eval_points=(0.5,))
         with pytest.raises(GridError, match="eval_points"):
             evaluate_solution(table, 0.25, 1.0, 0.0)
 
     def test_intro_example_cosh_value(self):
         spec = intro_pencil(32)
-        table = build_formal_powers(spec, unit_u0(spec.grid), 30, eval_points=(0.1,))
+        table = build_formal_powers(spec, ParticularSolution.unit(spec.grid), 30, eval_points=(0.1,))
         u, _ = evaluate_solution(table, 0.1, 1.0, 0.0)
         exact = np.cosh(np.sqrt(0.12))
         assert abs(u.values[-1] - exact) <= 1e-12
@@ -207,7 +202,7 @@ class TestEvaluateSolution:
         spec = intro_pencil(16)
         g = spec.grid
         lams = (0.4, 1.0j, -0.5 + 0.5j)
-        table = build_formal_powers(spec, unit_u0(g), 40, eval_points=lams)
+        table = build_formal_powers(spec, ParticularSolution.unit(g), 40, eval_points=lams)
         for lam in lams:
             u, up = evaluate_solution(table, lam, 0.7, -0.3 + 1j)
             rhs = u.values * (lam * spec.r[0].values + lam**2 * spec.r[1].values
@@ -254,7 +249,7 @@ class TestParticularSolution:
         spec = intro_pencil(16)
         g = spec.grid
         lam0 = 1.0
-        table = build_formal_powers(spec, unit_u0(g), 40, eval_points=(lam0,))
+        table = build_formal_powers(spec, ParticularSolution.unit(g), 40, eval_points=(lam0,))
         # q_eff = q - (lam0 r1 + lam0^2 r2) = -3 for the intro pencil
         q_eff = constant(g, -3.0)
         u0 = chain_particular_solution(table, lam0, spec.p, q_eff)
@@ -270,11 +265,11 @@ class TestParticularSolution:
 class TestTailBound:
     def test_zero_lambda(self):
         spec = intro_pencil(4)
-        assert even_tail(spec, unit_u0(spec.grid), 0.0, 10) == 0.0
+        assert even_tail(spec, ParticularSolution.unit(spec.grid), 0.0, 10) == 0.0
 
     def test_monotonicity(self):
         spec = intro_pencil(4)
-        u0 = unit_u0(spec.grid)
+        u0 = ParticularSolution.unit(spec.grid)
         bounds_m = [even_tail(spec, u0, 1.0, M) for M in (5, 10, 20, 40)]
         assert all(a >= b for a, b in zip(bounds_m, bounds_m[1:]))
         bounds_lam = [even_tail(spec, u0, la, 20) for la in (0.5, 1.0, 2.0, 4.0)]
@@ -282,7 +277,7 @@ class TestTailBound:
 
     def test_tail_is_a_true_bound_for_intro_example(self):
         spec = intro_pencil(16)
-        u0 = unit_u0(spec.grid)
+        u0 = ParticularSolution.unit(spec.grid)
         t_small = build_formal_powers(spec, u0, 12)
         t_big = build_formal_powers(spec, u0, 24)
         for lam in np.exp(1j * np.linspace(0, 2 * np.pi, 7)):
