@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ExpressionError, SLPencilError
+from .errors import (
+    ConfigError,
+    ExpressionError,
+    NodeValueError,
+    SLPencilError,
+    SolverError,
+)
 from .expressions import evaluate_on_grid, parse as parse_expr
 from .grids import P, Grid, refine, unresolved
 from .problems import (
@@ -46,6 +52,7 @@ from .spps import (
     build_formal_powers,
     build_particular_solution,
     chain_particular_solution,
+    recursion_kernels,
 )
 from .zakharov import (
     DEFAULT_HALF_WIDTH,
@@ -348,7 +355,14 @@ def _parse_region(raw, path: str) -> dict:
         if (not isinstance(pair, list) or len(pair) != 2
                 or not all(map(_is_number, pair)) or not pair[0] < pair[1]):
             _fail(f"{path}.{axis}", f"expected [lo, hi] with lo < hi, got {pair!r}")
-    return {"re": [float(v) for v in raw["re"]], "im": [float(v) for v in raw["im"]]}
+    region = {axis: [float(v) for v in raw[axis]] for axis in ("re", "im")}
+    # the contour sampling divides the perimeter among the sides
+    for axis, (lo, hi) in region.items():
+        if not math.isfinite(hi - lo):
+            _fail(f"{path}.{axis}", f"the width of {raw[axis]!r} is not a finite number")
+    if not math.isfinite(2 * sum(hi - lo for lo, hi in region.values())):
+        _fail(path, "the perimeter is not a finite number")
+    return region
 
 
 def _region_rect(region: dict) -> Rectangle:
@@ -510,10 +524,18 @@ def _resolved_config(cfg: dict) -> dict:
 def _resolved_table(pencil: PencilSpec, u0: ParticularSolution, m: int,
                     eval_points: tuple, ceiling: int, where: str):
     """The formal-power table on the coarsest split of the pencil's grid that
-    resolves it, with the pencil and u0 interpolated onto the split panels."""
+    resolves it, with the pencil and u0 interpolated onto the split panels.
+
+    Kernels first: a grid on which the recursion kernels g = 1/(u0^2 p) and
+    u0^2 r_k are not resolved is split on their flags alone, and no table is
+    built on it.  Only a grid whose kernels pass gets a table, which is split
+    again where its top-order integrands are not resolved."""
     def build(grid: Grid):
-        table = build_formal_powers(pencil.on(grid), u0.on(grid), m,
-                                    eval_points=eval_points)
+        spec, u = pencil.on(grid), u0.on(grid)
+        bad = recursion_kernels(spec, u)[2]
+        if bad.any():
+            return None, bad
+        table = build_formal_powers(spec, u, m, eval_points=eval_points)
         return table, table.unresolved
 
     return refine(pencil.grid, build, ceiling, where)
@@ -563,7 +585,11 @@ def _solve_single(cfg: dict) -> tuple[list[dict], list[dict], int, list[dict]]:
         if next_rel is not None:
             # the next center's pencil, and its u0 chained from this table
             pencil = shift_pencil(asm.base_pencil.on(table.grid), centers[j + 1])
-            u0 = chain_particular_solution(table, next_rel, pencil.p, pencil.q)
+            try:
+                u0 = chain_particular_solution(table, next_rel, pencil.p, pencil.q)
+            except NodeValueError as err:  # the series sums overflow that far out
+                raise SolverError(f"chaining u0 to center {j + 1} at {centers[j + 1]}: "
+                                  f"{err}") from err
 
     final, excluded = [], 0
     for rec, rel_res in _merge_records(all_records, merge_eps):

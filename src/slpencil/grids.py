@@ -165,20 +165,31 @@ def constant(grid: Grid, value: complex) -> SampledFunction:
 def _nodewise(grid: Grid, cols: np.ndarray) -> np.ndarray:
     """Node array from per-panel columns (P, panels); a node shared by two
     panels takes the right panel's value."""
-    out = np.empty(grid.n_nodes, dtype=np.complex128)
+    out = np.empty(grid.n_nodes, dtype=cols.dtype)
     out[:-1].reshape(grid.panels, P - 1)[:] = cols[:-1].T
     out[-1] = cols[-1, -1]
     return out
 
 
+def _cumulative_panels(grid: Grid, cols: np.ndarray) -> np.ndarray:
+    """Antiderivatives, in panel layout, of the functions in cols, an array
+    (..., P, panels) with one function in panel layout per leading index.
+    A node shared by two panels gets the same bits in both: row 0 of _INT
+    is zero, so the right panel's copy is the running total of the panels to
+    its left, the same sum that ends the left panel."""
+    # each panel's integrals from its left end, as one real matmul
+    local = (_INT @ cols.view(np.float64)).view(np.complex128)
+    local *= grid.half_widths
+    # offsets[..., k]: the total of the panels left of panel k
+    offsets = np.zeros((*local.shape[:-2], 1, grid.panels + 1), dtype=np.complex128)
+    np.add.accumulate(local[..., -1:, :], axis=-1, out=offsets[..., 1:])
+    local += offsets[..., :-1]
+    return local
+
+
 def _cumulative_values(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Raw-array core of cumulative_integral (no validation, no wrapping)."""
-    # each panel's integrals from its left end, as one real matmul
-    local = (_INT @ v[grid.panel_index].view(np.float64)).view(np.complex128)
-    local *= grid.half_widths
-    offsets = np.cumsum(local[-1])
-    local[:, 1:] += offsets[:-1]
-    return _nodewise(grid, local)
+    return _nodewise(grid, _cumulative_panels(grid, v[grid.panel_index]))
 
 
 def cumulative_integral(f: SampledFunction) -> SampledFunction:

@@ -185,9 +185,17 @@ def _two_point(c1, c2, b1, b2, u0b, pu0pb, xt_even, xt_lag, x_odd, x_even):
 def _about(b: list, center: complex) -> list:
     """Coefficients, lowest first, of sum_k b[k] lambda^k in powers of
     lambda - center, by the binomial theorem; each b[k] is a number or a node
-    array."""
-    return [sum((math.comb(k, j) * center ** (k - j) * b[k]
-                 for k in range(j + 1, len(b))), b[j]) for j in range(len(b))]
+    array.  A coefficient that overflows is a SolverError naming the center."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = [sum((math.comb(k, j) * center ** (k - j) * b[k]
+                        for k in range(j + 1, len(b))), b[j]) for j in range(len(b))]
+    except OverflowError:  # a Python complex power
+        out = None
+    if out is None or not all(np.isfinite(c).all() for c in out):
+        raise SolverError(f"re-expanding the coefficients about center {center} "
+                          "overflows")
+    return out
 
 
 def two_point_series(table: FormalPowerTable, *,

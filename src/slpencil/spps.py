@@ -5,8 +5,11 @@ non-vanishing particular solution u0 of the lambda = 0 equation, the general
 solution is a power series in lambda whose coefficients (the "formal powers")
 are recursively computed integrals anchored at the grid's left end, each one
 spectral integration over the grid's panels.  This module builds a table of
-their right-end values and of their series sums at requested lambdas, flags
-the panels on which the table's integrands are not resolved, evaluates the two
+their right-end values and of their series sums at requested lambdas, running
+both families of formal powers in one loop in panel layout (each order one
+(2, P, panels) array), checks the recursion kernels 1/(u0^2 p) and u0^2 r_k
+on a grid before a table is built on it (recursion_kernels), flags the panels
+on which the table's integrands are not resolved, evaluates the two
 fundamental solutions u1, u2 and their derivatives there, constructs u0 when
 it is not supplied, and bounds the series-truncation tails by Gronwall's
 inequality, restarted from the last orders the table computed.
@@ -21,9 +24,12 @@ import numpy as np
 
 from .errors import GridError, NodeValueError, ParticularSolutionError
 from .grids import (
+    P,
     Grid,
     SampledFunction,
+    _cumulative_panels,
     _cumulative_values,
+    _nodewise,
     constant,
     cumulative_integral,
     interpolate,
@@ -154,11 +160,12 @@ class FormalPowerTable:
     order 2M+1.
 
     Only their values at the right end b and their PowerSums at the lambdas
-    passed as eval_points are kept; each whole-grid power lives just as long
-    as the recursion reaches back to it.  unresolved flags the panels on
-    which 1/(u0^2 p), some u0^2 r_k or the top-order integrand of either
-    family is not resolved (grids.unresolved) to within the rounding error
-    that u0 carries.
+    passed as eval_points are kept; each whole-grid power lives, in the
+    recursion's panel layout, just as long as the recursion reaches back to
+    it, and what the table keeps is at the grid's nodes.  unresolved flags
+    the panels on which 1/(u0^2 p), some u0^2 r_k (recursion_kernels) or the
+    top-order integrand of either family is not resolved (grids.unresolved)
+    to within the rounding error that u0 carries.
     """
 
     pencil: PencilSpec
@@ -179,54 +186,33 @@ class FormalPowerTable:
         return self.pencil.grid
 
 
-def _run_family(grid, n_top: int, N: int, r_on_odd: bool,
-                weighted_r: list[np.ndarray], inv_u0sq_p: np.ndarray,
-                eval_points: tuple[complex, ...]):
-    """One recursion chain (the Xtilde family has r_on_odd=True, X has False).
+def recursion_kernels(spec: PencilSpec, u0: ParticularSolution
+                      ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """The recursion kernels g = 1/(u0^2 p) and rho_k = u0^2 r_k at the
+    grid's nodes, and the panels on which some kernel is not resolved
+    (grids.unresolved) to within the rounding error that u0 carries.
 
-    Returns (right-end column, series sums at the eval points split by
-    parity, the sums of their terms' moduli, top-order integrand, the last
-    2N powers).
-    """
-    n_nodes = grid.n_nodes
-    one = np.ones(n_nodes, dtype=np.complex128)
-    hist: list[np.ndarray] = [one]
-    window = 2 * N
-    col_end = np.empty(n_top + 1, dtype=np.complex128)
-    col_end[0] = 1.0
-    even_sums = {complex(lam): one.copy() for lam in eval_points}
-    odd_sums = {complex(lam): np.zeros(n_nodes, dtype=np.complex128)
-                for lam in eval_points}
-    mag_sums = {complex(lam): np.ones(n_nodes) for lam in eval_points}
-    lam_power = {complex(lam): 1.0 + 0.0j for lam in eval_points}
-    # buffers for the integrand and for one product, reused across orders
-    acc = np.empty(n_nodes, dtype=np.complex128)
-    term = np.empty(n_nodes, dtype=np.complex128)
-    mag = np.empty(n_nodes)
+    A table built on a grid with flagged kernels is flagged there too, so a
+    refinement can split those panels before it builds one."""
+    u0sq = u0.u0.values * u0.u0.values
+    denom = u0sq * spec.p.values
+    mags = np.abs(denom)
+    if mags.min() < 1e-300:
+        raise NodeValueError("u0^2 * p vanishes", int(np.argmin(mags)))
+    g = 1.0 / denom
+    rho = [u0sq * rk.values for rk in spec.r]
+    return g, rho, _unresolved_within_noise(spec.grid, u0, g, *rho)
 
-    for n in range(1, n_top + 1):
-        r_turn = (n % 2 == 1) == r_on_odd
-        if r_turn:
-            acc[:] = 0.0
-            for k in range(1, min(N, (n + 1) // 2) + 1):
-                # reach back to entry n - 2k + 1 of the trimmed history
-                prev = hist[len(hist) - 2 * k + 1]
-                acc += np.multiply(prev, weighted_r[k - 1], out=term)
-        else:
-            np.multiply(hist[-1], inv_u0sq_p, out=acc)
-        F = _cumulative_values(grid, acc)
-        col_end[n] = F[-1]
-        for lam in even_sums:
-            if n % 2 == 0:
-                lam_power[lam] *= lam
-                even_sums[lam] += np.multiply(lam_power[lam], F, out=term)
-            else:
-                odd_sums[lam] += np.multiply(lam_power[lam], F, out=term)
-            mag_sums[lam] += np.multiply(np.abs(F, out=mag), abs(lam_power[lam]), out=mag)
-        hist.append(F)
-        if len(hist) > window:
-            del hist[0]
-    return col_end, even_sums, odd_sums, mag_sums, acc, hist
+
+def _unresolved_within_noise(grid: Grid, u0: ParticularSolution,
+                             *values: np.ndarray) -> np.ndarray:
+    """grids.unresolved of each node array to within its rounding error,
+    twice u0's relative error times its modulus."""
+    rel = None if u0.noise is None else 2.0 * u0.noise / np.abs(u0.u0.values)
+    bad = np.zeros(grid.panels, dtype=bool)
+    for f in values:
+        bad |= unresolved(grid, f, noise=None if rel is None else rel * np.abs(f))
+    return bad
 
 
 def build_formal_powers(spec: PencilSpec, u0: ParticularSolution,
@@ -241,40 +227,80 @@ def build_formal_powers(spec: PencilSpec, u0: ParticularSolution,
     higher power vanishes at the left end.  The table keeps the right-end
     values and the series sums at each lambda in eval_points, the only lambdas
     evaluate_solution accepts.
+
+    Both families run in one loop in panel layout: each order is one
+    (2, P, panels) array, Xtilde first and X second, integrated by one
+    grids._cumulative_panels call.  Each node value is the product or sum,
+    of the same operands in the same order, that a recursion of one family
+    at the nodes forms (up to the sign of a zero, which no later nonzero
+    value sees), so the table does not depend on the layout; node layout
+    appears only in what the table keeps.
     """
     grid = spec.grid
     n_top = 2 * truncation + 1
     N = spec.degree
-
-    u0sq = u0.u0.values * u0.u0.values
-    denom = u0sq * spec.p.values
-    mags = np.abs(denom)
-    if mags.min() < 1e-300:
-        raise NodeValueError("u0^2 * p vanishes", int(np.argmin(mags)))
-    inv_u0sq_p = 1.0 / denom
-    weighted_r = [u0sq * rk.values for rk in spec.r]
+    cols = grid.panel_index
+    g, rho, bad = recursion_kernels(spec, u0)
     eval_points = tuple(complex(lam) for lam in eval_points)
 
-    integrands = (weighted_r, inv_u0sq_p, eval_points)
+    # what multiplies the last order, by the parity of n: the family that
+    # integrates against r at n (Xtilde at odd n) takes rho_1, the rho_k with
+    # k >= 2 reaching further back, and the other family takes g
+    rho_cols = [rk[cols] for rk in rho]
+    kernel = (np.stack((g[cols], rho_cols[0])), np.stack((rho_cols[0], g[cols])))
+    one = np.ones((2, P, grid.panels), dtype=np.complex128)
+    hist: list[np.ndarray] = [one]
+    ends = np.empty((2, n_top + 1), dtype=np.complex128)
+    ends[:, 0] = 1.0
+    even_sums = {lam: one.copy() for lam in eval_points}
+    odd_sums = {lam: np.zeros_like(one) for lam in eval_points}
+    mag_sums = {lam: np.ones(one.shape) for lam in eval_points}
+    lam_power = {lam: 1.0 + 0.0j for lam in eval_points}
+    # buffers for the integrand and for one product, reused across orders
+    acc = np.empty_like(one)
+    term = np.empty_like(one)
+    mag = np.empty(one.shape)
+
     # powers that overflow are reported by the characteristic series built
     # from them, which names its center
     with np.errstate(over="ignore", invalid="ignore"):
-        xtilde_end, st_even, st_odd, st_mag, xt_top, xt_last = _run_family(
-            grid, n_top, N, True, *integrands)
-        x_end, s_even, s_odd, s_mag, x_top, x_last = _run_family(
-            grid, n_top, N, False, *integrands)
-    sums = {lam: PowerSums(lam, st_even[lam], st_odd[lam], s_even[lam], s_odd[lam],
-                           st_mag[lam] + s_mag[lam]) for lam in eval_points}
-    # each integrand to within its rounding error, twice u0's relative error
-    rel = None if u0.noise is None else 2.0 * u0.noise / np.abs(u0.u0.values)
-    bad = np.zeros(grid.panels, dtype=bool)
-    for f in (inv_u0sq_p, *weighted_r, xt_top, x_top):
-        bad |= unresolved(grid, f, noise=None if rel is None else rel * np.abs(f))
+        for n in range(1, n_top + 1):
+            np.multiply(hist[-1], kernel[n % 2], out=acc)
+            fam = 1 - n % 2  # the family that integrates against r
+            for k in range(2, min(N, (n + 1) // 2) + 1):
+                # reach back to entry n - 2k + 1 of the trimmed history
+                prev = hist[len(hist) - 2 * k + 1]
+                acc[fam] += np.multiply(prev[fam], rho_cols[k - 1], out=term[fam])
+            F = _cumulative_panels(grid, acc)
+            ends[:, n] = F[:, -1, -1]
+            for lam in even_sums:
+                if n % 2 == 0:
+                    lam_power[lam] *= lam
+                    even_sums[lam] += np.multiply(lam_power[lam], F, out=term)
+                else:
+                    odd_sums[lam] += np.multiply(lam_power[lam], F, out=term)
+                mag_sums[lam] += np.multiply(np.abs(F, out=mag), abs(lam_power[lam]),
+                                             out=mag)
+            hist.append(F)
+            if len(hist) > 2 * N:
+                del hist[0]
+
+    def nodes(a: np.ndarray) -> list[np.ndarray]:
+        """The Xtilde and the X part of a panel-layout array, at the nodes."""
+        return [_nodewise(grid, part) for part in a]
+
+    sums = {}
+    for lam in eval_points:
+        (st_even, s_even), (st_odd, s_odd) = nodes(even_sums[lam]), nodes(odd_sums[lam])
+        st_mag, s_mag = nodes(mag_sums[lam])
+        sums[lam] = PowerSums(lam, st_even, st_odd, s_even, s_odd, st_mag + s_mag)
+    last = [nodes(h) for h in hist]
+    bad |= _unresolved_within_noise(grid, u0, *nodes(acc))
 
     return FormalPowerTable(pencil=spec, u0=u0, truncation=truncation,
-                            xtilde_end=xtilde_end, x_end=x_end, sums=sums,
-                            unresolved=bad, kernels=(inv_u0sq_p, weighted_r),
-                            last_orders=(xt_last, x_last))
+                            xtilde_end=ends[0], x_end=ends[1], sums=sums,
+                            unresolved=bad, kernels=(g, rho),
+                            last_orders=([xt for xt, _ in last], [x for _, x in last]))
 
 
 def evaluate_solution(table: FormalPowerTable, lam: complex, c1: complex,

@@ -15,6 +15,7 @@ import pytest
 from slpencil import ConfigError, SLPencilError, cli
 from slpencil.cli import _record_key, emit_surface, load_config, main, run_solve
 from slpencil.rootfinding import Rectangle
+from slpencil.spps import build_formal_powers
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -199,6 +200,15 @@ class TestConfigValidation:
          "config.potential.half_width"),
         # nor an int past the double range
         ({"spectral_shifts": [10**400]}, "config.spectral_shifts[0]"),
+        # finite ends whose width or perimeter is not
+        ({"method": "arg_principle",
+          "search_region": {"re": [-1e308, 1e308], "im": [-8.0, 8.0]}},
+         "config.search_region.re"),
+        ({"method": "arg_principle",
+          "search_region": {"re": [-8e307, 8e307], "im": [-8e307, 8e307]}},
+         "config.search_region"),
+        ({"surface": {"region": {"re": [0.0, 1.0], "im": [-1e308, 1e308]},
+                      "nx": 2, "ny": 2}}, "config.surface.region.im"),
     ], ids=["boundary_side", "half_width", "expression_P", "bool_truncation",
             "bool_localize", "bool_interval", "bool_shift", "bool_sweep_value",
             "bool_klaus_shaw_half_width", "string_sweep_value", "number_certify",
@@ -206,7 +216,8 @@ class TestConfigValidation:
             "infinite_parameter", "nan_sweep_value", "infinite_shift", "nan_shift",
             "nan_localize", "infinite_merge", "infinite_residual", "nan_boundary",
             "infinite_interval", "infinite_region", "infinite_half_width",
-            "huge_int_shift"])
+            "huge_int_shift", "overflowing_region_width",
+            "overflowing_region_perimeter", "overflowing_surface_height"])
     def test_bad_value_in_block_rejected(self, tmp_path, capsys, overrides, path):
         assert main(["solve", intro_cfg(tmp_path, **overrides)]) == 1
         assert f"config error: {path}: " in capsys.readouterr().err
@@ -369,6 +380,20 @@ class TestSolve:
         assert main(["solve", path]) == 2
         assert re.search(f"^solver error: {message}$", capsys.readouterr().err, re.M)
 
+    @pytest.mark.parametrize("r,message", [
+        (["1", "2"], r"re-expanding the coefficients about center \(1e\+200\+0j\) "
+                     "overflows"),
+        (["1"], r"chaining u0 to center 1 at \(1e\+200\+0j\): .*"),
+    ], ids=["overflowing_re_expansion", "overflowing_chain"])
+    def test_overflowing_shift_names_center(self, tmp_path, capsys, r, message):
+        """A finite center so far out that the pencil re-expanded about it
+        (two r terms) or the series sums that chain u0 to it (one r term)
+        overflow."""
+        path = intro_cfg(tmp_path, truncation=10, spectral_shifts=[[1e200, 0]],
+                         coefficients={"p": "1", "q": "0", "r": r})
+        assert main(["solve", path]) == 2
+        assert re.search(f"^solver error: {message}$", capsys.readouterr().err, re.M)
+
     def test_long_sum_is_config_error(self, tmp_path, capsys):
         path = intro_cfg(tmp_path, coefficients={
             "p": "+".join(["1"] * 1000), "q": "0", "r": ["1"]})
@@ -471,6 +496,30 @@ class TestPanelGrid:
         assert [g["center"] for g in grid] == [[0.0, 0.0]] + [
             list(c) for c in x2_chain_cfg()["spectral_shifts"]]
         assert all(g["nodes"] == 15 * g["panels"] + 1 for g in grid)
+
+    def test_no_table_on_a_grid_with_unresolved_kernels(self, tmp_path, monkeypatch):
+        """The kernels of center 2 of the x^2 chain are unresolved on 16, 32
+        and 55 panels: those grids are split on the kernel flags alone and
+        get no table, so each center builds one, on the grid that splitting
+        on the kernel and the top-order flags together reaches."""
+        checked, built = [], []
+        check = cli.recursion_kernels
+
+        def counted_check(spec, u0):
+            kernels = check(spec, u0)
+            checked.append((spec.grid.panels, bool(kernels[2].any())))
+            return kernels
+
+        def counted_build(spec, u0, m, **kwargs):
+            built.append((spec.grid.panels, bool(check(spec, u0)[2].any())))
+            return build_formal_powers(spec, u0, m, **kwargs)
+
+        monkeypatch.setattr(cli, "recursion_kernels", counted_check)
+        monkeypatch.setattr(cli, "build_formal_powers", counted_build)
+        rs = run_solve(write_config(tmp_path, "c.json", x2_chain_cfg(shifts=2)))
+        assert [panels for panels, bad in checked if bad] == [16, 32, 55]
+        assert built == [(16, False), (16, False), (65, False)]
+        assert [g["panels"] for g in rs.metadata["grid"]] == [16, 16, 65]
 
     def test_constant_damping_shifted_closed_form(self, tmp_path):
         """All 55 records of the shipped shifted config within 1e-13

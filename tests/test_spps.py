@@ -13,7 +13,8 @@ from slpencil import (
     constant,
     sample,
 )
-from slpencil.grids import cumulative_integral
+from slpencil.grids import _INT, P, cumulative_integral, unresolved
+from slpencil.problems import shift_pencil
 from slpencil.spps import (
     ParticularSolution,
     PencilSpec,
@@ -24,6 +25,7 @@ from slpencil.spps import (
     tail_components,
     wronskian,
 )
+from slpencil.zakharov import materialize_potential, zs_particular_solution, zs_to_pencil
 
 
 def intro_pencil(panels=16):
@@ -149,6 +151,102 @@ class TestFormalPowers:
             for part in ("s_tilde_even", "s_tilde_odd", "s_even", "s_odd"):
                 assert (getattr(first.sums[lam], part).tobytes()
                         == getattr(second.sums[lam], part).tobytes())
+
+
+def node_integral(grid, v):
+    """Spectral integral of one node array, at the nodes: panel by panel,
+    offset by a running sum of the panel totals."""
+    local = (_INT @ v[grid.panel_index].view(np.float64)).view(np.complex128)
+    local *= grid.half_widths
+    offsets = np.cumsum(local[-1])
+    local[:, 1:] += offsets[:-1]
+    out = np.empty(grid.n_nodes, dtype=np.complex128)
+    out[:-1].reshape(grid.panels, P - 1)[:] = local[:-1].T
+    out[-1] = local[-1, -1]
+    return out
+
+
+def node_family(grid, n_top, rho, g, r_on_odd, lam):
+    """One formal-power family at the nodes, one order at a time (Xtilde has
+    r_on_odd=True): right-end values, the even, odd and modulus sums at lam,
+    the top-order integrand and the last 2N powers."""
+    N = len(rho)
+    one = np.ones(grid.n_nodes, dtype=np.complex128)
+    hist, ends = [one], [1.0 + 0.0j]
+    even, odd, mag = one.copy(), np.zeros_like(one), np.ones(grid.n_nodes)
+    lam_power = 1.0 + 0.0j
+    for n in range(1, n_top + 1):
+        if (n % 2 == 1) == r_on_odd:
+            acc = np.zeros_like(one)
+            for k in range(1, min(N, (n + 1) // 2) + 1):
+                acc += hist[len(hist) - 2 * k + 1] * rho[k - 1]
+        else:
+            acc = hist[-1] * g
+        F = node_integral(grid, acc)
+        ends.append(F[-1])
+        if n % 2 == 0:
+            lam_power *= lam
+            even += lam_power * F
+        else:
+            odd += lam_power * F
+        mag += np.abs(F) * abs(lam_power)
+        hist = (hist + [F])[-2 * N:]
+    return np.array(ends), even, odd, mag, acc, hist
+
+
+class TestPanelLayoutRecursion:
+    """The two families in one panel-layout loop against the recursion run one
+    family at a time at the nodes, bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(spec, u0, M, lam):
+        table = build_formal_powers(spec, u0, M, eval_points=(lam,))
+        grid = spec.grid
+        u0sq = u0.u0.values * u0.u0.values
+        g = 1.0 / (u0sq * spec.p.values)
+        rho = [u0sq * rk.values for rk in spec.r]
+        xt_end, st_even, st_odd, st_mag, xt_top, xt_last = node_family(
+            grid, 2 * M + 1, rho, g, True, lam)
+        x_end, s_even, s_odd, s_mag, x_top, x_last = node_family(
+            grid, 2 * M + 1, rho, g, False, lam)
+        rel = None if u0.noise is None else 2.0 * u0.noise / np.abs(u0.u0.values)
+        bad = np.zeros(grid.panels, dtype=bool)
+        for f in (g, *rho, xt_top, x_top):
+            bad |= unresolved(grid, f, noise=None if rel is None else rel * np.abs(f))
+
+        assert table.xtilde_end.tobytes() == xt_end.tobytes()
+        assert table.x_end.tobytes() == x_end.tobytes()
+        assert table.unresolved.tobytes() == bad.tobytes()
+        for got, want in zip(table.last_orders, (xt_last, x_last)):
+            assert len(got) == len(want) == 2 * spec.degree
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        s = table.sums[lam]
+        for got, want in ((s.s_tilde_even, st_even), (s.s_tilde_odd, st_odd),
+                          (s.s_even, s_even), (s.s_odd, s_odd),
+                          (s.magnitude, st_mag + s_mag)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_term_string_pencil(self):
+        """y'' = lambda (1 + x^2) y on [0, 1]."""
+        g = Grid.uniform(0.0, 1.0, 12)
+        spec = PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0),
+                          r=(sample(g, lambda x: 1.0 + x**2),))
+        self.assert_same_bits(spec, ParticularSolution.unit(g), 30, -4.0 + 2.5j)
+
+    def test_zs_pencil_and_chained_u0(self):
+        """The Klaus-Shaw ZS pencil, and the pencil shifted to its eval point
+        with a chained u0, which carries noise."""
+        zs = materialize_potential({"kind": "klaus_shaw", "s": 0.956}, panels=16)
+        spec = zs_to_pencil(zs)
+        u0 = zs_particular_solution(zs, truncation=40)
+        lam = 0.7 + 0.3j
+        self.assert_same_bits(spec, u0, 40, lam)
+
+        table = build_formal_powers(spec, u0, 40, eval_points=(lam,))
+        shifted = shift_pencil(spec, lam)
+        chained = chain_particular_solution(table, lam, shifted.p, shifted.q)
+        assert chained.noise is not None
+        self.assert_same_bits(shifted, chained, 40, 0.25 - 0.5j)
 
 
 class TestEvaluateSolution:
