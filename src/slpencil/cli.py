@@ -32,10 +32,9 @@ from .expressions import evaluate_on_grid, parse as parse_expr
 from .grids import P, Grid, refine, unresolved
 from .problems import (
     CharacteristicSeries,
-    DiracSpec,
-    StringProblem,
-    dirac_to_pencil,
+    dirac_pencil,
     shift_pencil,
+    string_pencil,
     two_point_series,
 )
 from .rootfinding import (
@@ -222,6 +221,8 @@ def validate_config(raw: dict) -> dict:
     for key in ("certify", "require_certified"):
         if not isinstance(cfg[key], bool):
             _fail(f"config.{key}", "expected false or true")
+    if cfg["require_certified"] and not cfg["certify"]:
+        _fail("config.require_certified", 'requires "certify": true')
 
     if kind == "zakharov_shabat":
         _validate_potential(cfg)
@@ -419,11 +420,8 @@ def _assemble(cfg: dict, grid: Grid) -> _Assembly:
 
     coeffs = cfg["coefficients"]
     if kind == "string":
-        sp = StringProblem(
-            damping=evaluate_on_grid(parse_expr(coeffs["damping"]), grid),
-            density=evaluate_on_grid(parse_expr(coeffs["density"]), grid),
-        )
-        pencil = sp.pencil
+        pencil = string_pencil(evaluate_on_grid(parse_expr(coeffs["damping"]), grid),
+                               evaluate_on_grid(parse_expr(coeffs["density"]), grid))
     elif kind == "pencil":
         pencil = PencilSpec(
             p=evaluate_on_grid(parse_expr(coeffs["p"]), grid),
@@ -431,9 +429,8 @@ def _assemble(cfg: dict, grid: Grid) -> _Assembly:
             r=tuple(evaluate_on_grid(parse_expr(src), grid) for src in coeffs["r"]),
         )
     else:  # dirac
-        d = DiracSpec(v=evaluate_on_grid(parse_expr(coeffs["v"]), grid),
-                      energy=complex(*coeffs["energy"]))
-        pencil = dirac_to_pencil(d)
+        pencil = dirac_pencil(evaluate_on_grid(parse_expr(coeffs["v"]), grid),
+                              complex(*coeffs["energy"]))
 
     if np.max(np.abs(pencil.q.values)) == 0.0:
         u0 = ParticularSolution.unit(grid)
@@ -606,19 +603,19 @@ def _record_key(rec: dict, merge_eps: float) -> tuple:
     return (round(rec["re"] / merge_eps), rec["im"], rec["re"])
 
 
-def _relative_residual(series: CharacteristicSeries, z: complex) -> float:
-    res = abs(complex(series(z)))
-    if res == 0.0:
+def _relative_residual(series: CharacteristicSeries, rec: EigenvalueRecord) -> float:
+    """The record's |Phi_M| over the series' term scale at its value."""
+    if rec.residual == 0.0:
         return 0.0
-    scale = series.term_scale(z)
-    return res / scale if scale > 0 else math.inf
+    scale = series.term_scale(rec.value)
+    return rec.residual / scale if scale > 0 else math.inf
 
 
 def _candidate(series, center, rec: EigenvalueRecord
                ) -> tuple[EigenvalueRecord, float, float]:
     """A record with its relative residual and its distance from the center,
     which _merge_records rank copies by."""
-    return rec, _relative_residual(series, rec.value), abs(rec.value - center)
+    return rec, _relative_residual(series, rec), abs(rec.value - center)
 
 
 def _poly_records(series, center, keep_radius, region, spurious

@@ -1,6 +1,6 @@
 """Problem-level assembly: spectral shift, characteristic series, the
-two-point boundary functional, the damped-string pencil and the Dirac-system
-reduction.
+two-point boundary functional, and the pencils of the damped string and of
+the Dirac system.
 
 A spectral shift re-centers the power series at lambda0 by transforming the
 pencil coefficients; the series variable becomes Lambda = lambda - lambda0.
@@ -11,9 +11,10 @@ families, with beta1 and beta2 constants or polynomials in lambda.  Applied to
 a built table it gives the Taylor coefficients of the characteristic series,
 so eigenvalues become polynomial roots downstream, and applied to the
 constants' moduli and the families' tail bounds it gives the series' Rouche
-tail.  The damped string is a two-point Dirichlet problem for
-StringProblem.pencil; the Zakharov-Shabat dispersion relation is the
-two-point problem with a lambda-dependent right end (zakharov.zs_boundary).
+tail.  The damped string is a two-point Dirichlet problem for string_pencil
+and the Dirac system a two-point problem for dirac_pencil; the
+Zakharov-Shabat dispersion relation is the two-point problem with a
+lambda-dependent right end (zakharov.zs_boundary).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GridError, NodeValueError, SolverError
-from .grids import Grid, SampledFunction, constant, derivative
+from .errors import NodeValueError, SolverError
+from .grids import SampledFunction, constant, derivative
 from .spps import FormalPowerTable, ParticularSolution, PencilSpec, tail_components
 
 
@@ -92,65 +93,32 @@ class CharacteristicSeries:
         return float(np.max(np.abs(self.coeffs) * powers))
 
 
-@dataclass(frozen=True)
-class StringProblem:
-    """Damped string y'' = 2 a(x) lambda y + b(x) lambda^2 y on [0, L], y(0)=y(L)=0."""
-
-    damping: SampledFunction
-    density: SampledFunction
-
-    def __post_init__(self):
-        if self.density.grid != self.damping.grid:
-            raise GridError("damping and density live on different grids")
-        if self.damping.grid.a != 0.0:
-            raise GridError("string problems start at x = 0")
-
-    @property
-    def grid(self) -> Grid:
-        return self.damping.grid
-
-    @property
-    def pencil(self) -> PencilSpec:
-        g = self.grid
-        return PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0),
-                          r=(SampledFunction(g, 2.0 * self.damping.values), self.density))
+def string_pencil(damping: SampledFunction, density: SampledFunction) -> PencilSpec:
+    """Pencil of the damped string y'' = 2 a(x) lambda y + b(x) lambda^2 y,
+    a the damping and b the density."""
+    g = damping.grid
+    return PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0),
+                      r=(SampledFunction(g, 2.0 * damping.values), density))
 
 
-@dataclass(frozen=True)
-class DiracSpec:
-    """Canonical one-dimensional Dirac system data: potential v and energy E."""
-
-    v: SampledFunction
-    energy: complex
-
-    def __post_init__(self):
-        shifted = self.v.values - complex(self.energy)
-        mags = np.abs(shifted)
-        if mags.min() < 1e-300:
-            raise NodeValueError("v - E vanishes", int(np.argmin(mags)))
-
-
-def dirac_to_pencil(d: DiracSpec) -> PencilSpec:
-    """Second-order pencil for w = y2 + y1:
+def dirac_pencil(v: SampledFunction, energy: complex) -> PencilSpec:
+    """Second-order pencil of the Dirac system with potential v and energy E,
+    for w = y2 + y1:
     (w'/(v-E))' + (v-E) w = lambda^2 w/(v-E) + lambda (1/(v-E))' w.
 
     r1 uses the analytic identity (1/(v-E))' = -v'/(v-E)^2, with v'
     differentiated spectrally on the grid's panels, as Q' is for the
-    Zakharov-Shabat pencil.
+    Zakharov-Shabat pencil.  The first component is u = (lambda w + w')/(v-E).
     """
-    g = d.v.grid
-    vmE = SampledFunction(g, d.v.values - complex(d.energy))
-    vp = derivative(d.v)
+    g = v.grid
+    vmE = SampledFunction(g, v.values - complex(energy))
+    mags = np.abs(vmE.values)
+    if mags.min() < 1e-300:
+        raise NodeValueError("v - E vanishes", int(np.argmin(mags)))
+    vp = derivative(v)
     r1 = SampledFunction(g, -vp.values / (vmE.values ** 2))
     inv = SampledFunction(g, 1.0 / vmE.values)
     return PencilSpec(p=inv, q=vmE, r=(r1, inv))
-
-
-def dirac_first_component(w: SampledFunction, w_prime: SampledFunction,
-                          d: DiracSpec, lam: complex) -> SampledFunction:
-    """Recover u = (lambda w + w') / (v - E) from the second-order solution."""
-    vmE = d.v.values - complex(d.energy)
-    return SampledFunction(w.grid, (complex(lam) * w.values + w_prime.values) / vmE)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,18 @@
 
 Two routes to the eigenvalues: global polynomial root extraction through the
 companion matrix, and argument-principle localization on rectangles with
-winding numbers and residue-formula refinement.  Localization bisects only
-until a rectangle holds a single zero, which the residue formula and Newton
-then pin: the bisection tolerance is a floor, not the record's precision.
-Its rounding-noise floor is taken where the sampled boundary |Phi_M| is
-smallest.  Both routes end in a Newton polish in double precision whose
-residual comes from the compensated Horner scheme, as accurate as Horner in
-twice the working precision.  A root is certified when the sampled boundary
-minimum of |Phi_M|, less what |Phi_M| can lose between samples, beats a
-rigorous bound on |Phi - Phi_M|, so that by Rouche's theorem Phi has as many
-zeros inside the rectangle as the winding of Phi_M, and when that winding is
-the record's multiplicity.
+winding numbers and residue-formula refinement.  Every contour is sampled at
+SAMPLES points, and the residue formula's Richardson levels at twice and four
+times as many.  Localization bisects only until a rectangle holds a single
+zero, which the residue formula and Newton then pin: the bisection tolerance
+is a floor, not the record's precision.  Its rounding-noise floor is taken
+where the sampled boundary |Phi_M| is smallest.  Both routes end in a Newton
+polish in double precision whose residual comes from the compensated Horner
+scheme, as accurate as Horner in twice the working precision.  A root is
+certified when the sampled boundary minimum of |Phi_M|, less what |Phi_M| can
+lose between samples, beats a rigorous bound on |Phi - Phi_M|, so that by
+Rouche's theorem Phi has as many zeros inside the rectangle as the winding of
+Phi_M, and when that winding is the record's multiplicity.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ BOUNDARY_ABS_FLOOR = 1e-280
 MAX_PHASE_STEP = math.pi / 2
 MAX_LOCAL_REFINES = 10  # per-segment density doublings before giving up
 POLISH_STEPS = 5  # Newton steps from a companion root or a residue-formula estimate
+SAMPLES = 4000  # boundary samples per contour; residue_refine adds 2x and 4x
 _SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split of a binary64 into 26-bit halves
 
 
@@ -239,15 +241,14 @@ def _refine_step(series, z1: complex, z2: complex, v1: complex, v2: complex,
             + _refine_step(series, zm, z2, vm, v2, depth + 1))
 
 
-def winding_number(series, rect: Rectangle,
-                   samples_per_contour: int = 4000) -> WindingResult:
+def winding_number(series, rect: Rectangle) -> WindingResult:
     """Winding of the series image of the rectangle boundary around 0.
 
-    Computed by summing phase differences along the sampled contour; any pair
-    turning by more than pi/2 is resampled locally (doubling density up to
-    2^10) before the whole computation is declared unresolvable.
+    Computed by summing phase differences along the contour sampled at SAMPLES
+    points; any pair turning by more than pi/2 is resampled locally (doubling
+    density up to 2^10) before the whole computation is declared unresolvable.
     """
-    pts = _boundary_points(rect, samples_per_contour)
+    pts = _boundary_points(rect, SAMPLES)
     vals = np.asarray(series(pts), dtype=np.complex128)
     i_min = int(np.argmin(np.abs(vals)))
     min_abs = float(abs(vals[i_min]))
@@ -275,16 +276,16 @@ def _residue_trapezoid(series, rect: Rectangle, samples: int) -> complex:
     return complex(np.sum(pts * dvals / vals * dz))
 
 
-def residue_refine(series, rect: Rectangle, multiplicity: int,
-                   samples: int = 4000) -> complex:
+def residue_refine(series, rect: Rectangle, multiplicity: int) -> complex:
     """Zero position by the residue formula (2*pi*i*N)^-1 contour-int z Phi'/Phi dz.
 
-    Trapezoid rule along the rectangle boundary; the corners leave an O(h^2)
-    error expansion, so two Richardson levels push the rule to O(h^6).
+    Trapezoid rule along the rectangle boundary at SAMPLES, 2 SAMPLES and
+    4 SAMPLES points; the corners leave an O(h^2) error expansion, so two
+    Richardson levels push the rule to O(h^6).
     """
-    t1 = _residue_trapezoid(series, rect, samples)
-    t2 = _residue_trapezoid(series, rect, 2 * samples)
-    t4 = _residue_trapezoid(series, rect, 4 * samples)
+    t1 = _residue_trapezoid(series, rect, SAMPLES)
+    t2 = _residue_trapezoid(series, rect, 2 * SAMPLES)
+    t4 = _residue_trapezoid(series, rect, 4 * SAMPLES)
     r1 = (4 * t2 - t1) / 3
     r2 = (4 * t4 - t2) / 3
     integral = (16 * r2 - r1) / 15
@@ -304,18 +305,15 @@ def _evaluation_noise(series: CharacteristicSeries, z: complex) -> float:
             * series.term_scale(z))
 
 
-def _finalize(series, region: Rectangle, winding: int,
-              samples: int) -> list[EigenvalueRecord]:
-    z = newton_polish(series, residue_refine(series, region, winding, samples))
-    return [EigenvalueRecord(
+def _finalize(series, region: Rectangle, winding: int) -> EigenvalueRecord:
+    z = newton_polish(series, residue_refine(series, region, winding))
+    return EigenvalueRecord(
         value=z, multiplicity=winding, method="arg_principle",
         certified=False, residual=float(abs(series(z))),
-    )]
+    )
 
 
-def localize(series, region: Rectangle, tol: float = 1e-10, *,
-             samples_per_contour: int = 4000,
-             _winding: WindingResult | None = None) -> list[EigenvalueRecord]:
+def localize(series, region: Rectangle, tol: float = 1e-10) -> list[EigenvalueRecord]:
     """Zeros in region by winding numbers, bisecting only until a rectangle
     holds a single zero.
 
@@ -333,8 +331,12 @@ def localize(series, region: Rectangle, tol: float = 1e-10, *,
     the summed winding.  A series that vanishes identically is a SolverError.
     """
     _require_nonzero(series)
-    w = _winding if _winding is not None else winding_number(
-        series, region, samples_per_contour)
+    return _localize(series, winding_number(series, region), tol)
+
+
+def _localize(series, w: WindingResult, tol: float) -> list[EigenvalueRecord]:
+    """localize on w.rectangle, whose winding w already holds."""
+    region = w.rectangle
     if w.winding == 0:
         return []
     if w.winding < 0:
@@ -343,9 +345,9 @@ def localize(series, region: Rectangle, tol: float = 1e-10, *,
         )
     noise = _evaluation_noise(series, w.boundary_min_at)
     if region.diameter <= tol or w.boundary_min_abs < noise:
-        return _finalize(series, region, w.winding, samples_per_contour)
+        return [_finalize(series, region, w.winding)]
     if w.winding == 1:
-        rec = _finalize(series, region, 1, samples_per_contour)[0]
+        rec = _finalize(series, region, 1)
         if region.contains(rec.value) and rec.residual <= min(
                 _evaluation_noise(series, rec.value), w.boundary_min_abs):
             return [rec]
@@ -365,27 +367,24 @@ def localize(series, region: Rectangle, tol: float = 1e-10, *,
             r1 = Rectangle(region.re_min, region.re_max, region.im_min, mid)
             r2 = Rectangle(region.re_min, region.re_max, mid, region.im_max)
         try:
-            w1 = winding_number(series, r1, samples_per_contour)
-            w2 = winding_number(series, r2, samples_per_contour)
+            w1 = winding_number(series, r1)
+            w2 = winding_number(series, r2)
         except RootLocalizationError:
             continue
         if w1.winding + w2.winding != w.winding:
             continue
-        out = localize(series, r1, tol, samples_per_contour=samples_per_contour,
-                       _winding=w1)
-        out += localize(series, r2, tol, samples_per_contour=samples_per_contour,
-                        _winding=w2)
+        out = _localize(series, w1, tol) + _localize(series, w2, tol)
         return sorted(out, key=lambda rec: (rec.value.real, rec.value.imag))
     if w.boundary_min_abs < 16 * noise:
         # every cut line lands in the noise skirt of an (almost) multiple zero
-        return _finalize(series, region, w.winding, samples_per_contour)
+        return [_finalize(series, region, w.winding)]
     raise RootLocalizationError(
         f"could not split {region} without landing on a zero after 8 jitters"
     )
 
 
 def certify(record: EigenvalueRecord, series, tail: float,
-            rect: Rectangle, samples_per_contour: int = 4000) -> EigenvalueRecord:
+            rect: Rectangle) -> EigenvalueRecord:
     """Rouche check: certified when |Phi_M| on the rectangle boundary exceeds
     the tail bound and the winding of Phi_M on the boundary equals the
     record's multiplicity.
@@ -402,7 +401,7 @@ def certify(record: EigenvalueRecord, series, tail: float,
     if not math.isfinite(tail):
         return replace(record, certified=False)
     try:
-        w = winding_number(series, rect, samples_per_contour)
+        w = winding_number(series, rect)
     except RootLocalizationError:
         return replace(record, certified=False)
     k = np.arange(1, len(series.coeffs))

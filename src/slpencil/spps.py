@@ -84,7 +84,7 @@ class ParticularSolution:
 
     u0: SampledFunction
     u0_prime: SampledFunction
-    provenance: str  # "user-supplied" | "closed-form" | "spps-built"
+    provenance: str  # "closed-form" | "spps-built"
     residual: float
     min_modulus_ratio: float
     # rounding error of u0 at each node when it comes from a series sum
@@ -99,7 +99,7 @@ class ParticularSolution:
     @staticmethod
     def from_samples(u0: SampledFunction, u0_prime: SampledFunction,
                      p: SampledFunction, q: SampledFunction,
-                     provenance: str = "user-supplied") -> "ParticularSolution":
+                     provenance: str) -> "ParticularSolution":
         ratio = _min_modulus_ratio(u0)
         if ratio < U0_FLOOR_RATIO:
             i = int(np.argmin(np.abs(u0.values)))
@@ -455,14 +455,3 @@ def tail_components(table: FormalPowerTable, lam_abs: float
         x_even, x_odd = _family_tails(table.grid, x_last, 1, rho, r, M, gamma, kappa)
     bounds = (xt_even, xt_lag, x_odd, x_even)
     return tuple(float(v) if v <= math.inf else math.inf for v in bounds)
-
-
-def wronskian(table: FormalPowerTable, lam: complex) -> SampledFunction:
-    """p (u1 u2' - u1' u2) along the grid; constant in x by the Abel identity."""
-    u1, u1p = evaluate_solution(table, lam, 1.0, 0.0)
-    u2, u2p = evaluate_solution(table, lam, 0.0, 1.0)
-    p = table.pencil.p.values
-    return SampledFunction(
-        table.pencil.grid,
-        p * (u1.values * u2p.values - u1p.values * u2.values),
-    )

@@ -1,9 +1,10 @@
 """Generalized Zakharov-Shabat systems: v1' = lambda v1 + P v2, v2' = -lambda v2 - Q v1.
 
-Eliminating v1 turns the system into a quadratic pencil for v2, so the SPPS
-machinery applies directly.  For a potential compactly supported on [-a, a]
-the Jost boundary conditions reduce the eigenvalue problem to the zeros (with
-Re lambda > 0) of an explicit dispersion series.  It is the pencil's two-point
+Eliminating v1 = -(v2' + lambda v2)/Q turns the system into a quadratic
+pencil for v2 (zs_to_pencil), so the SPPS machinery applies directly.  For a
+potential compactly supported on [-a, a] the Jost boundary conditions reduce
+the eigenvalue problem to the zeros (with Re lambda > 0) of an explicit
+dispersion series.  It is the pencil's two-point
 series (problems.two_point_series) with the ends of zs_boundary, one of them
 lambda-dependent, built from a formal-power table optionally re-centered by a
 spectral shift; the same functional gives its Rouche tail.  A catalog of
@@ -23,13 +24,7 @@ import numpy as np
 from .errors import GridError, NodeValueError
 from .expressions import evaluate_on_grid, parse
 from .grids import Grid, SampledFunction, cumulative_integral, derivative
-from .spps import (
-    FormalPowerTable,
-    ParticularSolution,
-    PencilSpec,
-    build_particular_solution,
-    evaluate_solution,
-)
+from .spps import ParticularSolution, PencilSpec, build_particular_solution
 
 DEFAULT_HALF_WIDTH = 10.0
 
@@ -83,21 +78,6 @@ def zs_particular_solution(zs: ZSProblem, *, truncation: int = 100
             SampledFunction(g, v0), SampledFunction(g, v0p),
             pencil.p, pencil.q, provenance="closed-form")
     return build_particular_solution(pencil.p, pencil.q, truncation=truncation)
-
-
-def zs_solution(zs: ZSProblem, table: FormalPowerTable, lam: complex,
-                c1: complex, c2: complex, *, center: complex = 0.0
-                ) -> tuple[SampledFunction, SampledFunction]:
-    """(v1, v2) from a formal-power table of the ZS pencil.
-
-    The series runs in lambda - center, which must be one of the table's
-    eval_points, while the first component is recovered as
-    v1 = -(v2' + lambda v2)/Q at the true lambda.
-    """
-    lam = complex(lam)
-    v2, v2p = evaluate_solution(table, lam - complex(center), c1, c2)
-    v1 = SampledFunction(zs.grid, -(v2p.values + lam * v2.values) / zs.Q.values)
-    return v1, v2
 
 
 def zs_boundary(zs: ZSProblem) -> tuple[tuple, tuple]:
@@ -167,7 +147,7 @@ def materialize_potential(pot: dict, grid: Grid | None = None, *,
     """Sample a potential object ({"kind": ..., its parameters, optional
     half_width, and Q and P for an expression}) on a grid of [-a, a] (uniform
     with `panels` panels when absent); Q' is Q's spectral derivative on the
-    grid's panels, as v' is in `problems.dirac_to_pencil`."""
+    grid's panels, as v' is in `problems.dirac_pencil`."""
     kind = POTENTIALS.get(pot["kind"])
     if kind is None:
         raise ValueError(f"unknown potential kind {pot['kind']!r}")

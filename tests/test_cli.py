@@ -176,6 +176,8 @@ class TestConfigValidation:
         ({"certify": 1}, "config.certify"),
         ({"certify": {"half_width": 0.4}}, "config.certify"),
         ({"require_certified": "false"}, "config.require_certified"),
+        # requiring certificates that nothing is asked to produce
+        ({"require_certified": True}, "config.require_certified"),
         # only the catalog's numeric parameters can be swept
         ({**ZS, "potential": {"kind": "expression", "Q": "2+sin(x)",
                               "half_width": 2.0},
@@ -212,7 +214,8 @@ class TestConfigValidation:
     ], ids=["boundary_side", "half_width", "expression_P", "bool_truncation",
             "bool_localize", "bool_interval", "bool_shift", "bool_sweep_value",
             "bool_klaus_shaw_half_width", "string_sweep_value", "number_certify",
-            "dict_certify", "string_require_certified", "expression_sweep_Q",
+            "dict_certify", "string_require_certified",
+            "require_certified_without_certify", "expression_sweep_Q",
             "infinite_parameter", "nan_sweep_value", "infinite_shift", "nan_shift",
             "nan_localize", "infinite_merge", "infinite_residual", "nan_boundary",
             "infinite_interval", "infinite_region", "infinite_half_width",

@@ -8,11 +8,9 @@ import pytest
 from slpencil import Grid, SampledFunction, constant, sample
 from slpencil.grids import cumulative_integral
 from slpencil.problems import (
-    DiracSpec,
-    StringProblem,
-    dirac_first_component,
-    dirac_to_pencil,
+    dirac_pencil,
     shift_pencil,
+    string_pencil,
     two_point_series,
 )
 from slpencil.rootfinding import Rectangle, certify, newton_polish, poly_roots
@@ -112,7 +110,7 @@ class TestShiftPencil:
 def string_series(sp, truncation, center=0.0, u0=None):
     """The Dirichlet series `slpencil solve` builds for a string at one center:
     the string pencil, shifted to center, through two_point_series."""
-    pencil = sp.pencil if center == 0 else shift_pencil(sp.pencil, center)
+    pencil = sp if center == 0 else shift_pencil(sp, center)
     table = build_formal_powers(pencil, u0 or ParticularSolution.unit(sp.grid), truncation)
     return two_point_series(table, center=center)
 
@@ -129,14 +127,13 @@ def string_eigen_errors(series, count, lam_exact):
 class TestStringCharacteristic:
     def test_first_coefficient_is_length(self):
         g = Grid.uniform(0.0, 1.0, 32)
-        sp = StringProblem(damping=sample(g, lambda x: np.cos(x)),
-                           density=sample(g, lambda x: 1 + x**2))
+        sp = string_pencil(sample(g, lambda x: np.cos(x)), sample(g, lambda x: 1 + x**2))
         series = string_series(sp, 10)
         assert abs(series.coeffs[0] - 1.0) < 1e-13  # X^(1)(L) = L = 1
 
     def test_constant_damping_eigenvalues(self):
         g = Grid.uniform(0.0, 1.0, 32)
-        sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
+        sp = string_pencil(constant(g, 1.0), constant(g, 1.0))
         series = string_series(sp, 100)
         exact = [-1 + np.sqrt(complex(1 - n**2 * np.pi**2)) for n in range(1, 8)]
         exact += [-1 - np.sqrt(complex(1 - n**2 * np.pi**2)) for n in range(1, 8)]
@@ -148,7 +145,7 @@ class TestStringCharacteristic:
 
     def test_undamped_string_spectrum(self):
         g = Grid.uniform(0.0, 1.0, 32)
-        sp = StringProblem(damping=constant(g, 0.0), density=constant(g, 1.0))
+        sp = string_pencil(constant(g, 0.0), constant(g, 1.0))
         series = string_series(sp, 60)
         exact = [1j * n * np.pi for n in (1, 2, 3)] + [-1j * n * np.pi for n in (1, 2, 3)]
         errs = string_eigen_errors(series, 6, exact)
@@ -158,11 +155,11 @@ class TestStringCharacteristic:
         """Eigenvalues through the shifted series, with u0 chained from the
         unshifted table, agree with the unshifted ones."""
         g = Grid.uniform(0.0, 1.0, 32)
-        sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
+        sp = string_pencil(constant(g, 1.0), constant(g, 1.0))
         lam0 = -1.0 - 3.0j
-        table = build_formal_powers(sp.pencil, ParticularSolution.unit(g), 100, eval_points=(lam0,))
+        table = build_formal_powers(sp, ParticularSolution.unit(g), 100, eval_points=(lam0,))
         base = two_point_series(table)
-        pencil = shift_pencil(sp.pencil, lam0)
+        pencil = shift_pencil(sp, lam0)
         u0 = chain_particular_solution(table, lam0, pencil.p, pencil.q)
         shifted = string_series(sp, 100, lam0, u0)
         exact = [-1 + np.sqrt(complex(1 - np.pi**2)),
@@ -176,15 +173,15 @@ class TestStringCharacteristic:
         """A nontrivial Dirichlet solution rebuilt at a localized root must
         nearly vanish at the right endpoint."""
         g = Grid.uniform(0.0, 1.0, 32)
-        sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
+        sp = string_pencil(constant(g, 1.0), constant(g, 1.0))
         lam1 = complex(-1 + np.sqrt(complex(1 - np.pi**2)))
-        table = build_formal_powers(sp.pencil, ParticularSolution.unit(g), 60, eval_points=(lam1,))
+        table = build_formal_powers(sp, ParticularSolution.unit(g), 60, eval_points=(lam1,))
         y, _ = evaluate_solution(table, lam1, 0.0, 1.0)
         assert abs(y.values[-1]) <= 1e-6 * np.max(np.abs(y.values))
 
     def test_certification_of_first_mode(self):
         g = Grid.uniform(0.0, 1.0, 32)
-        sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
+        sp = string_pencil(constant(g, 1.0), constant(g, 1.0))
         series = string_series(sp, 100)
         lam1 = complex(-1 + np.sqrt(complex(1 - np.pi**2)))
         rect = Rectangle.around(lam1, 0.5)
@@ -199,12 +196,12 @@ class TestStringCharacteristic:
         where the family bounds overflow, the tail is inf, not 0 * inf = nan
         with a RuntimeWarning (an error under this suite's settings)."""
         g = Grid.uniform(0.0, 1.0, 32)
-        sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
+        sp = string_pencil(constant(g, 1.0), constant(g, 1.0))
         assert string_series(sp, 40).tail(1e6) == math.inf
 
     def test_tail_dominates_actual_truncation_error(self):
         g = Grid.uniform(0.0, 1.0, 32)
-        sp = StringProblem(damping=constant(g, 1.0), density=constant(g, 1.0))
+        sp = string_pencil(constant(g, 1.0), constant(g, 1.0))
         s40 = string_series(sp, 40)
         s80 = string_series(sp, 80)
         for lam in (0.5 + 0.5j, -1 + 2j, 2.0):
@@ -301,8 +298,7 @@ class TestTwoPointSeries:
 class TestDirac:
     def test_constant_potential(self):
         g = Grid.uniform(-1.0, 1.0, 4)
-        d = DiracSpec(v=constant(g, 3.0), energy=0.0)
-        pencil = dirac_to_pencil(d)
+        pencil = dirac_pencil(constant(g, 3.0), 0.0)
         assert np.allclose(pencil.p.values, 1 / 3.0)
         assert np.allclose(pencil.q.values, 3.0)
         assert np.max(np.abs(pencil.r[0].values)) < 1e-10
@@ -310,8 +306,7 @@ class TestDirac:
 
     def test_affine_potential_r1_closed_form(self):
         g = Grid.uniform(0.0, 1.0, 8)
-        d = DiracSpec(v=sample(g, lambda x: x + 2.0), energy=0.0)
-        pencil = dirac_to_pencil(d)
+        pencil = dirac_pencil(sample(g, lambda x: x + 2.0), 0.0)
         expected = -1.0 / (g.nodes + 2.0) ** 2
         assert np.max(np.abs(pencil.r[0].values - expected)
                       / np.abs(expected)) < 1e-10
@@ -319,23 +314,23 @@ class TestDirac:
     def test_vanishing_denominator_rejected(self):
         g = Grid.uniform(-1.0, 1.0, 4)
         with pytest.raises(Exception):
-            DiracSpec(v=sample(g, lambda x: x), energy=0.0)
+            dirac_pencil(sample(g, lambda x: x), 0.0)
 
     def test_first_order_system_residual(self):
         """u = (lambda w + w')/(v - E) with w from the pencil solves the
         added/subtracted first-order system in integral form."""
         g = Grid.uniform(0.0, 1.0, 32)
-        d = DiracSpec(v=constant(g, 3.0), energy=0.0)
-        pencil = dirac_to_pencil(d)
+        v, energy = constant(g, 3.0), 0.0
+        pencil = dirac_pencil(v, energy)
         from slpencil.spps import build_particular_solution
         u0 = build_particular_solution(pencil.p, pencil.q, truncation=60)
         lams = (0.2, 0.5 + 0.3j)
         table = build_formal_powers(pencil, u0, 40, eval_points=lams)
         for lam in lams:
             w, wp = evaluate_solution(table, lam, 1.0, 0.5)
-            u = dirac_first_component(w, wp, d, lam)
+            vmE = v.values - complex(energy)
+            u = SampledFunction(g, (complex(lam) * w.values + wp.values) / vmE)
             # u' + (v-E) w = lambda u  -> integral form
-            vmE = d.v.values - complex(d.energy)
             rhs = cumulative_integral(
                 SampledFunction(g, lam * u.values - vmE * w.values)).values
             res = u.values - u.values[0] - rhs

@@ -12,13 +12,12 @@ from slpencil.cli import run_solve
 from slpencil.grids import cumulative_integral
 from slpencil.problems import shift_pencil, two_point_series
 from slpencil.rootfinding import newton_polish, poly_roots
-from slpencil.spps import build_formal_powers, chain_particular_solution
+from slpencil.spps import build_formal_powers, chain_particular_solution, evaluate_solution
 from slpencil.zakharov import (
     ZSProblem,
     materialize_potential,
     zs_boundary,
     zs_particular_solution,
-    zs_solution,
     zs_to_pencil,
 )
 
@@ -29,6 +28,14 @@ def constant_zs(c=2.0, a=1.0, panels=8):
     g = Grid.uniform(-a, a, panels)
     return ZSProblem(Q=constant(g, c), P=constant(g, c),
                      Q_prime=constant(g, 0.0))
+
+
+def zs_components(zs, table, lam, c1, c2):
+    """(v1, v2) at a lambda the table was built with: v2 = c1 u1 + c2 u2 of
+    the pencil, and v1 = -(v2' + lambda v2)/Q."""
+    v2, v2p = evaluate_solution(table, lam, c1, c2)
+    v1 = SampledFunction(zs.grid, -(v2p.values + lam * v2.values) / zs.Q.values)
+    return v1, v2
 
 
 def dispersion_table(zs, truncation, eval_points=()):
@@ -155,7 +162,7 @@ class TestSolution:
         zs = materialize_potential({"kind": "klaus_shaw", "s": 0.8}, panels=16)
         v0 = zs_particular_solution(zs)
         table = build_formal_powers(zs_to_pencil(zs), v0, 10, eval_points=(0.0,))
-        v1, v2 = zs_solution(zs, table, 0.0, 1.0, 0.0)
+        v1, v2 = zs_components(zs, table, 0.0, 1.0, 0.0)
         assert np.max(np.abs(v2.values - v0.u0.values)) < 1e-12
         expected_v1 = -v0.u0_prime.values / zs.Q.values
         assert np.max(np.abs(v1.values - expected_v1)) < 1e-12
@@ -167,7 +174,7 @@ class TestSolution:
         table = build_formal_powers(zs_to_pencil(zs), v0, 30, eval_points=lams)
         c1, c2 = 0.0, -complex(v0.u0.values[0])  # v1(-a) = 1, v2(-a) = 0
         for lam in lams:
-            v1, v2 = zs_solution(zs, table, lam, c1, c2)
+            v1, v2 = zs_components(zs, table, lam, c1, c2)
             assert abs(v1.values[0] - 1.0) < 1e-10
             assert abs(v2.values[0]) < 1e-12
 
@@ -178,7 +185,7 @@ class TestSolution:
         zs = constant_zs(c=c, a=1.0, panels=16)
         v0 = zs_particular_solution(zs)
         table = build_formal_powers(zs_to_pencil(zs), v0, 10, eval_points=(0.0,))
-        v1, v2 = zs_solution(zs, table, 0.0, 1.0, 0.0)
+        v1, v2 = zs_components(zs, table, 0.0, 1.0, 0.0)
         x = zs.grid.nodes
         # v0 = exp(i c (x + a)) solves it; compare against the closed form
         ref = np.exp(1j * c * (x + 1.0))
@@ -191,7 +198,7 @@ class TestSolution:
         table = build_formal_powers(zs_to_pencil(zs), v0, 40, eval_points=lams)
         g = zs.grid
         for lam in lams:
-            v1, v2 = zs_solution(zs, table, lam, 0.0, -complex(v0.u0.values[0]))
+            v1, v2 = zs_components(zs, table, lam, 0.0, -complex(v0.u0.values[0]))
             scale = max(np.max(np.abs(v1.values)), np.max(np.abs(v2.values)))
             r1 = (v1.values - v1.values[0]
                   - cumulative_integral(SampledFunction(
