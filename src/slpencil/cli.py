@@ -604,11 +604,12 @@ def _record_key(rec: dict, merge_eps: float) -> tuple:
 
 
 def _relative_residual(series: CharacteristicSeries, rec: EigenvalueRecord) -> float:
-    """The record's |Phi_M| over the series' term scale at its value."""
+    """The record's |Phi_M| over the series' term scale at its value; inf
+    where that scale is 0 or overflows, so such a record never passes."""
     if rec.residual == 0.0:
         return 0.0
     scale = series.term_scale(rec.value)
-    return rec.residual / scale if scale > 0 else math.inf
+    return rec.residual / scale if 0 < scale < math.inf else math.inf
 
 
 def _candidate(series, center, rec: EigenvalueRecord

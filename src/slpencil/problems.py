@@ -73,24 +73,30 @@ class CharacteristicSeries:
 
     def __call__(self, lam):
         """Horner evaluation; accepts scalars or arrays."""
-        z = np.asarray(lam, dtype=np.complex128) - self.center
-        acc = np.zeros_like(z)
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
-        return acc if acc.shape else complex(acc)
+        return self._horner(lam, self.coeffs)
 
     def deriv(self, lam):
+        k = np.arange(1, len(self.coeffs))
+        return self._horner(lam, k * self.coeffs[1:])
+
+    def _horner(self, lam, coeffs):
+        """sum coeffs[k] (lam-center)^k by Horner, adding in place; an in-place
+        product would round differently on one-element arrays.  A scalar stays
+        a numpy scalar, which += rebinds."""
         z = np.asarray(lam, dtype=np.complex128) - self.center
-        acc = np.zeros_like(z)
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            acc = acc * z + k * self.coeffs[k]
+        acc = np.zeros_like(z)[()]
+        for c in coeffs[::-1]:
+            acc = acc * z
+            acc += c
         return acc if acc.shape else complex(acc)
 
     def term_scale(self, lam) -> float:
-        """max_k |coeffs[k] (lam-center)^k|, the cancellation-aware size of the sum."""
+        """max_k |coeffs[k] (lam-center)^k|, the cancellation-aware size of the sum;
+        zero coefficients are left out, so an overflowing power gives inf, not nan."""
         z = abs(complex(lam) - self.center)
-        powers = z ** np.arange(len(self.coeffs))
-        return float(np.max(np.abs(self.coeffs) * powers))
+        k = np.flatnonzero(self.coeffs)
+        with np.errstate(over="ignore"):
+            return float(np.max(np.abs(self.coeffs[k]) * z ** k, initial=0.0))
 
 
 def string_pencil(damping: SampledFunction, density: SampledFunction) -> PencilSpec:

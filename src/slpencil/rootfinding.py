@@ -3,11 +3,11 @@
 Two routes to the eigenvalues: global polynomial root extraction through the
 companion matrix, and argument-principle localization on rectangles with
 winding numbers and residue-formula refinement.  Every contour is sampled at
-SAMPLES points, and the residue formula's Richardson levels at twice and four
-times as many.  Localization bisects only until a rectangle holds a single
-zero, which the residue formula and Newton then pin: the bisection tolerance
-is a floor, not the record's precision.  Its rounding-noise floor is taken
-where the sampled boundary |Phi_M| is smallest.  Both routes end in a Newton
+SAMPLES points, and the residue formula's three Richardson levels are strides
+of one set four times as dense.  Localization bisects only until a rectangle
+holds a single zero, which the residue formula and Newton then pin: the
+bisection tolerance is a floor, not the record's precision.  Its rounding-noise
+floor is taken where the sampled boundary |Phi_M| is smallest.  Both routes end in a Newton
 polish in double precision whose residual comes from the compensated Horner
 scheme, as accurate as Horner in twice the working precision.  A root is
 certified when the sampled boundary minimum of |Phi_M|, less what |Phi_M| can
@@ -30,7 +30,7 @@ BOUNDARY_ABS_FLOOR = 1e-280
 MAX_PHASE_STEP = math.pi / 2
 MAX_LOCAL_REFINES = 10  # per-segment density doublings before giving up
 POLISH_STEPS = 5  # Newton steps from a companion root or a residue-formula estimate
-SAMPLES = 4000  # boundary samples per contour; residue_refine adds 2x and 4x
+SAMPLES = 4000  # boundary samples per contour; residue_refine samples 4x, nesting 1x and 2x
 _SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split of a binary64 into 26-bit halves
 
 
@@ -197,12 +197,14 @@ def newton_polish(series: CharacteristicSeries, z0: complex, *,
 # argument principle
 
 
-def _boundary_points(rect: Rectangle, n: int) -> np.ndarray:
-    """n points along the positively oriented boundary, corners included."""
+def _boundary_points(rect: Rectangle, n: int, fold: int = 1) -> np.ndarray:
+    """About n points along the positively oriented boundary, corners included,
+    times fold on every side: for a power-of-two fold, linspace nests exactly,
+    so every fold-th point is bitwise the point of the unfolded layout."""
     w = rect.re_max - rect.re_min
     h = rect.im_max - rect.im_min
     per = 2 * (w + h)
-    counts = [max(2, round(n * s / per)) for s in (w, h, w, h)]
+    counts = [fold * max(2, round(n * s / per)) for s in (w, h, w, h)]
     segs = []
     c = rect.corners()
     for k in range(4):
@@ -266,26 +268,24 @@ def winding_number(series, rect: Rectangle) -> WindingResult:
     return WindingResult(rect, winding, min_abs, complex(pts[i_min]), gap)
 
 
-def _residue_trapezoid(series, rect: Rectangle, samples: int) -> complex:
-    pts = _boundary_points(rect, samples)
-    nxt = np.roll(pts, -1)
-    prv = np.roll(pts, 1)
-    dz = (nxt - prv) / 2.0
-    vals = np.asarray(series(pts), dtype=np.complex128)
-    dvals = np.asarray(series.deriv(pts), dtype=np.complex128)
-    return complex(np.sum(pts * dvals / vals * dz))
-
-
 def residue_refine(series, rect: Rectangle, multiplicity: int) -> complex:
     """Zero position by the residue formula (2*pi*i*N)^-1 contour-int z Phi'/Phi dz.
 
-    Trapezoid rule along the rectangle boundary at SAMPLES, 2 SAMPLES and
-    4 SAMPLES points; the corners leave an O(h^2) error expansion, so two
-    Richardson levels push the rule to O(h^6).
+    Trapezoid rule along the rectangle boundary on three nested levels:
+    Phi_M and Phi_M' are evaluated once, on the SAMPLES layout folded 4 times,
+    and strides 4, 2 and 1 of it (the first being winding_number's points)
+    are the levels, each with its own (next - prev)/2 weights.  The corners
+    leave an O(h^2) error expansion, so two Richardson levels push the rule
+    to O(h^6).
     """
-    t1 = _residue_trapezoid(series, rect, SAMPLES)
-    t2 = _residue_trapezoid(series, rect, 2 * SAMPLES)
-    t4 = _residue_trapezoid(series, rect, 4 * SAMPLES)
+    pts = _boundary_points(rect, SAMPLES, fold=4)
+    f = pts * series.deriv(pts) / series(pts)
+    levels = []
+    for stride in (4, 2, 1):
+        p = pts[::stride]
+        dz = (np.roll(p, -1) - np.roll(p, 1)) / 2.0
+        levels.append(complex(np.sum(f[::stride] * dz)))
+    t1, t2, t4 = levels
     r1 = (4 * t2 - t1) / 3
     r2 = (4 * t4 - t2) / 3
     integral = (16 * r2 - r1) / 15

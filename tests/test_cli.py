@@ -14,7 +14,8 @@ import pytest
 
 from slpencil import ConfigError, SLPencilError, cli
 from slpencil.cli import _record_key, emit_surface, load_config, main, run_solve
-from slpencil.rootfinding import Rectangle
+from slpencil.problems import CharacteristicSeries
+from slpencil.rootfinding import EigenvalueRecord, Rectangle
 from slpencil.spps import build_formal_powers
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -260,6 +261,11 @@ class TestSolve:
             "residual": 1e-30, "merge": 1e-6}))
         assert rs.records == []
         assert rs.metadata["excluded_by_residual"] >= 4
+
+    def test_overflowing_term_scale_is_infinite_relative_residual(self):
+        series = CharacteristicSeries(0, [1, 2, 3, 0])
+        rec = EigenvalueRecord(1e200, 1, "poly_roots", False, 1.0)
+        assert cli._relative_residual(series, rec) == math.inf
 
     def test_arg_principle_agrees_with_poly_roots(self, tmp_path):
         poly = run_solve(intro_cfg(tmp_path))

@@ -1,4 +1,5 @@
-"""Spectral shift, string characteristic series, Dirac reduction."""
+"""Characteristic-series evaluation, spectral shift, string characteristic series,
+Dirac reduction."""
 
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from slpencil import Grid, SampledFunction, constant, sample
 from slpencil.grids import cumulative_integral
 from slpencil.problems import (
+    CharacteristicSeries,
     dirac_pencil,
     shift_pencil,
     string_pencil,
@@ -28,6 +30,45 @@ def intro_pencil(panels=16):
     g = Grid.uniform(0.0, 1.0, panels)
     return PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0),
                       r=(constant(g, 1.0), constant(g, 2.0)))
+
+
+def reference_horner(coeffs, center, lam):
+    """Horner with a fresh accumulator per term, the plain reference loop."""
+    z = np.asarray(lam, dtype=np.complex128) - center
+    acc = np.zeros_like(z)
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    return acc
+
+
+class TestCharacteristicSeries:
+    @pytest.fixture
+    def series(self):
+        rng = np.random.default_rng(7)
+        coeffs = rng.standard_normal(51) + 1j * rng.standard_normal(51)
+        return CharacteristicSeries(0.3 - 0.1j, coeffs / np.arange(1, 52) ** 2)
+
+    @pytest.mark.parametrize("shape", [None, (), (1,), (4000,), (16000,)])
+    def test_horner_bitwise_matches_reference_loop(self, series, shape):
+        rng = np.random.default_rng(11)
+        if shape is None:
+            lam = complex(0.8, 0.6)
+        else:
+            lam = np.asarray(series.center + rng.uniform(-1, 1, shape)
+                             + 1j * rng.uniform(-1, 1, shape))
+        before = np.array(lam, copy=True)
+        slopes = np.array([k * c for k, c in enumerate(series.coeffs)][1:])
+        for got, want in ((series(lam), reference_horner(series.coeffs, series.center, lam)),
+                          (series.deriv(lam), reference_horner(slopes, series.center, lam))):
+            if shape in (None, ()):
+                assert type(got) is complex
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.asarray(lam).tobytes() == before.tobytes()
+
+    def test_term_scale_overflow_is_inf(self):
+        # a zero coefficient meets an overflowing power; warnings are errors
+        assert CharacteristicSeries(0, [1, 2, 3, 0]).term_scale(1e200) == math.inf
+        assert CharacteristicSeries(0, [1, 2, 3, 0]).term_scale(2.0) == 12.0
 
 
 class TestShiftPencil:

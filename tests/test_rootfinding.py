@@ -182,6 +182,21 @@ class TestResidueRefine:
         est = residue_refine(s, Rectangle(-0.4, 0.9, -0.8, 0.5), mult)
         assert abs(est - z0) <= 1e-10
 
+    def test_one_sample_set_nesting_the_winding_points(self, monkeypatch):
+        calls = {"__call__": [], "deriv": []}
+        for name in calls:
+            def counting(self, lam, _name=name, _orig=getattr(CharacteristicSeries, name)):
+                calls[_name].append(np.array(lam, copy=True))
+                return _orig(self, lam)
+            monkeypatch.setattr(CharacteristicSeries, name, counting)
+        rect = Rectangle(-0.37, 0.9, -0.8, 0.41)  # sides of unequal length
+        residue_refine(series_from_roots([0.3 - 0.2j]), rect, 1)
+        assert [len(v) for v in calls.values()] == [1, 1]
+        pts = calls["__call__"][0]
+        assert pts.tobytes() == calls["deriv"][0].tobytes()
+        coarse = rootfinding._boundary_points(rect, rootfinding.SAMPLES)
+        assert pts[::4].tobytes() == coarse.tobytes()
+
 
 class TestNewtonPolish:
     def test_converges_from_nearby(self):
