@@ -737,13 +737,20 @@ def _report_dict(rs: ResultSet) -> dict:
     return {"metadata": meta, "records": rs.records, "spurious": rs.spurious}
 
 
+def _open_output(path: str):
+    try:
+        return open(path, "w")
+    except OSError as err:
+        raise ConfigError(f"cannot write output {path!r}: {err.strerror or err}") from err
+
+
 def _write_outputs(cfg: dict, rs: ResultSet):
     out = cfg.get("output") or {}
     if "csv" in out:
-        with open(out["csv"], "w") as fh:
+        with _open_output(out["csv"]) as fh:
             fh.write("\n".join(_csv_lines(rs)) + "\n")
     if "report" in out:
-        with open(out["report"], "w") as fh:
+        with _open_output(out["report"]) as fh:
             json.dump(_report_dict(rs), fh, indent=2)
             fh.write("\n")
 
@@ -775,7 +782,7 @@ def emit_surface(config_path: str, *, out_path: str | None = None) -> str:
     re = np.linspace(surf["region"]["re"][0], surf["region"]["re"][1], nx)
     im = np.linspace(surf["region"]["im"][0], surf["region"]["im"][1], ny)
 
-    with open(target, "w") as fh:
+    with _open_output(target) as fh:
         rgn = surf["region"]
         fh.write(f"# region: {_fmt(rgn['re'][0])} {_fmt(rgn['re'][1])} "
                  f"{_fmt(rgn['im'][0])} {_fmt(rgn['im'][1])}\n")

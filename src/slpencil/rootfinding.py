@@ -6,19 +6,22 @@ winding numbers and residue-formula refinement.  Every contour is sampled at
 SAMPLES points, and the residue formula's three Richardson levels are strides
 of one set four times as dense.  Localization bisects only until a rectangle
 holds a single zero, which the residue formula and Newton then pin: the
-bisection tolerance is a floor, not the record's precision.  Its rounding-noise
-floor is taken where the sampled boundary |Phi_M| is smallest.  Both routes end in a Newton
-polish in double precision whose residual comes from the compensated Horner
-scheme, as accurate as Horner in twice the working precision.  A root is
-certified when the sampled boundary minimum of |Phi_M|, less what |Phi_M| can
-lose between samples, beats a rigorous bound on |Phi - Phi_M|, so that by
-Rouche's theorem Phi has as many zeros inside the rectangle as the winding of
-Phi_M, and when that winding is the record's multiplicity.
+bisection tolerance is a floor, not the record's precision.  Its
+rounding-noise floor is taken where the sampled boundary |Phi_M| is smallest.
+Both routes end in a Newton polish in double precision that steers and ranks
+its iterates by the compensated Horner scheme, as accurate as Horner in twice
+the working precision; a record's residual is plain-Horner |Phi_M| at the
+polished value.  A root is certified when the sampled boundary minimum of
+|Phi_M|, less what |Phi_M| can lose between samples, beats a rigorous bound on
+|Phi - Phi_M|, so that by Rouche's theorem Phi has as many zeros inside the
+rectangle as the winding of Phi_M, and when that winding is the record's
+multiplicity.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +32,7 @@ from .problems import CharacteristicSeries
 BOUNDARY_ABS_FLOOR = 1e-280
 MAX_PHASE_STEP = math.pi / 2
 MAX_LOCAL_REFINES = 10  # per-segment density doublings before giving up
-POLISH_STEPS = 5  # Newton steps from a companion root or a residue-formula estimate
+POLISH_STEPS = 5  # at most this many Newton steps from a companion root or residue estimate
 SAMPLES = 4000  # boundary samples per contour; residue_refine samples 4x, nesting 1x and 2x
 _SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split of a binary64 into 26-bit halves
 
@@ -171,8 +174,12 @@ def newton_polish(series: CharacteristicSeries, z0: complex, *,
     p(z) comes from the compensated Horner scheme, so the residual that drives
     each step and ranks the iterates is as accurate as the double-precision
     coefficients allow; p'(z) only steers the step and uses plain Horner.
-    Runs `steps` iterations, stops early where p' vanishes, and returns the
-    iterate with the smallest compensated |p|, the input included.
+    Runs at most `steps` iterations and returns the iterate with the smallest
+    compensated |p|, the input included.  It stops early where p' vanishes
+    and where an iterate repeats, bit for bit, one it has already evaluated:
+    a step depends on z alone, so every later iterate would revisit an
+    evaluated one, and none could strictly beat the best.  The result is
+    bitwise that of all `steps` iterations.
     """
     cs = series.coeffs.tolist()
     deriv = [k * c for k, c in enumerate(cs)][1:]
@@ -180,6 +187,7 @@ def newton_polish(series: CharacteristicSeries, z0: complex, *,
     z = complex(z0) - center
     pz = _compensated_horner(cs, z)
     best, best_abs = complex(z0), abs(pz)
+    seen = {struct.pack("2d", z.real, z.imag)}
     for _ in range(steps):
         dp = 0j
         for c in reversed(deriv):
@@ -187,6 +195,10 @@ def newton_polish(series: CharacteristicSeries, z0: complex, *,
         if dp == 0:
             break
         z = z - pz / dp
+        key = struct.pack("2d", z.real, z.imag)
+        if key in seen:
+            break
+        seen.add(key)
         pz = _compensated_horner(cs, z)
         if abs(pz) < best_abs:
             best, best_abs = z + center, abs(pz)

@@ -691,6 +691,13 @@ class TestOutputs:
         assert reports[0] == reports[1]
         assert "output" not in json.loads(reports[0])["metadata"]["resolved_config"]
 
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        base = tmp_path / "missing" / "result"
+        assert main(["solve", intro_cfg(tmp_path), "--out", str(base)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"config error: cannot write output '{base}.csv': "
+                       "No such file or directory\n")
+
 
 class TestDependencies:
     def test_import_leaves_mpmath_out(self):
@@ -755,6 +762,14 @@ class TestSurface:
         _, grid = self.read_surface(emit_surface(path))
         assert np.all(np.isfinite(grid))
         assert grid.max() <= 50.0
+
+    def test_unwritable_surface_is_config_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "s.txt"
+        assert main(["surface", self.surface_cfg(tmp_path), "--out", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"config error: cannot write output '{target}': "
+                       "No such file or directory\n")
+        assert not target.parent.exists()
 
     def test_missing_surface_block(self, tmp_path):
         path = intro_cfg(tmp_path)

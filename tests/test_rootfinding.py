@@ -211,6 +211,97 @@ class TestNewtonPolish:
         assert abs(complex(s(z))) <= abs(complex(s(z0)))
 
 
+def full_loop_polish(series, z0, steps=rootfinding.POLISH_STEPS):
+    """newton_polish as it ran before it stopped at a repeated iterate: always
+    `steps` iterations unless p' vanishes."""
+    cs = series.coeffs.tolist()
+    deriv = [k * c for k, c in enumerate(cs)][1:]
+    center = complex(series.center)
+    z = complex(z0) - center
+    pz = _compensated_horner(cs, z)
+    best, best_abs = complex(z0), abs(pz)
+    for _ in range(steps):
+        dp = 0j
+        for c in reversed(deriv):
+            dp = dp * z + c
+        if dp == 0:
+            break
+        z = z - pz / dp
+        pz = _compensated_horner(cs, z)
+        if abs(pz) < best_abs:
+            best, best_abs = z + center, abs(pz)
+    return best
+
+
+def bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+# Newton on z^3 - 2z + 2 from 0 cycles 0 -> 1 -> 0
+TWO_CYCLE = CharacteristicSeries(0.0, np.array([2.0, -2.0, 0.0, 1.0]))
+
+
+class TestPolishStopsAtRepeat:
+    def count_passes(self, monkeypatch):
+        calls = []
+        inner = rootfinding._compensated_horner
+
+        def counting(cs, z):
+            calls.append(z)
+            return inner(cs, z)
+        monkeypatch.setattr(rootfinding, "_compensated_horner", counting)
+        return calls
+
+    def test_random_polynomials_bitwise_full_loop(self):
+        rng = np.random.default_rng(20140107)
+        for deg in range(2, 61):
+            roots = rng.normal(size=deg) + 1j * rng.normal(size=deg)
+            s = series_from_roots(roots, center=complex(rng.normal(), rng.normal()))
+            for r in roots[:2]:
+                for scale in (1e-15, 1e-10, 1e-6, 1e-3, 1e-1):
+                    z0 = r + scale * complex(rng.normal(), rng.normal())
+                    for steps in (1, 5, 8):
+                        assert bits(newton_polish(s, z0, steps=steps)) == \
+                            bits(full_loop_polish(s, z0, steps)), (deg, z0, steps)
+
+    @pytest.mark.parametrize("series,z0", [
+        (TWO_CYCLE, 0j),
+        (CharacteristicSeries(0.0, np.array([-1.0, 0.0, 1.0])), 0j),  # p'(0) = 0
+        # p/p' overflows, so the next iterate is -inf (then nan)
+        (CharacteristicSeries(0.0, np.array([1.0, 0.0, 1.0])), 1e-310 + 0j),
+        (CharacteristicSeries(0.0, np.array([1.0, 0.0, 1.0])), 1e-310 + 1e-310j),
+        (series_from_roots([0.5] * 60), 1e10 + 1e10j),  # p overflows to nan
+        (series_from_roots([1j, -1j, 2.0]), 0.0 + 1j),
+        (series_from_roots([1j, -1j, 2.0]), -0.0 + 1j),
+        (series_from_roots([1.0, -1.0]), 0.0 + 1j),
+        (series_from_roots([1.0, -1.0]), -0.0 + 1j),
+    ], ids=["two_cycle", "zero_slope", "inf_iterate", "complex_inf_iterate",
+            "nan_value", "root_at_plus_zero", "root_at_minus_zero",
+            "plus_zero_seed", "minus_zero_seed"])
+    def test_edge_cases_bitwise_full_loop(self, series, z0):
+        for steps in (1, 2, 5, 9):
+            got = newton_polish(series, z0, steps=steps)
+            assert bits(got) == bits(full_loop_polish(series, z0, steps))
+
+    def test_seed_one_ulp_from_simple_root(self, monkeypatch):
+        calls = self.count_passes(monkeypatch)
+        s = CharacteristicSeries(0.0, np.array([-1.0, 0.0, 1.0]))
+        assert newton_polish(s, 1.0 + 2.0 ** -52) == 1.0
+        assert len(calls) <= 3
+
+    def test_two_cycle_takes_two_passes(self, monkeypatch):
+        calls = self.count_passes(monkeypatch)
+        assert newton_polish(TWO_CYCLE, 0j, steps=5) == 1.0
+        assert calls == [0j, 1 + 0j]
+
+    def test_sequence_without_repeat_runs_every_step(self, monkeypatch):
+        calls = self.count_passes(monkeypatch)
+        s = CharacteristicSeries(0.0, np.array([-1.0, 0.0, 1.0]))
+        newton_polish(s, 1000.0 + 0j, steps=5)
+        assert len(calls) == 6
+        assert len({bits(z) for z in calls}) == 6
+
+
 def exact_value(cs, z):
     """(re, im) of sum cs[k] z^k in rational arithmetic: exact for the binary64
     coefficients and point."""
