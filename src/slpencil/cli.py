@@ -1,10 +1,10 @@
 """Config-driven command line: `slpencil solve <config>` and `slpencil surface <config>`.
 
-A config is one JSON file describing the problem kind (pencil, string,
-zakharov_shabat, dirac), its coefficients or potential, the series truncation,
-an optional spectral-shift schedule, the root-search method and tolerances,
-and output targets.  Solves are deterministic: rerunning a config reproduces
-the output files byte for byte (volatile data like wall time goes to stderr).
+A config is one JSON file; its keys, their defaults and the normal form it
+loads in are described in config.py.  Solves are deterministic: rerunning a
+config reproduces the output files byte for byte (volatile data like wall
+time goes to stderr), and an output path whose directory is missing is an
+error before any solve.
 
 Exit codes: 0 success, 1 config error, 2 solver error, 3 certification was
 required but some record failed it.
@@ -13,17 +13,19 @@ required but some record failed it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import load_config
 from .errors import (
     ConfigError,
-    ExpressionError,
     NodeValueError,
     SLPencilError,
     SolverError,
@@ -54,28 +56,14 @@ from .spps import (
     recursion_kernels,
 )
 from .zakharov import (
-    DEFAULT_HALF_WIDTH,
-    POTENTIALS,
     materialize_potential,
-    potential_half_width,
     zs_boundary,
     zs_particular_solution,
     zs_to_pencil,
 )
 
-# n_nodes is a ceiling: each center's grid starts from INITIAL_PANELS uniform
-# panels (fewer if the ceiling asks), and a GridError names the center whose
-# refinement would need more nodes than n_nodes
-DEFAULTS = {
-    "n_nodes": 100001,
-    "truncation": 100,
-    "method": "poly_roots",
-    "spectral_shifts": [],
-    "tolerances": {"localize": 1e-10, "residual": 1e-6, "merge": None},
-    "certify": False,
-    "require_certified": False,
-    "boundary": {"left": [1.0, 0.0], "right": [1.0, 0.0]},
-}
+# each center's grid starts from INITIAL_PANELS uniform panels, fewer if the
+# config's n_nodes ceiling asks
 INITIAL_PANELS = 16
 CERTIFY_HALF_WIDTH = 0.5
 # truncation-drift test, under both root methods: a root is kept only if
@@ -85,294 +73,6 @@ CERTIFY_HALF_WIDTH = 0.5
 DRIFT_ORDERS = 5
 DRIFT_TOL = 1e-3
 DRIFT_STEPS = 2
-# keys with no default: required ones, and blocks that are off when absent
-CONFIG_KEYS = frozenset(DEFAULTS) | {
-    "problem", "interval", "coefficients", "potential", "search_region",
-    "surface", "sweep", "output",
-}
-
-PROBLEM_KINDS = ("pencil", "string", "zakharov_shabat", "dirac")
-_COEFFICIENT_KEYS = {
-    "pencil": ("p", "q", "r"),
-    "string": ("damping", "density"),
-    "dirac": ("v", "energy"),
-}
-
-
-# ---------------------------------------------------------------------------
-# config loading
-
-
-def _fail(path: str, msg: str):
-    raise ConfigError(f"{path}: {msg}")
-
-
-def _is_number(val) -> bool:
-    """True for a JSON number a double holds.  JSON true and false load as
-    ints but are not numbers; Python's json reads NaN and Infinity, and an
-    int past the double range, none of which any key takes."""
-    return (isinstance(val, (int, float)) and not isinstance(val, bool)
-            and abs(val) <= sys.float_info.max)
-
-
-def _require(cfg: dict, key: str, kind, path: str):
-    if key not in cfg:
-        _fail(path, f"missing required key {key!r}")
-    val = cfg[key]
-    if kind is float:
-        if not _is_number(val):
-            _fail(f"{path}.{key}", f"expected a number, got {val!r}")
-        return float(val)
-    if not isinstance(val, kind) or (kind is int and not _is_number(val)):
-        _fail(f"{path}.{key}", f"expected {kind.__name__}, got {type(val).__name__}")
-    return val
-
-
-def _as_complex(val, path: str) -> complex:
-    if _is_number(val):
-        return complex(val)
-    if isinstance(val, list) and len(val) == 2 and all(map(_is_number, val)):
-        return complex(val[0], val[1])
-    _fail(path, f"expected a number or [re, im] pair, got {val!r}")
-
-
-def _as_expression(src, path: str):
-    if not isinstance(src, str):
-        _fail(path, f"expected an expression string, got {src!r}")
-    try:
-        return parse_expr(src)
-    except ExpressionError as err:
-        _fail(path, f"bad expression {src!r}: {err}")
-
-
-def _merge_defaults(cfg: dict) -> dict:
-    import copy
-
-    defaults = copy.deepcopy(DEFAULTS)
-    out = {**defaults, **cfg}
-    for block in ("tolerances", "boundary"):
-        out[block] = {**defaults[block], **cfg.get(block, {})}
-    return out
-
-
-def load_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path!r}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config {path!r} is not valid JSON: {err}") from err
-    if not isinstance(raw, dict):
-        raise ConfigError("top-level config must be a JSON object")
-    return validate_config(raw)
-
-
-def _reject_unknown(cfg: dict, known, path: str):
-    for key in cfg:
-        if key not in known:
-            _fail(path, f"unknown key {key!r}")
-
-
-def validate_config(raw: dict) -> dict:
-    _reject_unknown(raw, CONFIG_KEYS, "config")
-    for block in ("tolerances", "boundary"):
-        sub = raw.get(block, {})
-        if not isinstance(sub, dict):
-            _fail(f"config.{block}", "expected an object")
-        _reject_unknown(sub, DEFAULTS[block], f"config.{block}")
-    cfg = _merge_defaults(raw)
-    kind = _require(cfg, "problem", str, "config")
-    if kind not in PROBLEM_KINDS:
-        _fail("config.problem", f"unknown problem kind {kind!r}; "
-              f"expected one of {PROBLEM_KINDS}")
-
-    n_nodes = _require(cfg, "n_nodes", int, "config")
-    if n_nodes < P:
-        _fail("config.n_nodes", f"{n_nodes} is below the {P} nodes of one panel")
-    m = _require(cfg, "truncation", int, "config")
-    if m < 1:
-        _fail("config.truncation", "truncation order must be >= 1")
-
-    if cfg["method"] not in ("poly_roots", "arg_principle"):
-        _fail("config.method", f"unknown method {cfg['method']!r}")
-
-    shifts = cfg["spectral_shifts"]
-    if not isinstance(shifts, list):
-        _fail("config.spectral_shifts", "expected a list of centers")
-    cfg["spectral_shifts"] = [
-        _as_complex(s, f"config.spectral_shifts[{i}]") for i, s in enumerate(shifts)
-    ]
-
-    if cfg.get("search_region") is not None:
-        cfg["search_region"] = _parse_region(cfg["search_region"],
-                                             "config.search_region")
-    elif cfg["method"] == "arg_principle":
-        _fail("config", "method arg_principle needs a search_region")
-
-    tol = cfg["tolerances"]
-    for key in ("localize", "residual"):
-        if not _is_number(tol.get(key)) or tol[key] <= 0:
-            _fail(f"config.tolerances.{key}", "expected a positive number")
-    if tol.get("merge") is not None and (not _is_number(tol["merge"])
-                                         or tol["merge"] <= 0):
-        _fail("config.tolerances.merge", "expected a positive number or null")
-
-    for key in ("certify", "require_certified"):
-        if not isinstance(cfg[key], bool):
-            _fail(f"config.{key}", "expected false or true")
-    if cfg["require_certified"] and not cfg["certify"]:
-        _fail("config.require_certified", 'requires "certify": true')
-
-    if kind == "zakharov_shabat":
-        _validate_potential(cfg)
-    else:
-        interval = _require(cfg, "interval", list, "config")
-        if (len(interval) != 2 or not all(map(_is_number, interval))
-                or not interval[0] < interval[1]):
-            _fail("config.interval", f"expected [a, b] with a < b, got {interval!r}")
-        if kind == "string" and interval[0] != 0.0:
-            _fail("config.interval", "string problems start at 0")
-        coeffs = _require(cfg, "coefficients", dict, "config")
-        _reject_unknown(coeffs, _COEFFICIENT_KEYS[kind], "config.coefficients")
-        if kind == "pencil":
-            for key in ("p", "q"):
-                _as_expression(_require(coeffs, key, str, "config.coefficients"),
-                               f"config.coefficients.{key}")
-            r = _require(coeffs, "r", list, "config.coefficients")
-            if not r:
-                _fail("config.coefficients.r", "need at least one coefficient")
-            for i, src in enumerate(r):
-                _as_expression(src, f"config.coefficients.r[{i}]")
-        elif kind == "string":
-            for key in ("damping", "density"):
-                _as_expression(_require(coeffs, key, str, "config.coefficients"),
-                               f"config.coefficients.{key}")
-        elif kind == "dirac":
-            _as_expression(_require(coeffs, "v", str, "config.coefficients"),
-                           "config.coefficients.v")
-            cfg["coefficients"] = {**coeffs}
-            cfg["coefficients"]["energy"] = list(
-                _c_pair(_as_complex(coeffs.get("energy", 0.0),
-                                    "config.coefficients.energy")))
-
-    bnd = cfg["boundary"]
-    for side in ("left", "right"):
-        pair = bnd.get(side)
-        if (not isinstance(pair, list) or len(pair) != 2):
-            _fail(f"config.boundary.{side}", f"expected [alpha1, alpha2], got {pair!r}")
-        bnd[side] = [_as_complex(v, f"config.boundary.{side}[{i}]")
-                     for i, v in enumerate(pair)]
-        if bnd[side] == [0j, 0j]:
-            _fail(f"config.boundary.{side}", "boundary condition must be nonzero")
-
-    if cfg.get("surface") is not None:
-        surf = cfg["surface"]
-        if not isinstance(surf, dict):
-            _fail("config.surface", "expected an object")
-        _reject_unknown(surf, ("region", "nx", "ny", "cap"), "config.surface")
-        surf["region"] = _parse_region(surf.get("region"), "config.surface.region")
-        for key in ("nx", "ny"):
-            v = surf.get(key)
-            if not isinstance(v, int) or not _is_number(v) or v < 2:
-                _fail(f"config.surface.{key}", "expected an integer >= 2")
-        cap = surf.get("cap", 50.0)
-        if not _is_number(cap):
-            _fail("config.surface.cap", "expected a number")
-        surf["cap"] = float(cap)
-
-    if cfg.get("sweep") is not None:
-        sweep = cfg["sweep"]
-        if kind != "zakharov_shabat":
-            _fail("config.sweep", "sweeps are supported for zakharov_shabat only")
-        if (not isinstance(sweep, dict) or "parameter" not in sweep
-                or not isinstance(sweep.get("values"), list) or not sweep["values"]):
-            _fail("config.sweep", "expected {\"parameter\": name, \"values\": [...]}")
-        _reject_unknown(sweep, ("parameter", "values"), "config.sweep")
-        for i, v in enumerate(sweep["values"]):
-            if not _is_number(v):
-                _fail(f"config.sweep.values[{i}]",
-                      f"expected a finite number, got {v!r}")
-        allowed = POTENTIALS[cfg["potential"]["kind"]].params
-        if sweep["parameter"] not in allowed:
-            _fail("config.sweep.parameter",
-                  f"{sweep['parameter']!r} is not a numeric parameter of "
-                  f"{cfg['potential']['kind']} (has {allowed})")
-
-    if "output" in cfg and cfg["output"] is not None:
-        out = cfg["output"]
-        if not isinstance(out, dict):
-            _fail("config.output", "expected an object")
-        for key, val in out.items():
-            if key not in ("csv", "report", "surface"):
-                _fail("config.output", f"unknown output target {key!r}")
-            if not isinstance(val, str):
-                _fail(f"config.output.{key}", "expected a path string")
-    # keys that only the other kinds read, looked up in the raw dict because
-    # the defaults give every kind a boundary
-    for key in (("interval", "coefficients", "boundary")
-                if kind == "zakharov_shabat" else ("potential",)):
-        if key in raw:
-            _fail("config", f"unknown key {key!r} for problem kind {kind!r}")
-    return cfg
-
-
-def _validate_potential(cfg: dict):
-    pot = _require(cfg, "potential", dict, "config")
-    kind = _require(pot, "kind", str, "config.potential")
-    if kind not in POTENTIALS:
-        _fail("config.potential.kind", f"unknown potential {kind!r}")
-    entry = POTENTIALS[kind]
-    # a kind without a Q template reads the config's Q and an optional P
-    own = ("Q", "P") if entry.Q is None else ()
-    _reject_unknown(pot, ("kind", "half_width", *entry.params, *own),
-                    "config.potential")
-    for key in entry.params:
-        _require(pot, key, float, "config.potential")
-    if entry.Q is None:
-        _as_expression(_require(pot, "Q", str, "config.potential"),
-                       "config.potential.Q")
-        if "P" in pot:
-            _as_expression(pot["P"], "config.potential.P")
-    fixed = entry.half_width
-    if fixed is not None:
-        hw = pot.setdefault("half_width", fixed)
-        if not _is_number(hw) or hw != fixed:
-            _fail("config.potential.half_width",
-                  f"{kind} is supported on [-{fixed:g}, {fixed:g}]")
-    else:
-        pot.setdefault("half_width", DEFAULT_HALF_WIDTH)
-        if _require(pot, "half_width", float, "config.potential") <= 0:
-            _fail("config.potential.half_width", "expected a positive number")
-
-
-def _parse_region(raw, path: str) -> dict:
-    if isinstance(raw, dict):
-        _reject_unknown(raw, ("re", "im"), path)
-    if (not isinstance(raw, dict) or "re" not in raw or "im" not in raw):
-        _fail(path, "expected {\"re\": [lo, hi], \"im\": [lo, hi]}")
-    for axis in ("re", "im"):
-        pair = raw[axis]
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(map(_is_number, pair)) or not pair[0] < pair[1]):
-            _fail(f"{path}.{axis}", f"expected [lo, hi] with lo < hi, got {pair!r}")
-    region = {axis: [float(v) for v in raw[axis]] for axis in ("re", "im")}
-    # the contour sampling divides the perimeter among the sides
-    for axis, (lo, hi) in region.items():
-        if not math.isfinite(hi - lo):
-            _fail(f"{path}.{axis}", f"the width of {raw[axis]!r} is not a finite number")
-    if not math.isfinite(2 * sum(hi - lo for lo, hi in region.values())):
-        _fail(path, "the perimeter is not a finite number")
-    return region
-
-
-def _region_rect(region: dict) -> Rectangle:
-    return Rectangle(region["re"][0], region["re"][1],
-                     region["im"][0], region["im"][1])
-
-
-def _c_pair(z: complex) -> tuple[float, float]:
-    return (z.real, z.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +94,7 @@ def _build_assembly(cfg: dict) -> _Assembly:
     """The problem sampled on the coarsest split of a uniform grid on which
     its coefficients and its center-0 u0 are resolved."""
     if cfg["problem"] == "zakharov_shabat":
-        b = potential_half_width(cfg["potential"])
+        b = float(cfg["potential"]["half_width"])
         a = -b
     else:
         a, b = (float(v) for v in cfg["interval"])
@@ -432,13 +132,14 @@ def _assemble(cfg: dict, grid: Grid) -> _Assembly:
         pencil = dirac_pencil(evaluate_on_grid(parse_expr(coeffs["v"]), grid),
                               complex(*coeffs["energy"]))
 
+    left, right = (tuple(complex(*alpha) for alpha in cfg["boundary"][side])
+                   for side in ("left", "right"))
     if np.max(np.abs(pencil.q.values)) == 0.0:
         u0 = ParticularSolution.unit(grid)
     else:
         u0 = build_particular_solution(pencil.p, pencil.q, truncation=m)
 
-    return _Assembly(pencil, u0, tuple(cfg["boundary"]["left"]),
-                     tuple(cfg["boundary"]["right"]), None)
+    return _Assembly(pencil, u0, left, right, None)
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +175,8 @@ def run_solve(config_path: str, *, output_override: dict | None = None) -> Resul
     cfg = load_config(config_path)
     if output_override is not None:
         cfg["output"] = {**(cfg.get("output") or {}), **output_override}
+    for path in _solve_outputs(cfg).values():
+        _check_output_dir(path)
     t0 = time.monotonic()
     sweep = cfg.get("sweep")
     runs = [({}, cfg)] if not sweep else [
@@ -488,34 +191,14 @@ def run_solve(config_path: str, *, output_override: dict | None = None) -> Resul
         grids += [{**tag, **g} for g in grid]
         excluded += excl
 
-    metadata = {
-        "problem": cfg["problem"],
-        "truncation": cfg["truncation"],
-        "n_nodes": cfg["n_nodes"],
-        "spectral_shifts": [list(_c_pair(c)) for c in cfg["spectral_shifts"]],
-        "method": cfg["method"],
-        "record_count": len(records),
-        "excluded_by_residual": excluded,
-        "resolved_config": _resolved_config(cfg),
-        "grid": grids,
-    }
+    metadata = {key: cfg[key] for key in
+                ("problem", "truncation", "n_nodes", "spectral_shifts", "method")}
+    metadata.update(record_count=len(records), excluded_by_residual=excluded,
+                    resolved_config=cfg, grid=grids)
     rs = ResultSet(records=records, spurious=spurious, metadata=metadata)
     rs.metadata["wall_time_s"] = time.monotonic() - t0  # not written to files
     _write_outputs(cfg, rs)
     return rs
-
-
-def _resolved_config(cfg: dict) -> dict:
-    out = {}
-    for key, val in cfg.items():
-        if key == "spectral_shifts":
-            out[key] = [list(_c_pair(c)) for c in val]
-        elif key == "boundary":
-            out[key] = {side: [list(_c_pair(c)) for c in pair]
-                        for side, pair in val.items()}
-        else:
-            out[key] = val
-    return out
 
 
 def _resolved_table(pencil: PencilSpec, u0: ParticularSolution, m: int,
@@ -544,9 +227,10 @@ def _solve_single(cfg: dict) -> tuple[list[dict], list[dict], int, list[dict]]:
     asm = _build_assembly(cfg)
     m = cfg["truncation"]
     tol = cfg["tolerances"]
-    region = _region_rect(cfg["search_region"]) if cfg.get("search_region") else None
+    box = cfg.get("search_region")
+    region = Rectangle(*box["re"], *box["im"]) if box else None
     centers = [0.0 + 0.0j]
-    for c in cfg["spectral_shifts"]:
+    for c in (complex(*pair) for pair in cfg["spectral_shifts"]):
         if c != centers[-1]:
             centers.append(c)
     if len(centers) > 1:
@@ -565,7 +249,7 @@ def _solve_single(cfg: dict) -> tuple[list[dict], list[dict], int, list[dict]]:
         eval_points = (next_rel,) if next_rel is not None else ()
         table = _resolved_table(pencil, u0, m, eval_points, cfg["n_nodes"],
                                 f"center {j} at {center}")
-        grids.append({"center": list(_c_pair(center)),
+        grids.append({"center": [center.real, center.imag],
                       "panels": table.grid.panels, "nodes": table.grid.n_nodes})
         series = two_point_series(table, left=asm.left, right=asm.right,
                                   center=center)
@@ -744,15 +428,28 @@ def _open_output(path: str):
         raise ConfigError(f"cannot write output {path!r}: {err.strerror or err}") from err
 
 
-def _write_outputs(cfg: dict, rs: ResultSet):
+def _check_output_dir(path: str):
+    """Fail now, as _open_output would after the solve, when the directory of
+    an output path is missing or is not one; opening the path creates nothing."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        _open_output(path).close()
+
+
+def _solve_outputs(cfg: dict) -> dict:
     out = cfg.get("output") or {}
-    if "csv" in out:
-        with _open_output(out["csv"]) as fh:
-            fh.write("\n".join(_csv_lines(rs)) + "\n")
-    if "report" in out:
-        with _open_output(out["report"]) as fh:
-            json.dump(_report_dict(rs), fh, indent=2)
-            fh.write("\n")
+    return {key: out[key] for key in ("csv", "report") if key in out}
+
+
+def _write_outputs(cfg: dict, rs: ResultSet):
+    """Opens every target before writing any: when one cannot be opened,
+    none is written (those opened before it are left empty)."""
+    with contextlib.ExitStack() as stack:
+        files = {key: stack.enter_context(_open_output(path))
+                 for key, path in _solve_outputs(cfg).items()}
+        if "csv" in files:
+            files["csv"].write("\n".join(_csv_lines(rs)) + "\n")
+        if "report" in files:
+            files["report"].write(json.dumps(_report_dict(rs), indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +468,7 @@ def emit_surface(config_path: str, *, out_path: str | None = None) -> str:
     target = out_path or (cfg.get("output") or {}).get("surface")
     if target is None:
         raise ConfigError("no surface output path (config.output.surface or --out)")
+    _check_output_dir(target)
 
     asm = _build_assembly(cfg)
     table = _resolved_table(asm.base_pencil, asm.initial_u0, cfg["truncation"], (),

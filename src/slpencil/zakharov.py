@@ -105,9 +105,9 @@ class PotentialKind:
     params are the numeric parameters (the sweepable ones).  Q is a template
     in x with each parameter in braces, or None when the config gives Q (and
     optionally P) as expressions.  P is Q* when conjugate, else Q.  A fixed
-    half_width pins the interval; None lets the config choose it (default
-    DEFAULT_HALF_WIDTH).  back_map_scale maps the parameters to the s with
-    Lambda = s lambda, or is None.
+    half_width pins the interval; None lets the config choose it, and
+    potential_half_width gives the one default.  back_map_scale maps the
+    parameters to the s with Lambda = s lambda, or is None.
     """
 
     params: tuple[str, ...]

@@ -230,6 +230,36 @@ class TestConfigValidation:
     def test_shipped_config_loads(self, name):
         load_config(str(CONFIGS / name))
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+    def test_loaded_config_loads_again(self, tmp_path, name):
+        """A loaded config is in normal form: written out as the report's
+        resolved_config is (without output), it loads to the same dict."""
+        cfg = load_config(str(CONFIGS / name))
+        cfg.pop("output", None)
+        assert load_config(write_config(tmp_path, name, cfg)) == cfg
+
+    @pytest.mark.parametrize("bare,pairs", [
+        ({"problem": "pencil", "spectral_shifts": [-1, -2.5],
+          "boundary": {"left": [1, 0], "right": [0, 2]}},
+         {"problem": "pencil", "spectral_shifts": [[-1.0, 0.0], [-2.5, 0.0]],
+          "boundary": {"left": [[1.0, 0.0], [0.0, 0.0]],
+                       "right": [[0.0, 0.0], [2.0, 0.0]]}}),
+        ({"problem": "dirac", "coefficients": {"v": "x+2", "energy": 1}},
+         {"problem": "dirac", "coefficients": {"v": "x+2", "energy": [1.0, 0.0]}}),
+    ], ids=["pencil_shifts_and_boundary", "dirac_energy"])
+    def test_numbers_load_as_pairs(self, tmp_path, bare, pairs):
+        """A complex value written as a bare number solves to the same bytes
+        as its [re, im] pair of floats."""
+        outputs = []
+        for name, overrides in (("bare", bare), ("pairs", pairs)):
+            path = intro_cfg(tmp_path, **overrides)
+            (tmp_path / name).mkdir()
+            assert main(["solve", path, "--out", str(tmp_path / name / "r")]) == 0
+            outputs.append([(tmp_path / name / f"r.{ext}").read_bytes()
+                            for ext in ("csv", "json")])
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0].splitlines()) > 1
+
 
 class TestSolve:
     def test_intro_pencil_dirichlet_modes(self, tmp_path):
@@ -664,6 +694,18 @@ class TestOutputs:
         rs2 = run_solve(again)
         assert rs1.records == rs2.records
 
+    def test_zs_resolved_config_loads_again(self, tmp_path):
+        """A ZS report echoes no boundary, which a ZS config may not set."""
+        cfg = {"problem": "zakharov_shabat", "n_nodes": 501, "truncation": 20,
+               "potential": {"kind": "klaus_shaw", "s": 0.956},
+               "search_region": {"re": [1e-6, 2.2], "im": [-1.0, 1.0]},
+               "output": {"report": str(tmp_path / "out.json")}}
+        run_solve(write_config(tmp_path, "zs.json", cfg))
+        resolved = json.loads((tmp_path / "out.json").read_text())[
+            "metadata"]["resolved_config"]
+        assert "boundary" not in resolved
+        assert load_config(write_config(tmp_path, "again.json", resolved)) == resolved
+
     def test_empty_sweep_keeps_sweep_column(self, tmp_path):
         cfg = json.loads((CONFIGS / "klaus_shaw_sweep.json").read_text())
         cfg["search_region"] = {"re": [5.0, 6.0], "im": [5.0, 6.0]}
@@ -697,6 +739,39 @@ class TestOutputs:
         err = capsys.readouterr().err
         assert err == (f"config error: cannot write output '{base}.csv': "
                        "No such file or directory\n")
+
+    def test_unwritable_output_found_before_solving(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def solve(cfg):
+            raise AssertionError("solved before checking the output path")
+
+        monkeypatch.setattr(cli, "_solve_single", solve)
+        base = tmp_path / "missing" / "x"
+        config = str(CONFIGS / "string_constant_damping_shifted.json")
+        assert main(["solve", config, "--out", str(base)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: cannot write output '{base}.csv': "
+            "No such file or directory\n")
+
+    def test_unwritable_report_leaves_no_csv(self, tmp_path, capsys):
+        csv, report = tmp_path / "out.csv", tmp_path / "missing" / "out.json"
+        path = intro_cfg(tmp_path, output={"csv": str(csv), "report": str(report)})
+        assert main(["solve", path]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: cannot write output '{report}': "
+            "No such file or directory\n")
+        assert not csv.exists()
+
+    def test_report_that_cannot_be_opened_leaves_csv_unwritten(self, tmp_path,
+                                                              capsys):
+        """Every target is opened before any is written: a report path that
+        is a directory fails after the solve, with the CSV still empty."""
+        csv = tmp_path / "out.csv"
+        path = intro_cfg(tmp_path, output={"csv": str(csv), "report": str(tmp_path)})
+        assert main(["solve", path]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot write output '{tmp_path}': ")
+        assert csv.read_text() == ""
 
 
 class TestDependencies:
@@ -770,6 +845,19 @@ class TestSurface:
         assert err == (f"config error: cannot write output '{target}': "
                        "No such file or directory\n")
         assert not target.parent.exists()
+
+    def test_unwritable_surface_found_before_solving(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def assemble(cfg):
+            raise AssertionError("solved before checking the output path")
+
+        monkeypatch.setattr(cli, "_build_assembly", assemble)
+        target = tmp_path / "missing" / "s.txt"
+        config = str(CONFIGS / "klaus_shaw_surface.json")
+        assert main(["surface", config, "--out", str(target)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: cannot write output '{target}': "
+            "No such file or directory\n")
 
     def test_missing_surface_block(self, tmp_path):
         path = intro_cfg(tmp_path)
