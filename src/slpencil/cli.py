@@ -3,8 +3,8 @@
 A config is one JSON file; its keys, their defaults and the normal form it
 loads in are described in config.py.  Solves are deterministic: rerunning a
 config reproduces the output files byte for byte (volatile data like wall
-time goes to stderr), and an output path whose directory is missing is an
-error before any solve.
+time goes to stderr), and an output path that is a directory, or whose
+directory is missing, is an error before any solve.
 
 Exit codes: 0 success, 1 config error, 2 solver error, 3 certification was
 required but some record failed it.
@@ -255,7 +255,8 @@ def _solve_single(cfg: dict) -> tuple[list[dict], list[dict], int, list[dict]]:
                                   center=center)
 
         if cfg["method"] == "poly_roots":
-            recs = _poly_records(series, center, keep_radius, region, spurious)
+            recs, grids[-1]["companion_degree"] = _poly_records(
+                series, center, keep_radius, region, spurious)
         else:
             recs = _arg_records(series, center, keep_radius, region, tol["localize"])
         if cfg["certify"]:
@@ -304,19 +305,26 @@ def _candidate(series, center, rec: EigenvalueRecord
 
 
 def _poly_records(series, center, keep_radius, region, spurious
-                  ) -> list[tuple[EigenvalueRecord, float, float]]:
+                  ) -> tuple[list[tuple[EigenvalueRecord, float, float]], int]:
     """Records from the companion-matrix roots within keep_radius of center
-    that pass the truncation-drift test.
+    that pass the truncation-drift test, and the companion's degree.
 
-    The region is checked on the raw root, so no root outside it is
-    polished, and again on the polished value, which may have moved out."""
+    Every root that can be kept lies in the disc about center of radius
+    min(keep_radius, the region's farthest corner from center), so
+    poly_roots cuts the companion to the degree that disc needs; the drift
+    test, the polish and the residual use the full series.  The region is
+    checked on the raw root, so no root outside it is polished, and again on
+    the polished value, which may have moved out."""
     def outside(z: complex, reason: str) -> bool:
         if region is None or region.contains(z):
             return False
         spurious.append({"re": z.real, "im": z.imag, "reason": reason})
         return True
 
-    roots = [z for z in poly_roots(series) if abs(z - center) <= keep_radius]
+    radius = keep_radius if region is None else min(
+        keep_radius, region.max_abs_from(center))
+    companion = poly_roots(series, radius)
+    roots = [z for z in companion if abs(z - center) <= keep_radius]
     recs = []
     for root, steady in zip(roots, _drift_passed(series, roots)):
         if outside(root, "outside search region") or not steady:
@@ -328,7 +336,7 @@ def _poly_records(series, center, keep_radius, region, spurious
             value=z, multiplicity=1, method="poly_roots", certified=False,
             residual=float(abs(complex(series(z)))),
         )))
-    return recs
+    return recs, len(companion)
 
 
 def _drift_passed(series: CharacteristicSeries, roots: list[complex]
@@ -429,9 +437,10 @@ def _open_output(path: str):
 
 
 def _check_output_dir(path: str):
-    """Fail now, as _open_output would after the solve, when the directory of
-    an output path is missing or is not one; opening the path creates nothing."""
-    if not os.path.isdir(os.path.dirname(path) or "."):
+    """Fail now, as _open_output would after the solve, when an output path
+    is itself a directory or its directory is missing or is not one; opening
+    the path then creates nothing."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
         _open_output(path).close()
 
 

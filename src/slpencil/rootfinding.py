@@ -2,7 +2,11 @@
 
 Two routes to the eigenvalues: global polynomial root extraction through the
 companion matrix, and argument-principle localization on rectangles with
-winding numbers and residue-formula refinement.  Every contour is sampled at
+winding numbers and residue-formula refinement.  The companion matrix
+(Edelman & Murakami 1995) is cut to the degree that the caller's keep disc
+|lambda - center| <= R needs: the smallest d with
+sum_{k>d} |a_k| R^k <= eps max_k |a_k| R^k, so that the dropped terms are
+below the rounding of Phi_M on that disc.  Every contour is sampled at
 SAMPLES points, and the residue formula's three Richardson levels are strides
 of one set four times as dense.  Localization bisects only until a rectangle
 holds a single zero, which the residue formula and Newton then pin: the
@@ -61,7 +65,9 @@ class Rectangle:
                 and self.im_min <= z.imag <= self.im_max)
 
     def max_abs_from(self, center: complex) -> float:
-        return max(abs(c - center) for c in self.corners())
+        """The farthest corner's distance from center, inf where it overflows."""
+        return max(math.hypot(c.real - center.real, c.imag - center.imag)
+                   for c in self.corners())
 
     def intersection(self, other: "Rectangle") -> "Rectangle | None":
         """The overlap of two rectangles, or None when it has no interior."""
@@ -106,11 +112,19 @@ def _require_nonzero(series: CharacteristicSeries):
             f"all characteristic coefficients at center {series.center} vanish")
 
 
-def poly_roots(series: CharacteristicSeries) -> list[complex]:
-    """All roots of the truncated polynomial, shifted back by the series center.
+def poly_roots(series: CharacteristicSeries, radius: float = math.inf
+               ) -> list[complex]:
+    """The roots of the truncated polynomial, shifted back by the series
+    center, for a caller that keeps only those within radius of the center.
 
     Leading coefficients too small to divide by in double precision (they only
-    move roots near infinity) are dropped before forming the companion matrix.
+    move roots near infinity) are dropped first.  The companion matrix is then
+    built from a_0..a_d only, d the smallest degree with
+    sum_{k>d} |a_k| R^k <= eps max_k |a_k| R^k, R = radius: on that disc the
+    dropped terms are below the rounding of Phi_M itself.  Where R is inf or
+    some R^k overflows, d is the trimmed degree.  So len(result) is the
+    companion's degree, and roots outside the disc come from that lower
+    degree.
     """
     _require_nonzero(series)
     coeffs = series.coeffs
@@ -118,6 +132,12 @@ def poly_roots(series: CharacteristicSeries) -> list[complex]:
     deg = len(coeffs) - 1
     while deg > 0 and abs(coeffs[deg]) <= 1e-300 * top:
         deg -= 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.abs(coeffs[:deg + 1]) * radius ** np.arange(deg + 1.0)
+        # tails[d] = sum_{k>d} terms[k], non-increasing, 0 at d = deg
+        tails = np.append(np.cumsum(terms[:0:-1])[::-1], 0.0)
+    if np.all(np.isfinite(terms)):
+        deg = int(np.argmax(tails <= np.finfo(float).eps * np.max(terms)))
     roots = np.roots(coeffs[:deg + 1][::-1])
     return [complex(z) + series.center for z in roots]
 

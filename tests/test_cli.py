@@ -352,14 +352,22 @@ class TestSolve:
             "re": [-10.0, 0.5], "im": im})).records, key=lambda r: r["re"])
         region = {"re": [-10.0, top["re"] - 1e-9], "im": im}
         roots = cli.poly_roots
-        monkeypatch.setattr(cli, "poly_roots",
-                            lambda series: [z - 2e-9 for z in roots(series)])
+        monkeypatch.setattr(cli, "poly_roots", lambda series, radius: [
+            z - 2e-9 for z in roots(series, radius)])
         rs = run_solve(intro_cfg(tmp_path, search_region=region))
         assert all(r["re"] <= region["re"][1] for r in rs.records)
         moved = [r for r in rs.spurious
                  if r["reason"] == "polished outside search region"]
         assert len(moved) == 2
         assert all(abs(r["re"] - top["re"]) < 1e-12 for r in moved)
+
+    def test_region_far_corner_overflowing_keeps_full_companion(self, tmp_path):
+        """The farthest corner of a region near the double limit is inf from
+        the center, not an OverflowError: the companion keeps its degree."""
+        far = [1.7e308, 1.75e308]
+        rs = run_solve(intro_cfg(tmp_path, search_region={"re": far, "im": far}))
+        assert rs.records == []
+        assert rs.metadata["grid"][0]["companion_degree"] == 30
 
     def test_degenerate_linear_series(self, tmp_path):
         """u'' = lambda u with y(0) = 0, y(1) - y'(1) = 0 has the eigenvalue 0
@@ -535,6 +543,8 @@ class TestPanelGrid:
         assert [g["center"] for g in grid] == [[0.0, 0.0]] + [
             list(c) for c in x2_chain_cfg()["spectral_shifts"]]
         assert all(g["nodes"] == 15 * g["panels"] + 1 for g in grid)
+        # the keep disc, 2 x the step, needs all M = 50 orders at every center
+        assert all(g["companion_degree"] == 50 for g in grid)
 
     def test_no_table_on_a_grid_with_unresolved_kernels(self, tmp_path, monkeypatch):
         """The kernels of center 2 of the x^2 chain are unresolved on 16, 32
@@ -569,6 +579,24 @@ class TestPanelGrid:
         assert len(rs.records) == 55
         exact = [complex(-1.0, s * math.sqrt(n**2 * math.pi**2 - 1))
                  for n in range(1, 60) for s in (1, -1)]
+        for r in rs.records:
+            z = complex(r["re"], r["im"])
+            assert min(abs(z - m) for m in exact) <= 1e-13 * abs(z)
+
+    def test_constant_damping_chain_cuts_companion(self, tmp_path):
+        """Center 0 and the first 2 shifts of the shipped shifted config keep
+        roots within 6.4 of a center, where degree 40 of M = 100 is past
+        rounding; the 5 records stay within 1e-13 (relative) of
+        -1 +- i sqrt(n^2 pi^2 - 1)."""
+        cfg = json.loads((CONFIGS / "string_constant_damping_shifted.json").read_text())
+        cfg["spectral_shifts"] = cfg["spectral_shifts"][:2]
+        cfg["output"] = None
+        rs = run_solve(write_config(tmp_path, "c.json", cfg))
+        assert len(rs.metadata["grid"]) == 3
+        assert all(g["companion_degree"] <= 40 for g in rs.metadata["grid"])
+        assert len(rs.records) == 5
+        exact = [complex(-1.0, s * math.sqrt(n**2 * math.pi**2 - 1))
+                 for n in range(1, 5) for s in (1, -1)]
         for r in rs.records:
             z = complex(r["re"], r["im"])
             assert min(abs(z - m) for m in exact) <= 1e-13 * abs(z)
@@ -763,15 +791,20 @@ class TestOutputs:
         assert not csv.exists()
 
     def test_report_that_cannot_be_opened_leaves_csv_unwritten(self, tmp_path,
-                                                              capsys):
-        """Every target is opened before any is written: a report path that
-        is a directory fails after the solve, with the CSV still empty."""
+                                                              capsys, monkeypatch):
+        """A report path that is a directory fails before the solve, and a
+        CSV that already exists keeps its contents."""
+        def solve(cfg):
+            raise AssertionError("solved before checking the output path")
+
+        monkeypatch.setattr(cli, "_solve_single", solve)
         csv = tmp_path / "out.csv"
+        csv.write_text("earlier\n")
         path = intro_cfg(tmp_path, output={"csv": str(csv), "report": str(tmp_path)})
         assert main(["solve", path]) == 1
         assert capsys.readouterr().err.startswith(
             f"config error: cannot write output '{tmp_path}': ")
-        assert csv.read_text() == ""
+        assert csv.read_text() == "earlier\n"
 
 
 class TestDependencies:
@@ -858,6 +891,17 @@ class TestSurface:
         assert capsys.readouterr().err == (
             f"config error: cannot write output '{target}': "
             "No such file or directory\n")
+
+    def test_surface_path_that_is_a_directory_found_before_solving(
+            self, tmp_path, capsys, monkeypatch):
+        def assemble(cfg):
+            raise AssertionError("solved before checking the output path")
+
+        monkeypatch.setattr(cli, "_build_assembly", assemble)
+        config = str(CONFIGS / "klaus_shaw_surface.json")
+        assert main(["surface", config, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot write output '{tmp_path}': ")
 
     def test_missing_surface_block(self, tmp_path):
         path = intro_cfg(tmp_path)

@@ -54,6 +54,39 @@ class TestPolyRoots:
         s = series_from_roots([2.0 + 1.0j], center=2.0)
         assert poly_roots(s)[0] == pytest.approx(2.0 + 1.0j)
 
+    @staticmethod
+    def cosine_series(degree=60, center=0.0):
+        """Taylor series of cos(lambda - center): on |lambda - center| <= 6
+        its terms past degree 40 are below double rounding."""
+        a = [0.0 if k % 2 else (-1) ** (k // 2) / math.factorial(k)
+             for k in range(degree + 1)]
+        return CharacteristicSeries(center, np.array(a))
+
+    def test_radius_cuts_degree_and_keeps_roots_in_disc(self):
+        s = self.cosine_series(center=0.5j)
+        full, cut = poly_roots(s), poly_roots(s, 6.0)
+        assert len(full) == 60 and len(cut) < 45
+
+        def in_disc(roots):
+            return sorted((z for z in roots if abs(z - s.center) <= 6.0),
+                          key=lambda z: z.real)
+
+        exact = [s.center + (j + 0.5) * math.pi for j in (-2, -1, 0, 1)]
+        for a, b, z in zip(in_disc(cut), in_disc(full), exact, strict=True):
+            assert abs(a - b) <= 1e-12 * abs(b)
+            assert abs(a - z) <= 1e-12 * abs(z)
+
+    def test_infinite_radius_is_the_full_companion(self):
+        s = self.cosine_series(center=1.0 - 2.0j)
+        expect = [complex(z) + s.center for z in np.roots(s.coeffs[::-1])]
+        assert poly_roots(s) == poly_roots(s, math.inf) == expect
+
+    def test_overflowing_radius_keeps_full_degree(self):
+        """R^k overflows past k = 30 at R = 1e10; no numpy warning escapes
+        (warnings are errors under pytest)."""
+        s = self.cosine_series()
+        assert poly_roots(s, 1e10) == poly_roots(s)
+
 
 class TestWinding:
     def test_identity_map(self):
