@@ -43,6 +43,7 @@ from .rootfinding import (
     EigenvalueRecord,
     Rectangle,
     certify,
+    disc_degree,
     localize,
     newton_polish,
     poly_roots,
@@ -255,10 +256,11 @@ def _solve_single(cfg: dict) -> tuple[list[dict], list[dict], int, list[dict]]:
                                   center=center)
 
         if cfg["method"] == "poly_roots":
-            recs, grids[-1]["companion_degree"] = _poly_records(
+            recs, grids[-1]["degree"] = _poly_records(
                 series, center, keep_radius, region, spurious)
         else:
-            recs = _arg_records(series, center, keep_radius, region, tol["localize"])
+            recs, grids[-1]["degree"] = _arg_records(
+                series, center, keep_radius, region, tol["localize"])
         if cfg["certify"]:
             recs = [(_certify_record(rec, series), rel, dist)
                     for rec, rel, dist in recs]
@@ -356,18 +358,20 @@ def _drift_passed(series: CharacteristicSeries, roots: list[complex]
 
 
 def _arg_records(series, center, keep_radius, region, tol
-                 ) -> list[tuple[EigenvalueRecord, float, float]]:
+                 ) -> tuple[list[tuple[EigenvalueRecord, float, float]], int]:
     """Records that localize finds in the search region, cut to the box of
     half-width keep_radius around center, and that pass the truncation-drift
-    test."""
+    test, and the box's disc degree, which localize's contours evaluate (0
+    where the box misses the region and nothing is evaluated)."""
     box = region
     if math.isfinite(keep_radius):
         box = Rectangle.around(center, keep_radius).intersection(region)
         if box is None:  # the keep box misses the search region
-            return []
+            return [], 0
     recs = localize(series, box, tol)
     steady = _drift_passed(series, [rec.value for rec in recs])
-    return [_candidate(series, center, rec) for rec, ok in zip(recs, steady) if ok]
+    return ([_candidate(series, center, rec) for rec, ok in zip(recs, steady) if ok],
+            disc_degree(series, box.max_abs_from(center)))
 
 
 def _certify_record(rec: EigenvalueRecord, series: CharacteristicSeries

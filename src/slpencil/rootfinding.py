@@ -2,16 +2,20 @@
 
 Two routes to the eigenvalues: global polynomial root extraction through the
 companion matrix, and argument-principle localization on rectangles with
-winding numbers and residue-formula refinement.  The companion matrix
-(Edelman & Murakami 1995) is cut to the degree that the caller's keep disc
-|lambda - center| <= R needs: the smallest d with
-sum_{k>d} |a_k| R^k <= eps max_k |a_k| R^k, so that the dropped terms are
-below the rounding of Phi_M on that disc.  Every contour is sampled at
-SAMPLES points, and the residue formula's three Richardson levels are strides
-of one set four times as dense.  Localization bisects only until a rectangle
-holds a single zero, which the residue formula and Newton then pin: the
-bisection tolerance is a floor, not the record's precision.  Its
-rounding-noise floor is taken where the sampled boundary |Phi_M| is smallest.
+winding numbers and residue-formula refinement.  Both locate zeros on Phi_d,
+the series cut to the smallest degree d with
+sum_{k>d} |a_k| R^k <= eps max_k |a_k| R^k (disc_degree), R the radius of a
+disc about the center that holds every zero the caller keeps: on that disc
+the dropped terms are below the rounding of Phi_M.  The companion matrix
+(Edelman & Murakami 1995) is built from a_0..a_d; localize's windings and
+residues evaluate Phi_d, R the search rectangle's farthest corner.  What
+judges a zero, its rounding-noise floor, Newton polish and residual, uses
+Phi_M, and so does certify.  Every contour is sampled at SAMPLES points, and
+the residue formula's three Richardson levels are strides of one set four
+times as dense.  Localization bisects only until a rectangle holds a single
+zero, which the residue formula and Newton then pin: the bisection tolerance
+is a floor, not the record's precision.  Its rounding-noise floor is taken
+where the sampled boundary |Phi_d| is smallest.
 Both routes end in a Newton polish in double precision that steers and ranks
 its iterates by the compensated Horner scheme, as accurate as Horner in twice
 the working precision; a record's residual is plain-Horner |Phi_M| at the
@@ -112,21 +116,17 @@ def _require_nonzero(series: CharacteristicSeries):
             f"all characteristic coefficients at center {series.center} vanish")
 
 
-def poly_roots(series: CharacteristicSeries, radius: float = math.inf
-               ) -> list[complex]:
-    """The roots of the truncated polynomial, shifted back by the series
-    center, for a caller that keeps only those within radius of the center.
+def disc_degree(series: CharacteristicSeries, radius: float) -> int:
+    """The degree d of the series that the disc |lambda - center| <= R,
+    R = radius, needs: poly_roots and localize evaluate a_0..a_d only.
 
     Leading coefficients too small to divide by in double precision (they only
-    move roots near infinity) are dropped first.  The companion matrix is then
-    built from a_0..a_d only, d the smallest degree with
-    sum_{k>d} |a_k| R^k <= eps max_k |a_k| R^k, R = radius: on that disc the
-    dropped terms are below the rounding of Phi_M itself.  Where R is inf or
-    some R^k overflows, d is the trimmed degree.  So len(result) is the
-    companion's degree, and roots outside the disc come from that lower
-    degree.
+    move roots near infinity) are dropped first.  d is then the smallest degree
+    with sum_{k>d} |a_k| R^k <= eps max_k |a_k| R^k: on the disc the dropped
+    terms are below the rounding of Phi_M itself.  Where R is inf or some R^k
+    overflows, d is the trimmed degree.  d is 0 where a_0 alone is Phi_M to
+    rounding on the disc.
     """
-    _require_nonzero(series)
     coeffs = series.coeffs
     top = np.max(np.abs(coeffs))
     deg = len(coeffs) - 1
@@ -138,7 +138,21 @@ def poly_roots(series: CharacteristicSeries, radius: float = math.inf
         tails = np.append(np.cumsum(terms[:0:-1])[::-1], 0.0)
     if np.all(np.isfinite(terms)):
         deg = int(np.argmax(tails <= np.finfo(float).eps * np.max(terms)))
-    roots = np.roots(coeffs[:deg + 1][::-1])
+    return deg
+
+
+def poly_roots(series: CharacteristicSeries, radius: float = math.inf
+               ) -> list[complex]:
+    """The roots of the truncated polynomial, shifted back by the series
+    center, for a caller that keeps only those within radius of the center.
+
+    The companion matrix is built from a_0..a_d, d = disc_degree(series,
+    radius), so len(result) is d, and roots outside the disc come from that
+    lower degree; the caller judges the roots on the full Phi_M.
+    """
+    _require_nonzero(series)
+    deg = disc_degree(series, radius)
+    roots = np.roots(series.coeffs[:deg + 1][::-1])
     return [complex(z) + series.center for z in roots]
 
 
@@ -337,8 +351,8 @@ def _evaluation_noise(series: CharacteristicSeries, z: complex) -> float:
             * series.term_scale(z))
 
 
-def _finalize(series, region: Rectangle, winding: int) -> EigenvalueRecord:
-    z = newton_polish(series, residue_refine(series, region, winding))
+def _finalize(series, cut, region: Rectangle, winding: int) -> EigenvalueRecord:
+    z = newton_polish(series, residue_refine(cut, region, winding))
     return EigenvalueRecord(
         value=z, multiplicity=winding, method="arg_principle",
         certified=False, residual=float(abs(series(z))),
@@ -352,7 +366,7 @@ def localize(series, region: Rectangle, tol: float = 1e-10) -> list[EigenvalueRe
     Rectangles with winding zero are discarded.  On winding one the zero is
     pinned by the residue formula and a few Newton steps, and the record is
     kept if it lies in the rectangle with |Phi_M| at or below both its own
-    evaluation noise and the boundary minimum of |Phi_M|: by the
+    evaluation noise and the boundary minimum of |Phi_d|: by the
     minimum-modulus principle the sublevel component holding it cannot reach
     the boundary, so it holds the rectangle's only zero (Delves & Lyness
     1967; Kravanja & Van Barel 2000).  Otherwise the longer side is bisected.
@@ -361,13 +375,21 @@ def localize(series, region: Rectangle, tol: float = 1e-10) -> list[EigenvalueRe
     rounding noise taken at that boundary point, the resolution limit of a
     multiple zero; clusters tighter than that come back as one record with
     the summed winding.  A series that vanishes identically is a SolverError.
+
+    The contour work (windings, their local refinement and the residue
+    formula) evaluates Phi_d, the series cut to d = disc_degree(series, R),
+    R the region's farthest corner from the center, and d at least 1:
+    inside the region Phi_d is Phi_M to rounding.  What judges a record
+    uses Phi_M: the evaluation noise, the Newton polish and the residual.
     """
     _require_nonzero(series)
-    return _localize(series, winding_number(series, region), tol)
+    deg = max(1, disc_degree(series, region.max_abs_from(series.center)))
+    cut = CharacteristicSeries(series.center, series.coeffs[:deg + 1])
+    return _localize(series, cut, winding_number(cut, region), tol)
 
 
-def _localize(series, w: WindingResult, tol: float) -> list[EigenvalueRecord]:
-    """localize on w.rectangle, whose winding w already holds."""
+def _localize(series, cut, w: WindingResult, tol: float) -> list[EigenvalueRecord]:
+    """localize on w.rectangle, whose winding of cut w already holds."""
     region = w.rectangle
     if w.winding == 0:
         return []
@@ -377,9 +399,9 @@ def _localize(series, w: WindingResult, tol: float) -> list[EigenvalueRecord]:
         )
     noise = _evaluation_noise(series, w.boundary_min_at)
     if region.diameter <= tol or w.boundary_min_abs < noise:
-        return [_finalize(series, region, w.winding)]
+        return [_finalize(series, cut, region, w.winding)]
     if w.winding == 1:
-        rec = _finalize(series, region, 1)
+        rec = _finalize(series, cut, region, 1)
         if region.contains(rec.value) and rec.residual <= min(
                 _evaluation_noise(series, rec.value), w.boundary_min_abs):
             return [rec]
@@ -399,17 +421,17 @@ def _localize(series, w: WindingResult, tol: float) -> list[EigenvalueRecord]:
             r1 = Rectangle(region.re_min, region.re_max, region.im_min, mid)
             r2 = Rectangle(region.re_min, region.re_max, mid, region.im_max)
         try:
-            w1 = winding_number(series, r1)
-            w2 = winding_number(series, r2)
+            w1 = winding_number(cut, r1)
+            w2 = winding_number(cut, r2)
         except RootLocalizationError:
             continue
         if w1.winding + w2.winding != w.winding:
             continue
-        out = _localize(series, w1, tol) + _localize(series, w2, tol)
+        out = _localize(series, cut, w1, tol) + _localize(series, cut, w2, tol)
         return sorted(out, key=lambda rec: (rec.value.real, rec.value.imag))
     if w.boundary_min_abs < 16 * noise:
         # every cut line lands in the noise skirt of an (almost) multiple zero
-        return [_finalize(series, region, w.winding)]
+        return [_finalize(series, cut, region, w.winding)]
     raise RootLocalizationError(
         f"could not split {region} without landing on a zero after 8 jitters"
     )

@@ -367,7 +367,25 @@ class TestSolve:
         far = [1.7e308, 1.75e308]
         rs = run_solve(intro_cfg(tmp_path, search_region={"re": far, "im": far}))
         assert rs.records == []
-        assert rs.metadata["grid"][0]["companion_degree"] == 30
+        assert rs.metadata["grid"][0]["degree"] == 30
+
+    def test_both_methods_report_one_degree(self, tmp_path):
+        """Klaus-Shaw at s = 0.956, one center: both methods cut Phi_M to the
+        degree the search region's farthest corner needs, and report it under
+        one key; their records agree."""
+        cfg = json.loads((CONFIGS / "klaus_shaw_sweep.json").read_text())
+        del cfg["sweep"]
+        cfg["output"] = None
+        found = {m: run_solve(write_config(tmp_path, f"{m}.json", {**cfg, "method": m}))
+                 for m in ("poly_roots", "arg_principle")}
+        degrees = {m: [g["degree"] for g in rs.metadata["grid"]]
+                   for m, rs in found.items()}
+        assert degrees["poly_roots"] == degrees["arg_principle"] == [33]
+        values = {m: [complex(r["re"], r["im"]) for r in rs.records]
+                  for m, rs in found.items()}
+        assert len(values["poly_roots"]) == len(values["arg_principle"]) > 0
+        for a, b in zip(values["arg_principle"], values["poly_roots"]):
+            assert abs(a - b) <= 1e-12 * abs(b)
 
     def test_degenerate_linear_series(self, tmp_path):
         """u'' = lambda u with y(0) = 0, y(1) - y'(1) = 0 has the eigenvalue 0
@@ -402,6 +420,8 @@ class TestSolve:
         rs = run_solve(path)
         # the keep boxes of 3i and 6i, clipped to the region; none from 0
         assert [(b.im_min, b.im_max) for b in boxes] == [(6.0, 9.0), (6.0, 10.0)]
+        # center 0 evaluates nothing; the clipped boxes need all 40 orders
+        assert [g["degree"] for g in rs.metadata["grid"]] == [0, 40, 40]
         # -1/4 + i sqrt(8 n^2 pi^2 - 1)/4 for n = 3, 4: 6.66i and 8.88i
         modes = [complex(-0.25, math.sqrt(8 * n**2 * math.pi**2 - 1) / 4)
                  for n in (3, 4)]
@@ -544,7 +564,7 @@ class TestPanelGrid:
             list(c) for c in x2_chain_cfg()["spectral_shifts"]]
         assert all(g["nodes"] == 15 * g["panels"] + 1 for g in grid)
         # the keep disc, 2 x the step, needs all M = 50 orders at every center
-        assert all(g["companion_degree"] == 50 for g in grid)
+        assert all(g["degree"] == 50 for g in grid)
 
     def test_no_table_on_a_grid_with_unresolved_kernels(self, tmp_path, monkeypatch):
         """The kernels of center 2 of the x^2 chain are unresolved on 16, 32
@@ -593,7 +613,7 @@ class TestPanelGrid:
         cfg["output"] = None
         rs = run_solve(write_config(tmp_path, "c.json", cfg))
         assert len(rs.metadata["grid"]) == 3
-        assert all(g["companion_degree"] <= 40 for g in rs.metadata["grid"])
+        assert all(g["degree"] <= 40 for g in rs.metadata["grid"])
         assert len(rs.records) == 5
         exact = [complex(-1.0, s * math.sqrt(n**2 * math.pi**2 - 1))
                  for n in range(1, 5) for s in (1, -1)]

@@ -1,4 +1,4 @@
-"""Golden records: five shipped configs, and three variants of them that take
+"""Golden records: five shipped configs, and four variants of them that take
 the argument-principle and certification paths, against the records stored
 in tests/data, so that a change meant to leave the records alone shows that
 it did.
@@ -24,6 +24,7 @@ GOLDEN = ("intro_pencil", "dirac_demo", "string_constant_damping",
 VARIANTS = {
     "klaus_shaw_sweep_arg_principle": ("klaus_shaw_sweep", {"method": "arg_principle"}),
     "tovbis_mu05_eps05_arg_principle": ("tovbis_mu05_eps05", {"method": "arg_principle"}),
+    "bronski_eps02_arg_principle": ("bronski_eps02", {"method": "arg_principle"}),
     "intro_pencil_certify": ("intro_pencil", {"certify": True}),
 }
 EXACT = ("sweep_value", "multiplicity", "method", "certified")

@@ -168,6 +168,59 @@ class TestLocalize:
             for root in roots:
                 assert min(abs(r.value - root) for r in recs) < 1e-7
 
+    @staticmethod
+    def spied_localize(monkeypatch, s, region, **kwargs):
+        """localize's records and the coefficient count of every series its
+        windings evaluate."""
+        lengths = []
+        inner = rootfinding.winding_number
+
+        def spy(series, rect):
+            lengths.append(len(series.coeffs))
+            return inner(series, rect)
+
+        with monkeypatch.context() as m:
+            m.setattr(rootfinding, "winding_number", spy)
+            for name, value in kwargs.items():
+                m.setattr(rootfinding, name, value)
+            return localize(s, region, tol=1e-10), lengths
+
+    def test_contours_evaluate_the_cut_series(self, monkeypatch):
+        """The degree-60 Taylor series of cos about 0.5i on a region holding
+        its four zeros within 5.6 of the center: the windings run on fewer
+        than 61 coefficients, and the records are those of the full series,
+        within 1e-12 of (j + 1/2) pi + 0.5i."""
+        s = TestPolyRoots.cosine_series(center=0.5j)
+        region = Rectangle(-5.5, 5.5, 0.0, 1.0)
+        cut, cut_lengths = self.spied_localize(monkeypatch, s, region)
+        full, full_lengths = self.spied_localize(
+            monkeypatch, s, region,
+            disc_degree=lambda series, radius: series.truncation)
+        assert max(cut_lengths) < 61 and set(full_lengths) == {61}
+        exact = [s.center + (j + 0.5) * math.pi for j in (-2, -1, 0, 1)]
+        for a, b, z in zip(cut, full, exact, strict=True):
+            assert a.multiplicity == b.multiplicity == 1
+            assert abs(a.value - b.value) <= 1e-12 * abs(b.value)
+            assert abs(a.value - z) <= 1e-12 * abs(z)
+
+    def test_overflowing_corner_keeps_full_degree(self, monkeypatch):
+        """R^k overflows from k = 55 on at the region's farthest corner, about
+        4.2e5 from the center: the windings evaluate all 61 coefficients,
+        and no numpy warning escapes (warnings are errors under pytest)."""
+        s = TestPolyRoots.cosine_series()
+        recs, lengths = self.spied_localize(
+            monkeypatch, s, Rectangle(2e5, 3e5, 2e5, 3e5))
+        assert recs == [] and set(lengths) == {61}
+
+    def test_degree_zero_disc_keeps_a_linear_series(self, monkeypatch):
+        """A disc on which a_0 alone is the series to rounding has degree 0;
+        the contours run on a_0 + a_1 z, which CharacteristicSeries accepts."""
+        s = CharacteristicSeries(0.0, np.array([1.0, 1e-20, 1e-20]))
+        region = Rectangle(-1.0, 1.0, -1.0, 1.0)
+        assert rootfinding.disc_degree(s, region.max_abs_from(s.center)) == 0
+        recs, lengths = self.spied_localize(monkeypatch, s, region)
+        assert recs == [] and set(lengths) == {2}
+
 
 class TestEarlyStop:
     def test_separated_zeros_without_deep_bisection(self, monkeypatch):
