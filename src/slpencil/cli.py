@@ -20,6 +20,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .rootfinding import (
     EigenvalueRecord,
     Rectangle,
     certify,
-    disc_degree,
+    contour_degree,
     localize,
     newton_polish,
     poly_roots,
@@ -234,14 +235,12 @@ def _solve_single(cfg: dict) -> tuple[list[dict], list[dict], int, list[dict]]:
     for c in (complex(*pair) for pair in cfg["spectral_shifts"]):
         if c != centers[-1]:
             centers.append(c)
-    if len(centers) > 1:
-        keep_radius = 2.0 * max(abs(b - a) for a, b in zip(centers, centers[1:]))
-    else:
-        keep_radius = math.inf
-
+    keep_radius = 2.0 * max((abs(b - a) for a, b in zip(centers, centers[1:])),
+                            default=math.inf)
     merge_eps = tol["merge"] if tol["merge"] is not None else 10.0 * tol["localize"]
 
-    all_records: list[EigenvalueRecord] = []
+    # (record, relative residual, distance from its center), as _merge_records takes them
+    candidates: list[tuple[EigenvalueRecord, float, float]] = []
     spurious: list[dict] = []
     grids: list[dict] = []
     pencil, u0 = asm.base_pencil, asm.initial_u0
@@ -261,10 +260,12 @@ def _solve_single(cfg: dict) -> tuple[list[dict], list[dict], int, list[dict]]:
         else:
             recs, grids[-1]["degree"] = _arg_records(
                 series, center, keep_radius, region, tol["localize"])
-        if cfg["certify"]:
-            recs = [(_certify_record(rec, series), rel, dist)
-                    for rec, rel, dist in recs]
-        all_records.extend(recs)
+        for rec in recs:
+            if cfg["certify"]:
+                rect = Rectangle.around(rec.value, CERTIFY_HALF_WIDTH)
+                rec = certify(rec, series, series.tail(rect.max_abs_from(center)), rect)
+            candidates.append(
+                (rec, _relative_residual(series, rec), abs(rec.value - center)))
 
         if next_rel is not None:
             # the next center's pencil, and its u0 chained from this table
@@ -276,7 +277,7 @@ def _solve_single(cfg: dict) -> tuple[list[dict], list[dict], int, list[dict]]:
                                   f"{err}") from err
 
     final, excluded = [], 0
-    for rec, rel_res in _merge_records(all_records, merge_eps):
+    for rec, rel_res in _merge_records(candidates, merge_eps):
         if rel_res <= tol["residual"]:
             final.append(_record_dict(rec, asm.back_map_scale))
         else:
@@ -286,8 +287,9 @@ def _solve_single(cfg: dict) -> tuple[list[dict], list[dict], int, list[dict]]:
 
 
 def _record_key(rec: dict, merge_eps: float) -> tuple:
-    """Sort key that ulp-level changes in Re cannot reorder along a vertical line."""
-    return (round(rec["re"] / merge_eps), rec["im"], rec["re"])
+    """Sort key that ulp-level changes in Re cannot reorder along a vertical
+    line; Re over merge_eps is exact, so no positive tolerance overflows it."""
+    return (round(Fraction(rec["re"]) / Fraction(merge_eps)), rec["im"], rec["re"])
 
 
 def _relative_residual(series: CharacteristicSeries, rec: EigenvalueRecord) -> float:
@@ -299,15 +301,8 @@ def _relative_residual(series: CharacteristicSeries, rec: EigenvalueRecord) -> f
     return rec.residual / scale if 0 < scale < math.inf else math.inf
 
 
-def _candidate(series, center, rec: EigenvalueRecord
-               ) -> tuple[EigenvalueRecord, float, float]:
-    """A record with its relative residual and its distance from the center,
-    which _merge_records rank copies by."""
-    return rec, _relative_residual(series, rec), abs(rec.value - center)
-
-
 def _poly_records(series, center, keep_radius, region, spurious
-                  ) -> tuple[list[tuple[EigenvalueRecord, float, float]], int]:
+                  ) -> tuple[list[EigenvalueRecord], int]:
     """Records from the companion-matrix roots within keep_radius of center
     that pass the truncation-drift test, and the companion's degree.
 
@@ -334,10 +329,10 @@ def _poly_records(series, center, keep_radius, region, spurious
         z = newton_polish(series, root)
         if outside(z, "polished outside search region"):
             continue
-        recs.append(_candidate(series, center, EigenvalueRecord(
+        recs.append(EigenvalueRecord(
             value=z, multiplicity=1, method="poly_roots", certified=False,
             residual=float(abs(complex(series(z)))),
-        )))
+        ))
     return recs, len(companion)
 
 
@@ -358,11 +353,11 @@ def _drift_passed(series: CharacteristicSeries, roots: list[complex]
 
 
 def _arg_records(series, center, keep_radius, region, tol
-                 ) -> tuple[list[tuple[EigenvalueRecord, float, float]], int]:
+                 ) -> tuple[list[EigenvalueRecord], int]:
     """Records that localize finds in the search region, cut to the box of
     half-width keep_radius around center, and that pass the truncation-drift
-    test, and the box's disc degree, which localize's contours evaluate (0
-    where the box misses the region and nothing is evaluated)."""
+    test, and the degree localize's contours evaluate on that box (0 where
+    the box misses the region and nothing is evaluated)."""
     box = region
     if math.isfinite(keep_radius):
         box = Rectangle.around(center, keep_radius).intersection(region)
@@ -370,15 +365,7 @@ def _arg_records(series, center, keep_radius, region, tol
             return [], 0
     recs = localize(series, box, tol)
     steady = _drift_passed(series, [rec.value for rec in recs])
-    return ([_candidate(series, center, rec) for rec, ok in zip(recs, steady) if ok],
-            disc_degree(series, box.max_abs_from(center)))
-
-
-def _certify_record(rec: EigenvalueRecord, series: CharacteristicSeries
-                    ) -> EigenvalueRecord:
-    rect = Rectangle.around(rec.value, CERTIFY_HALF_WIDTH)
-    lam_abs = rect.max_abs_from(series.center)
-    return certify(rec, series, series.tail(lam_abs), rect)
+    return [rec for rec, ok in zip(recs, steady) if ok], contour_degree(series, box)
 
 
 def _merge_records(records: list[tuple[EigenvalueRecord, float, float]],

@@ -125,7 +125,7 @@ def disc_degree(series: CharacteristicSeries, radius: float) -> int:
     with sum_{k>d} |a_k| R^k <= eps max_k |a_k| R^k: on the disc the dropped
     terms are below the rounding of Phi_M itself.  Where R is inf or some R^k
     overflows, d is the trimmed degree.  d is 0 where a_0 alone is Phi_M to
-    rounding on the disc.
+    rounding on the disc; contour_degree keeps at least 1.
     """
     coeffs = series.coeffs
     top = np.max(np.abs(coeffs))
@@ -139,6 +139,13 @@ def disc_degree(series: CharacteristicSeries, radius: float) -> int:
     if np.all(np.isfinite(terms)):
         deg = int(np.argmax(tails <= np.finfo(float).eps * np.max(terms)))
     return deg
+
+
+def contour_degree(series: CharacteristicSeries, rect: Rectangle) -> int:
+    """The degree localize's contours evaluate on rect: the disc degree of
+    its farthest corner from the center, at least 1, as CharacteristicSeries
+    needs."""
+    return max(1, disc_degree(series, rect.max_abs_from(series.center)))
 
 
 def poly_roots(series: CharacteristicSeries, radius: float = math.inf
@@ -295,9 +302,14 @@ def winding_number(series, rect: Rectangle) -> WindingResult:
     Computed by summing phase differences along the contour sampled at SAMPLES
     points; any pair turning by more than pi/2 is resampled locally (doubling
     density up to 2^10) before the whole computation is declared unresolvable.
+    A boundary on which the series overflows has no winding.
     """
     pts = _boundary_points(rect, SAMPLES)
-    vals = np.asarray(series(pts), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(series(pts), dtype=np.complex128)
+    if not np.all(np.isfinite(vals)):
+        raise RootLocalizationError(
+            f"Phi is not finite on the contour of {rect} about center {series.center}")
     i_min = int(np.argmin(np.abs(vals)))
     min_abs = float(abs(vals[i_min]))
     if min_abs < BOUNDARY_ABS_FLOOR:
@@ -377,14 +389,13 @@ def localize(series, region: Rectangle, tol: float = 1e-10) -> list[EigenvalueRe
     the summed winding.  A series that vanishes identically is a SolverError.
 
     The contour work (windings, their local refinement and the residue
-    formula) evaluates Phi_d, the series cut to d = disc_degree(series, R),
-    R the region's farthest corner from the center, and d at least 1:
-    inside the region Phi_d is Phi_M to rounding.  What judges a record
-    uses Phi_M: the evaluation noise, the Newton polish and the residual.
+    formula) evaluates Phi_d, the series cut to d = contour_degree(series,
+    region): inside it Phi_d is Phi_M to rounding.  What judges a record uses
+    Phi_M: the evaluation noise, the Newton polish and the residual.
     """
     _require_nonzero(series)
-    deg = max(1, disc_degree(series, region.max_abs_from(series.center)))
-    cut = CharacteristicSeries(series.center, series.coeffs[:deg + 1])
+    cut = CharacteristicSeries(
+        series.center, series.coeffs[:contour_degree(series, region) + 1])
     return _localize(series, cut, winding_number(cut, region), tol)
 
 
@@ -450,7 +461,8 @@ def certify(record: EigenvalueRecord, series, tail: float,
     (h/2) sum_k k |a_k| R^(k-1), R the farthest corner's distance from the
     center, so that much comes off the sampled minimum before it is compared
     with the tail.  A boundary whose winding cannot be resolved certifies
-    nothing.
+    nothing.  The certificate is rigorous only up to the rounding of the
+    coefficients a_k, which the tail does not bound.
     """
     if not math.isfinite(tail):
         return replace(record, certified=False)

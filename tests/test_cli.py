@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from slpencil import ConfigError, SLPencilError, cli
+from slpencil import ConfigError, SLPencilError, cli, rootfinding
 from slpencil.cli import _record_key, emit_surface, load_config, main, run_solve
 from slpencil.problems import CharacteristicSeries
 from slpencil.rootfinding import EigenvalueRecord, Rectangle
@@ -430,6 +430,66 @@ class TestSolve:
             best = min(abs(complex(r["re"], r["im"]) - lam) for r in rs.records)
             assert best < 1e-9
 
+    @pytest.mark.parametrize("tolerances", [
+        {"residual": 1e-6, "merge": 1e-320},
+        {"residual": 1e-6, "localize": 1e-320},  # merge 10 x localize
+    ], ids=["merge", "localize"])
+    def test_subnormal_merge_tolerance_sorts(self, tmp_path, tolerances):
+        """Re over a subnormal merge tolerance overflows a float; the sort key
+        still orders the records, by Re and then by Im."""
+        cfg = json.loads((CONFIGS / "intro_pencil.json").read_text())
+        cfg.update(output=None, tolerances=tolerances)
+        path = write_config(tmp_path, "c.json", cfg)
+        assert main(["solve", path, "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+        values = [tuple(float(v) for v in row.split(",")[:2]) for row in rows]
+        assert len(values) == 8 and values == sorted(values)
+
+    def test_contour_overflow_is_solver_error(self, tmp_path, capsys):
+        """Phi_M overflows on a contour 1e300 wide: a solver error naming the
+        rectangle and the center, not a NaN winding."""
+        cfg = json.loads((CONFIGS / "intro_pencil.json").read_text())
+        cfg.update(output=None, method="arg_principle",
+                   search_region={"re": [-1e300, 1e300], "im": [-1.0, 1.0]})
+        assert main(["solve", write_config(tmp_path, "c.json", cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "solver error: Phi is not finite on the contour of Rectangle("
+            "re_min=-1e+300, re_max=1e+300, im_min=-1.0, im_max=1.0) "
+            "about center 0j\n")
+
+    def test_tiny_region_reports_contour_degree(self, tmp_path, monkeypatch):
+        """On the region +-1e-17 the disc degree is 0, but the contours
+        evaluate degree 1, and that is the degree reported."""
+        cfg = json.loads((CONFIGS / "intro_pencil.json").read_text())
+        cfg.update(output=None, method="arg_principle",
+                   search_region={"re": [-1e-17, 1e-17], "im": [-1e-17, 1e-17]})
+        degrees = set()
+        winding = rootfinding.winding_number
+
+        def spy(series, rect):
+            degrees.add(len(series.coeffs) - 1)
+            return winding(series, rect)
+
+        monkeypatch.setattr(rootfinding, "winding_number", spy)
+        rs = run_solve(write_config(tmp_path, "c.json", cfg))
+        assert degrees == {1}
+        assert [g["degree"] for g in rs.metadata["grid"]] == [1]
+
+    def test_expression_potential_with_default_p(self, tmp_path):
+        """A ZS expression potential that gives P = conj(Q) itself solves to
+        the same bytes as one that leaves P to its default."""
+        pot = {"kind": "expression", "Q": "2*sech(x)*exp(i*x)", "half_width": 8.0}
+        cfg = {"problem": "zakharov_shabat", "n_nodes": 2001, "truncation": 40,
+               "search_region": {"re": [1e-6, 2.0], "im": [-2.0, 2.0]},
+               "tolerances": {"residual": 1e-8, "merge": 1e-6}}
+        csv = []
+        for name, extra in (("default", {}), ("given", {"P": "2*sech(x)*exp(-i*x)"})):
+            path = write_config(tmp_path, f"{name}.json",
+                                {**cfg, "potential": {**pot, **extra}})
+            assert main(["solve", path, "--out", str(tmp_path / name)]) == 0
+            csv.append((tmp_path / f"{name}.csv").read_bytes())
+        assert csv[0] == csv[1] and csv[0].count(b"\n") > 1
+
     @pytest.mark.parametrize("r,boundary,method,message", [
         # Neumann ends and r = 0: u = 1 solves for every lambda, so Phi = 0
         ("0", {"left": [0, 1], "right": [0, 1]}, "poly_roots",
@@ -694,6 +754,17 @@ class TestCertification:
                  for n in range(1, 60) for s in (1, -1)]
         assert self.certified(tmp_path, cfg, modes) == (5, 5)
 
+    def test_required_but_not_achieved_exits_3(self, tmp_path, capsys):
+        """intro_pencil certifies some records but not all of them."""
+        cfg = json.loads((CONFIGS / "intro_pencil.json").read_text())
+        cfg.update(output=None, certify=True, require_certified=True)
+        assert main(["solve", write_config(tmp_path, "c.json", cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "certification required but not achieved\n"
+        certified = [r["certified"] for r in
+                     json.loads((tmp_path / "out.json").read_text())["records"]]
+        assert any(certified) and not all(certified)
+
 
 class TestOutputs:
     def test_csv_and_report_written(self, tmp_path):
@@ -922,6 +993,20 @@ class TestSurface:
         assert main(["surface", config, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith(
             f"config error: cannot write output '{tmp_path}': ")
+
+    @pytest.mark.parametrize("flags,stderr", [
+        ([], ""), (["--verbose"], "surface written to {}\n")],
+        ids=["quiet", "verbose"])
+    def test_main_writes_surface(self, tmp_path, capsys, flags, stderr):
+        target = tmp_path / "surface.txt"
+        assert main(["surface", self.surface_cfg(tmp_path)] + flags) == 0
+        assert capsys.readouterr().err == stderr.format(target)
+        assert self.read_surface(target)[0] == [-1.0, 1.0, -1.0, 1.0]
+
+    def test_no_output_path_is_config_error(self, tmp_path):
+        path = self.surface_cfg(tmp_path, output=None)
+        with pytest.raises(ConfigError, match="no surface output path"):
+            emit_surface(path)
 
     def test_missing_surface_block(self, tmp_path):
         path = intro_cfg(tmp_path)

@@ -1,6 +1,7 @@
 """Winding numbers, rectangle subdivision, residue refinement, certification."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +109,16 @@ class TestWinding:
         with pytest.raises(RootLocalizationError):
             # the zero at 1 is the midpoint of a side, so a sample point
             winding_number(s, Rectangle(-1.0, 1.0, -1.0, 1.0))
+
+    def test_overflow_on_contour_detected(self):
+        """|Phi| overflows on a contour 1e300 wide: a RootLocalizationError
+        naming the rectangle and the center, and no numpy warning (warnings
+        are errors under pytest)."""
+        s = series_from_roots([0.5, 1.5], center=0.25)
+        rect = Rectangle(-1e300, 1e300, -1.0, 1.0)
+        with pytest.raises(RootLocalizationError,
+                           match=re.escape(f"contour of {rect} about center (0.25+0j)")):
+            winding_number(s, rect)
 
     def test_additivity_random_polynomials(self):
         rng = np.random.default_rng(11)
@@ -442,6 +453,16 @@ class TestCertify:
         s = series_from_roots([0.5])
         rec = certify(self.make_record(0.5), s, math.inf, Rectangle(0.0, 1.0, -0.5, 0.5))
         assert not rec.certified
+
+    @pytest.mark.parametrize("rect", [
+        Rectangle(-1.0, 1.0, -1.0, 1.0),  # the zero at 1 is a boundary sample
+        Rectangle(-1e300, 1e300, -1.0, 1.0),  # |Phi| overflows on the boundary
+    ], ids=["zero_on_boundary", "overflowing_boundary"])
+    def test_unresolved_winding_never_certifies(self, rect):
+        s = series_from_roots([1.0, 0.5])
+        with pytest.raises(RootLocalizationError):
+            winding_number(s, rect)
+        assert not certify(self.make_record(0.5), s, 0.0, rect).certified
 
     def test_large_tail_fails(self):
         s = series_from_roots([0.5])
