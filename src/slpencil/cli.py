@@ -28,6 +28,7 @@ from .config import load_config
 from .errors import (
     ConfigError,
     NodeValueError,
+    ParticularSolutionError,
     SLPencilError,
     SolverError,
 )
@@ -272,7 +273,8 @@ def _solve_single(cfg: dict) -> tuple[list[dict], list[dict], int, list[dict]]:
             pencil = shift_pencil(asm.base_pencil.on(table.grid), centers[j + 1])
             try:
                 u0 = chain_particular_solution(table, next_rel, pencil.p, pencil.q)
-            except NodeValueError as err:  # the series sums overflow that far out
+            # the series sums overflow that far out, or every candidate vanishes
+            except (NodeValueError, ParticularSolutionError) as err:
                 raise SolverError(f"chaining u0 to center {j + 1} at {centers[j + 1]}: "
                                   f"{err}") from err
 

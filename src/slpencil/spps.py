@@ -38,10 +38,6 @@ from .grids import (
 
 U0_FLOOR_RATIO = 1e-12
 EPS = np.finfo(np.float64).eps
-# a travelling-wave u0 replaces a standing-wave one only when its minimum
-# modulus ratio is this much larger: near ties flip between centers, and the
-# chain loses digits when u0 changes character from one center to the next
-WAVE_GAIN = 1.5
 
 
 @dataclass(frozen=True)
@@ -332,20 +328,14 @@ def build_particular_solution(p: SampledFunction, q: SampledFunction, *,
 
     Rewrites the equation as (p v')' = lambda (-q) v, seeds the recursion with
     the trivial solution v = 1 of (p v')' = 0 anchored at the grid's left end,
-    evaluates at lambda = 1 and returns u1 + i u2.  For real p, q the two real
-    solutions cannot vanish simultaneously; for complex coefficients the result
-    is checked numerically.
+    and chains from that table to lambda = 1 (chain_particular_solution), so
+    center 0 chooses its u0 by the rule every chained center uses.
     """
     grid = p.grid
     aux = PencilSpec(p=p, q=constant(grid, 0.0), r=(SampledFunction(grid, -q.values),))
     table = build_formal_powers(aux, ParticularSolution.unit(grid), truncation,
                                 eval_points=(1.0 + 0.0j,))
-    u1, u1p = evaluate_solution(table, 1.0, 1.0, 0.0)
-    u2, u2p = evaluate_solution(table, 1.0, 0.0, 1.0)
-    u0 = SampledFunction(grid, u1.values + 1j * u2.values)
-    u0_prime = SampledFunction(grid, u1p.values + 1j * u2p.values)
-    return ParticularSolution.from_samples(
-        u0, u0_prime, p, q, provenance="spps-built")
+    return chain_particular_solution(table, 1.0, p, q)
 
 
 def chain_particular_solution(table: FormalPowerTable, lam: complex,
@@ -358,9 +348,9 @@ def chain_particular_solution(table: FormalPowerTable, lam: complex,
     Tries the combinations u1 + i u2, u1 - i u2 and u1, and the two whose
     p u'/u at the left end is +-sqrt(-q_eff p) there, the travelling waves of
     the frozen-coefficient equation, and keeps the one whose minimum modulus
-    (relative to its maximum) is largest, a travelling wave only when it wins
-    by WAVE_GAIN.  A travelling wave keeps 1/(u0^2 p) free of the near-poles
-    that a standing wave puts at its nodes, so far centers need fewer panels.
+    (relative to its maximum) is largest, the first of any tie.  A travelling
+    wave keeps 1/(u0^2 p) free of the near-poles that a standing wave puts at
+    its nodes, so far centers need fewer panels.
     q_eff must be the effective potential of the pencil shifted to the new
     center so the stored residual refers to the right equation.  The result
     carries its rounding error, eps |u0| times the moduli of the series
@@ -371,20 +361,14 @@ def chain_particular_solution(table: FormalPowerTable, lam: complex,
     kappa = np.sqrt(-complex(q_eff.values[0] * p.values[0]))
     candidates = [(1.0, 1.0j), (1.0, -1.0j), (1.0, 0.0),
                   *((1.0, u0a * (k * u0a - pu0pa)) for k in (kappa, -kappa))]
-    best = None
-    best_ratio = -1.0
-    for i, (c1, c2) in enumerate(candidates):
-        u, up = evaluate_solution(table, lam, c1, c2)
-        ratio = _min_modulus_ratio(u)
-        if ratio > best_ratio * (WAVE_GAIN if i >= 3 else 1.0):
-            best_ratio = ratio
-            best = (u, up)
-    if best_ratio < U0_FLOOR_RATIO:
+    u, up = max((evaluate_solution(table, lam, c1, c2) for c1, c2 in candidates),
+                key=lambda sol: _min_modulus_ratio(sol[0]))
+    ratio = _min_modulus_ratio(u)
+    if ratio < U0_FLOOR_RATIO:
+        x = float(u.grid.nodes[np.argmin(np.abs(u.values))])
         raise ParticularSolutionError(
-            f"no non-vanishing combination found at center {lam}; "
-            f"best modulus ratio {best_ratio:.3e}"
-        )
-    u, up = best
+            f"every candidate u0 vanishes: the best falls to {ratio:.3e} of its "
+            f"maximum modulus, at x = {x}")
     sol = ParticularSolution.from_samples(u, up, p, q_eff, provenance="spps-built")
     noise = EPS * np.abs(table.u0.u0.values) * table.sums[complex(lam)].magnitude
     return replace(sol, noise=noise)

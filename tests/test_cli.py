@@ -1,5 +1,6 @@
 """Config validation, solve/surface pipelines, output formats, determinism."""
 
+import cmath
 import itertools
 import json
 import math
@@ -12,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from slpencil import ConfigError, SLPencilError, cli, rootfinding
+from slpencil import ConfigError, SLPencilError, cli, rootfinding, spps
 from slpencil.cli import _record_key, emit_surface, load_config, main, run_solve
 from slpencil.problems import CharacteristicSeries
 from slpencil.rootfinding import EigenvalueRecord, Rectangle
@@ -627,10 +628,10 @@ class TestPanelGrid:
         assert all(g["degree"] == 50 for g in grid)
 
     def test_no_table_on_a_grid_with_unresolved_kernels(self, tmp_path, monkeypatch):
-        """The kernels of center 2 of the x^2 chain are unresolved on 16, 32
-        and 55 panels: those grids are split on the kernel flags alone and
-        get no table, so each center builds one, on the grid that splitting
-        on the kernel and the top-order flags together reaches."""
+        """The kernels of center 2 of the x^2 chain are unresolved on 16
+        panels: that grid is split on the kernel flags alone and gets no
+        table, so each center builds one, on the grid that splitting on the
+        kernel and the top-order flags together reaches."""
         checked, built = [], []
         check = cli.recursion_kernels
 
@@ -646,9 +647,9 @@ class TestPanelGrid:
         monkeypatch.setattr(cli, "recursion_kernels", counted_check)
         monkeypatch.setattr(cli, "build_formal_powers", counted_build)
         rs = run_solve(write_config(tmp_path, "c.json", x2_chain_cfg(shifts=2)))
-        assert [panels for panels, bad in checked if bad] == [16, 32, 55]
-        assert built == [(16, False), (16, False), (65, False)]
-        assert [g["panels"] for g in rs.metadata["grid"]] == [16, 16, 65]
+        assert [panels for panels, bad in checked if bad] == [16]
+        assert built == [(16, False), (16, False), (24, False)]
+        assert [g["panels"] for g in rs.metadata["grid"]] == [16, 16, 24]
 
     def test_constant_damping_shifted_closed_form(self, tmp_path):
         """All 55 records of the shipped shifted config within 1e-13
@@ -725,6 +726,84 @@ class TestPanelGrid:
             assert len(set(found)) == len(found) >= 12
             matched[method] = sorted(found)
         assert matched["arg_principle"] == matched["poly_roots"]
+
+
+def pencil_records(tmp_path, p, q, r, interval, left, right, region):
+    """The records of a pencil solved from center 0 at M = 100."""
+    path = intro_cfg(tmp_path, interval=interval, n_nodes=5001, truncation=100,
+                     coefficients={"p": p, "q": q, "r": r},
+                     boundary={"left": left, "right": right}, search_region=region)
+    return [complex(rec["re"], rec["im"]) for rec in run_solve(path).records]
+
+
+class TestParticularSolutionChoice:
+    """Center 0 chooses its u0 by the rule every chained center uses: the
+    candidate with the largest minimum modulus ratio."""
+
+    def test_phase_i_pencil(self, tmp_path):
+        """p = q = r_1 = i is u'' + u = lambda u: 1 - n^2 pi^2 / 9 on [0, 3].
+        u1 + i u2 vanishes at x = 3 pi / 4 for these coefficients."""
+        found = pencil_records(tmp_path, "i", "i", ["i"], [0.0, 3.0], [1, 0], [1, 0],
+                               {"re": [-20.0, 2.0], "im": [-1.0, 1.0]})
+        modes = [1.0 - n**2 * math.pi**2 / 9.0 for n in range(1, 5)]
+        assert len(found) == len(modes)
+        for lam in modes:
+            assert min(abs(z - lam) for z in found) <= 1e-12 * abs(lam)
+
+    def test_imaginary_sech_potential(self):
+        """The shipped Q = 2i sech(x), P = conj(Q): Satsuma-Yajima gives
+        eigenvalues 0.5 and 1.5 in this frame."""
+        rs = run_solve(str(CONFIGS / "zs_sech_imaginary.json"))
+        found = sorted((complex(r["re"], r["im"]) for r in rs.records),
+                       key=lambda z: z.real)
+        assert len(found) == 2
+        for z, lam in zip(found, (0.5, 1.5)):
+            assert abs(z - lam) <= 1e-10
+
+    @pytest.mark.parametrize("c_src,c", [
+        ("i", 1j), ("-1", -1.0), ("exp(0.7*i)", cmath.exp(0.7j)),
+        ("2.5*exp(-2*i)", 2.5 * cmath.exp(-2j))],
+        ids=["i", "-1", "e^0.7i", "2.5e^-2i"])
+    @pytest.mark.parametrize("p,q,r,interval,left,right", [
+        ("1", "1", ["1"], [0.0, 3.0], [1, 0], [1, 0]),
+        ("1 + 0.5*x", "cos(x)", ["1 + x^2"], [0.0, 1.0], [1, 0.5], [1, -2]),
+        ("1", "-2", ["1", "0.5"], [0.0, 1.0], [1, 0], [0, 1]),
+    ], ids=["dirichlet", "robin", "quadratic"])
+    def test_common_factor_leaves_spectrum(self, tmp_path, c_src, c, p, q, r,
+                                           interval, left, right):
+        """Multiplying p, q and every r_k by c leaves the spectrum, with the
+        alpha2 of each end (on p u') divided by c."""
+        region = {"re": [-25.0, 25.0], "im": [-25.0, 25.0]}
+        base = pencil_records(tmp_path, p, q, r, interval, left, right, region)
+
+        def times_c(src):
+            return f"({c_src})*({src})"
+
+        def end(alpha):
+            return [alpha[0], [(alpha[1] / c).real, (alpha[1] / c).imag]]
+
+        scaled = pencil_records(tmp_path, times_c(p), times_c(q),
+                                [times_c(rk) for rk in r], interval,
+                                end(left), end(right), region)
+        near = [z for z in base if abs(z) <= 20.0]
+        assert near
+        assert len([z for z in scaled if abs(z) <= 20.0]) == len(near)
+        for z in near:
+            assert min(abs(w - z) for w in scaled) <= 1e-10 * abs(z)
+
+    def test_chained_u0_error_names_its_center(self, tmp_path, monkeypatch, capsys):
+        """When every candidate falls below the floor at a chained center,
+        the error names that center and the x where the best one is
+        smallest."""
+        monkeypatch.setattr(spps, "U0_FLOOR_RATIO", 2.0)
+        path = intro_cfg(tmp_path, problem="string",
+                         coefficients={"damping": "1", "density": "1"},
+                         spectral_shifts=[[-1.0, 6.0]])
+        assert main(["solve", path]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"chaining u0 to center 1 at \(-1\+6j\): every candidate "
+                         r"u0 vanishes.* at x = \d", err), err
+        assert "spectral shift" not in err
 
 
 class TestCertification:

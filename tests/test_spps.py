@@ -12,6 +12,7 @@ from slpencil import (
     SampledFunction,
     constant,
     sample,
+    spps,
 )
 from slpencil.grids import _INT, P, cumulative_integral, unresolved
 from slpencil.problems import shift_pencil
@@ -312,21 +313,38 @@ class TestEvaluateSolution:
             assert np.max(np.abs(res)) <= 1e-8 * scale
 
 
+def assert_best_candidate(u0, u1, u2, kappa):
+    """u0 is, among u1 + c u2 for c = i, -i, 0, kappa and -kappa (the five
+    candidates of chain_particular_solution, from closed-form u1 and u2 with
+    u1(a) = 1, p u2'(a) = 1), one whose minimum modulus ratio is largest."""
+    cands = [u1 + c * u2 for c in (1j, -1j, 0.0, kappa, -kappa)]
+    ratios = [np.min(np.abs(c)) / np.max(np.abs(c)) for c in cands]
+    top = max(ratios)
+    assert u0.min_modulus_ratio >= top * (1.0 - 1e-10)
+    assert any(np.max(np.abs(u0.u0.values - c)) <= 1e-10 * np.max(np.abs(c))
+               for c, ratio in zip(cands, ratios) if ratio >= top * (1.0 - 1e-10))
+
+
 class TestParticularSolution:
     def test_zero_potential_terminates(self):
+        """u'' = 0: u1 = 1 has ratio 1, the best of 1 +- ix (ratio 0.71)."""
         g = Grid.uniform(0.0, 1.0, 4)
         u0 = build_particular_solution(constant(g, 1.0), constant(g, 0.0))
-        expected = 1.0 + 1j * g.nodes
-        assert np.max(np.abs(u0.u0.values - expected)) < 1e-13
+        assert np.max(np.abs(u0.u0.values - 1.0)) < 1e-13
         assert u0.residual < 1e-13
-        assert u0.min_modulus_ratio > 0.5
+        assert u0.min_modulus_ratio == 1.0
+        assert_best_candidate(u0, np.ones(g.n_nodes), g.nodes, 0.0)
 
-    def test_negative_q_gives_cosh_plus_i_sinh(self):
+    def test_negative_q_gives_cosh(self):
+        """u'' = u on [0, 1]: cosh (ratio 0.648) beats cosh +- i sinh (0.516)
+        and the travelling waves e^(+-x) (0.368)."""
         g = Grid.uniform(0.0, 1.0, 8)
         u0 = build_particular_solution(constant(g, 1.0), constant(g, -1.0),
                                        truncation=60)
-        ref = np.cosh(g.nodes) + 1j * np.sinh(g.nodes)
+        ref = np.cosh(g.nodes)
         assert np.max(np.abs(u0.u0.values - ref) / np.abs(ref)) < 1e-10
+        assert u0.residual < 1e-13
+        assert_best_candidate(u0, ref, np.sinh(g.nodes), 1.0)
 
     def test_positive_q_gives_unit_circle(self):
         g = Grid.uniform(0.0, np.pi / 2, 8)
@@ -336,6 +354,17 @@ class TestParticularSolution:
         assert np.max(np.abs(u0.u0.values - ref)) < 1e-10
         # non-vanishing even though cos and sin each vanish somewhere
         assert u0.min_modulus_ratio > 0.9
+        assert_best_candidate(u0, np.cos(g.nodes), np.sin(g.nodes), 1j)
+
+    def test_vanishing_candidates_name_their_x(self, monkeypatch):
+        """Below the floor, the error names the best candidate's ratio and
+        the x where it is smallest: cosh is smallest at the left end."""
+        monkeypatch.setattr(spps, "U0_FLOOR_RATIO", 2.0)
+        g = Grid.uniform(0.0, 1.0, 8)
+        with pytest.raises(ParticularSolutionError,
+                           match=r"falls to 6\.481e-01 .* at x = 0\.0$"):
+            build_particular_solution(constant(g, 1.0), constant(g, -1.0),
+                                      truncation=60)
 
     def test_vanishing_u0_raises_with_advice(self):
         g = Grid.uniform(0.0, 1.0, 4)
