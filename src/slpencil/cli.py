@@ -110,7 +110,10 @@ def _build_assembly(cfg: dict) -> _Assembly:
         return asm, unresolved(g, *(f.values for f in (
             pencil.p, pencil.q, *pencil.r, u0.u0, u0.u0_prime)))
 
-    return refine(grid, build, ceiling, "center 0 coefficients")
+    try:
+        return refine(grid, build, ceiling, "center 0 coefficients")
+    except ParticularSolutionError as err:  # every u0 rule vanishes somewhere
+        raise SolverError(f"center 0 u0: {err}") from err
 
 
 def _assemble(cfg: dict, grid: Grid) -> _Assembly:
@@ -205,28 +208,31 @@ def run_solve(config_path: str, *, output_override: dict | None = None) -> Resul
 
 
 def _resolved_table(pencil: PencilSpec, u0: ParticularSolution, m: int,
-                    eval_points: tuple, ceiling: int, where: str):
+                    eval_points: tuple, radius: float, ceiling: int, where: str):
     """The formal-power table on the coarsest split of the pencil's grid that
     resolves it, with the pencil and u0 interpolated onto the split panels.
 
     Kernels first: a grid on which the recursion kernels g = 1/(u0^2 p) and
     u0^2 r_k are not resolved is split on their flags alone, and no table is
     built on it.  Only a grid whose kernels pass gets a table, which is split
-    again where its top-order integrands are not resolved."""
+    again where its top-order integrands are not resolved.  The table stops
+    below m where its tails at radius fall below rounding
+    (build_formal_powers)."""
     def build(grid: Grid):
         spec, u = pencil.on(grid), u0.on(grid)
         bad = recursion_kernels(spec, u)[2]
         if bad.any():
             return None, bad
-        table = build_formal_powers(spec, u, m, eval_points=eval_points)
+        table = build_formal_powers(spec, u, m, eval_points=eval_points, radius=radius)
         return table, table.unresolved
 
     return refine(pencil.grid, build, ceiling, where)
 
 
 def _solve_single(cfg: dict) -> tuple[list[dict], list[dict], int, list[dict]]:
-    """Records, spurious roots, the residual-excluded count and the grid
-    (panels and nodes) of each center."""
+    """Records, spurious roots, the residual-excluded count and, for each
+    center, its grid (panels and nodes), the order its table stopped at and
+    the degree its roots were found at."""
     asm = _build_assembly(cfg)
     m = cfg["truncation"]
     tol = cfg["tolerances"]
@@ -238,6 +244,11 @@ def _solve_single(cfg: dict) -> tuple[list[dict], list[dict], int, list[dict]]:
             centers.append(c)
     keep_radius = 2.0 * max((abs(b - a) for a, b in zip(centers, centers[1:])),
                             default=math.inf)
+    # the radius of the disc each table serves, what the route's degree rule
+    # reads without the search region: the keep radius under poly_roots, the
+    # keep box's farthest corner under arg_principle
+    disc = keep_radius if cfg["method"] == "poly_roots" else math.hypot(
+        keep_radius, keep_radius)
     merge_eps = tol["merge"] if tol["merge"] is not None else 10.0 * tol["localize"]
 
     # (record, relative residual, distance from its center), as _merge_records takes them
@@ -248,10 +259,11 @@ def _solve_single(cfg: dict) -> tuple[list[dict], list[dict], int, list[dict]]:
     for j, center in enumerate(centers):
         next_rel = centers[j + 1] - center if j + 1 < len(centers) else None
         eval_points = (next_rel,) if next_rel is not None else ()
-        table = _resolved_table(pencil, u0, m, eval_points, cfg["n_nodes"],
+        table = _resolved_table(pencil, u0, m, eval_points, disc, cfg["n_nodes"],
                                 f"center {j} at {center}")
         grids.append({"center": [center.real, center.imag],
-                      "panels": table.grid.panels, "nodes": table.grid.n_nodes})
+                      "panels": table.grid.panels, "nodes": table.grid.n_nodes,
+                      "truncation": table.truncation})
         series = two_point_series(table, left=asm.left, right=asm.right,
                                   center=center)
 
@@ -474,7 +486,7 @@ def emit_surface(config_path: str, *, out_path: str | None = None) -> str:
 
     asm = _build_assembly(cfg)
     table = _resolved_table(asm.base_pencil, asm.initial_u0, cfg["truncation"], (),
-                            cfg["n_nodes"], "center 0")
+                            math.inf, cfg["n_nodes"], "center 0")
     series = two_point_series(table, left=asm.left, right=asm.right)
 
     nx, ny = surf["nx"], surf["ny"]

@@ -4,7 +4,9 @@ Every kind takes these keys (* required, - off when absent, else the default):
 
     problem*            "pencil", "string", "zakharov_shabat" or "dirac"
     n_nodes 100001      the most nodes a center's grid may refine to; >= 16
-    truncation 100      the series order M, at least 1
+    truncation 100      the highest series order M, at least 1; a chained
+                        center's table stops lower once the Rouche tail at
+                        its keep radius is below rounding
     method "poly_roots" or "arg_principle", which needs a search_region
     spectral_shifts []  the centers chained through after center 0
     tolerances          {"localize": 1e-10, "residual": 1e-6, "merge": null},

@@ -12,7 +12,9 @@ on a grid before a table is built on it (recursion_kernels), flags the panels
 on which the table's integrands are not resolved, evaluates the two
 fundamental solutions u1, u2 and their derivatives there, constructs u0 when
 it is not supplied, and bounds the series-truncation tails by Gronwall's
-inequality, restarted from the last orders the table computed.
+inequality, restarted from the last orders the table computed.  Its
+truncation is a ceiling: a table told the radius of the disc it serves stops
+at the first order where those bounds at that radius fall below rounding.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ from .grids import (
 
 U0_FLOOR_RATIO = 1e-12
 EPS = np.finfo(np.float64).eps
+# a table with a finite radius tries to stop at orders STOP_FROM,
+# STOP_FROM + STOP_EVERY, ... (build_formal_powers)
+STOP_FROM = 12
+STOP_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -98,12 +104,10 @@ class ParticularSolution:
                      provenance: str) -> "ParticularSolution":
         ratio = _min_modulus_ratio(u0)
         if ratio < U0_FLOOR_RATIO:
-            i = int(np.argmin(np.abs(u0.values)))
+            x = float(u0.grid.nodes[np.argmin(np.abs(u0.values))])
             raise ParticularSolutionError(
-                f"u0 modulus falls below {U0_FLOOR_RATIO:g} of its maximum at node {i} "
-                f"(x = {float(u0.grid.nodes[i])}); supply a different u0 or use a "
-                "spectral shift"
-            )
+                f"the {provenance} u0 falls to {ratio:.3e} of its maximum "
+                f"modulus, at x = {x}")
         res = _ode_residual(u0, u0_prime, p, q)
         return ParticularSolution(u0, u0_prime, provenance, res, ratio)
 
@@ -212,10 +216,10 @@ def _unresolved_within_noise(grid: Grid, u0: ParticularSolution,
 
 
 def build_formal_powers(spec: PencilSpec, u0: ParticularSolution,
-                        truncation: int, *,
-                        eval_points: tuple[complex, ...] = ()) -> FormalPowerTable:
+                        truncation: int, *, eval_points: tuple[complex, ...] = (),
+                        radius: float = math.inf) -> FormalPowerTable:
     """Run the recursive-integral scheme from the left end up to index
-    2*truncation + 1.
+    2M + 1, M = truncation or the order where it stops.
 
     Odd Xtilde integrates u0^2 * sum_k Xtilde^(n-2k+1) r_k, even Xtilde
     integrates Xtilde^(n-1)/(u0^2 p); the X family swaps the parities.
@@ -231,12 +235,25 @@ def build_formal_powers(spec: PencilSpec, u0: ParticularSolution,
     at the nodes forms (up to the sign of a zero, which no later nonzero
     value sees), so the table does not depend on the layout; node layout
     appears only in what the table keeps.
+
+    With a finite radius R, the table tries to stop at orders m = STOP_FROM,
+    STOP_FROM + STOP_EVERY, ... and stops at the first m where
+    tail_components(table, R), restarted from the orders built so far,
+    bounds each family's tail by eps max_(n<=m) |F_n(b)| R^n, and at each
+    eval point bounds every family's by eps times the least modulus sum of
+    the series there, its rounding scale.  A table stopped at m is the
+    table of truncation m: its end values, sums, last orders and unresolved
+    flags are those of order 2m + 1.  Where some R^n overflows, or the
+    tails never fall, it runs to truncation; R = inf, the default, never
+    stops, for a caller that keeps every root.  STOP_FROM leaves the
+    truncation-drift test (cli.DRIFT_ORDERS lower) orders to drop.
     """
     grid = spec.grid
     n_top = 2 * truncation + 1
     N = spec.degree
     cols = grid.panel_index
     g, rho, bad = recursion_kernels(spec, u0)
+    kernels = (g, rho)
     eval_points = tuple(complex(lam) for lam in eval_points)
 
     # what multiplies the last order, by the parity of n: the family that
@@ -257,9 +274,51 @@ def build_formal_powers(spec: PencilSpec, u0: ParticularSolution,
     term = np.empty_like(one)
     mag = np.empty(one.shape)
 
+    def nodes(a: np.ndarray) -> list[np.ndarray]:
+        """The Xtilde and the X part of a panel-layout array, at the nodes."""
+        return [_nodewise(grid, part) for part in a]
+
+    def last_orders() -> tuple[list[np.ndarray], list[np.ndarray]]:
+        last = [nodes(h) for h in hist]
+        return [xt for xt, _ in last], [x for _, x in last]
+
+    def converged(m: int) -> bool:
+        """Whether the tails past order m fall below rounding: at radius,
+        each family's against eps times its largest term there, and at each
+        eval point, every family's against the rounding that the sums carry.
+
+        The Gronwall bounds (_tails) run only behind a gate that the loop's
+        next Xtilde order, one term of their forcing F, already decides: a
+        table whose tail stays large pays a few products per try."""
+        n = 2 * m + 1
+        w = power[:m + 2]
+        # the largest terms |F_k(b)| R^k, k <= m, of the two Xtilde families,
+        # and Xtilde^(2m+1)(b) R^(m+1), a term of their forcing F
+        xt = np.abs(ends[0, :n + 1])
+        even, lag = (xt[0:n:2] * w[:-1]).max(), (xt[1:n - 1:2] * w[1:-1]).max()
+        forced = xt[n] * w[-1]
+        c, gamma, spread = growth
+        if not (forced * gamma * spread <= EPS * even and forced * c <= EPS * lag
+                and math.isfinite(even) and math.isfinite(lag)):
+            return False
+        x = np.abs(ends[1, :n + 1])
+        # each family's largest term, in tail_components' order
+        scales = EPS * np.array([even, lag, (x[1::2] * w[:-1]).max(),
+                                 (x[0::2] * w[:-1]).max()])
+        if not np.isfinite(scales).all():
+            return False
+        last = last_orders()
+        if not all(np.array(_tails(grid, kernels, last, m, radius)) <= scales):
+            return False
+        return all(max(_tails(grid, kernels, last, m, abs(lam)))
+                   <= EPS * np.min(mag_sums[lam][0] + mag_sums[lam][1])
+                   for lam in eval_points)
+
     # powers that overflow are reported by the characteristic series built
     # from them, which names its center
     with np.errstate(over="ignore", invalid="ignore"):
+        growth = _growth(grid, kernels, np.float64(radius))
+        power = np.float64(radius) ** np.arange(truncation + 2)
         for n in range(1, n_top + 1):
             np.multiply(hist[-1], kernel[n % 2], out=acc)
             fam = 1 - n % 2  # the family that integrates against r
@@ -280,23 +339,23 @@ def build_formal_powers(spec: PencilSpec, u0: ParticularSolution,
             hist.append(F)
             if len(hist) > 2 * N:
                 del hist[0]
-
-    def nodes(a: np.ndarray) -> list[np.ndarray]:
-        """The Xtilde and the X part of a panel-layout array, at the nodes."""
-        return [_nodewise(grid, part) for part in a]
+            m = n // 2
+            if (n % 2 and m >= STOP_FROM and (m - STOP_FROM) % STOP_EVERY == 0
+                    and math.isfinite(radius) and converged(m)):
+                truncation, n_top = m, n
+                break
 
     sums = {}
     for lam in eval_points:
         (st_even, s_even), (st_odd, s_odd) = nodes(even_sums[lam]), nodes(odd_sums[lam])
         st_mag, s_mag = nodes(mag_sums[lam])
         sums[lam] = PowerSums(lam, st_even, st_odd, s_even, s_odd, st_mag + s_mag)
-    last = [nodes(h) for h in hist]
     bad |= _unresolved_within_noise(grid, u0, *nodes(acc))
 
     return FormalPowerTable(pencil=spec, u0=u0, truncation=truncation,
-                            xtilde_end=ends[0], x_end=ends[1], sums=sums,
-                            unresolved=bad, kernels=(g, rho),
-                            last_orders=([xt for xt, _ in last], [x for _, x in last]))
+                            xtilde_end=ends[0, :n_top + 1], x_end=ends[1, :n_top + 1],
+                            sums=sums, unresolved=bad, kernels=kernels,
+                            last_orders=last_orders())
 
 
 def evaluate_solution(table: FormalPowerTable, lam: complex, c1: complex,
@@ -383,8 +442,22 @@ def chain_particular_solution(table: FormalPowerTable, lam: complex,
 # constants' moduli into the same functional bounds the series' tail.
 
 
+def _growth(grid: Grid, kernels, r):
+    """(cosh(kappa L), gamma, sinh(kappa L)/kappa): how far Gronwall's
+    inequality lets a forcing F grow over [a, b] at |lambda| <= r, F cosh(kappa L)
+    in the forced tail and F gamma sinh(kappa L)/kappa in the integrated one
+    (sinh(kappa L)/kappa is L at kappa = 0)."""
+    g, rho = kernels
+    gamma = np.max(np.abs(g))
+    kappa = np.sqrt(gamma * sum(r ** k * np.max(np.abs(rk))
+                                for k, rk in enumerate(rho, 1)))
+    L = grid.b - grid.a
+    spread = np.sinh(kappa * L) / kappa if kappa != 0.0 else L
+    return np.cosh(kappa * L), gamma, spread
+
+
 def _family_tails(grid: Grid, last: list[np.ndarray], odd: int, rho, r, M: int,
-                  gamma, kappa):
+                  growth):
     """(F cosh(kappa L), F gamma sinh(kappa L)/kappa), the bounds on one
     family's forced and integrated tails, with F = sum_k sum_{M-k<i<=M}
     r^(k+i) max_x |int_a^x rho_k P^(2i+odd)| over its last powers P."""
@@ -393,9 +466,8 @@ def _family_tails(grid: Grid, last: list[np.ndarray], odd: int, rho, r, M: int,
         for k, rk in enumerate(rho, 1) for i in range(max(0, M - k + 1), M + 1))
     if F == 0.0:  # an unforced tail vanishes, whatever overflows below
         return 0.0, 0.0
-    L = grid.b - grid.a
-    spread = np.sinh(kappa * L) / kappa if kappa != 0.0 else L
-    return F * np.cosh(kappa * L), F * gamma * spread
+    c, gamma, spread = growth
+    return F * c, F * gamma * spread
 
 
 def tail_components(table: FormalPowerTable, lam_abs: float
@@ -427,15 +499,20 @@ def tail_components(table: FormalPowerTable, lam_abs: float
     rounding level on panels the table resolves.  A bound with an
     overflowing factor is inf, never nan.
     """
-    M = table.truncation
-    g, rho = table.kernels
+    return _tails(table.grid, table.kernels, table.last_orders, table.truncation,
+                  lam_abs)
+
+
+def _tails(grid: Grid, kernels, last_orders, M: int, lam_abs: float
+           ) -> tuple[float, float, float, float]:
+    """tail_components from a table's grid, kernels, last orders and
+    truncation, before the table is made."""
+    rho = kernels[1]
     r = np.float64(lam_abs)
     with np.errstate(over="ignore", invalid="ignore"):
-        gamma = np.max(np.abs(g))
-        kappa = np.sqrt(gamma * sum(r ** k * np.max(np.abs(rk))
-                                    for k, rk in enumerate(rho, 1)))
-        xt_last, x_last = table.last_orders
-        xt_lag, xt_even = _family_tails(table.grid, xt_last, 0, rho, r, M, gamma, kappa)
-        x_even, x_odd = _family_tails(table.grid, x_last, 1, rho, r, M, gamma, kappa)
+        growth = _growth(grid, kernels, r)
+        xt_last, x_last = last_orders
+        xt_lag, xt_even = _family_tails(grid, xt_last, 0, rho, r, M, growth)
+        x_even, x_odd = _family_tails(grid, x_last, 1, rho, r, M, growth)
     bounds = (xt_even, xt_lag, x_odd, x_even)
     return tuple(float(v) if v <= math.inf else math.inf for v in bounds)

@@ -624,8 +624,9 @@ class TestPanelGrid:
         assert [g["center"] for g in grid] == [[0.0, 0.0]] + [
             list(c) for c in x2_chain_cfg()["spectral_shifts"]]
         assert all(g["nodes"] == 15 * g["panels"] + 1 for g in grid)
-        # the keep disc, 2 x the step, needs all M = 50 orders at every center
-        assert all(g["degree"] == 50 for g in grid)
+        # the keep disc, 2 x the step, needs all M = 50 orders at every center,
+        # so no table stops below its ceiling
+        assert all(g["degree"] == g["truncation"] == 50 for g in grid)
 
     def test_no_table_on_a_grid_with_unresolved_kernels(self, tmp_path, monkeypatch):
         """The kernels of center 2 of the x^2 chain are unresolved on 16
@@ -664,23 +665,39 @@ class TestPanelGrid:
             z = complex(r["re"], r["im"])
             assert min(abs(z - m) for m in exact) <= 1e-13 * abs(z)
 
-    def test_constant_damping_chain_cuts_companion(self, tmp_path):
+    def test_constant_damping_chain_cuts_companion(self, tmp_path, monkeypatch):
         """Center 0 and the first 2 shifts of the shipped shifted config keep
         roots within 6.4 of a center, where degree 40 of M = 100 is past
-        rounding; the 5 records stay within 1e-13 (relative) of
+        rounding: each table stops at most at order 48, where the Rouche
+        tail at the keep radius is below rounding, on the first grid it is
+        built on; the 5 records stay within 1e-13 (relative) of
         -1 +- i sqrt(n^2 pi^2 - 1)."""
+        built = []
+
+        def counted_build(spec, u0, m, **kwargs):
+            built.append(spec.grid.panels)
+            return build_formal_powers(spec, u0, m, **kwargs)
+
+        monkeypatch.setattr(cli, "build_formal_powers", counted_build)
         cfg = json.loads((CONFIGS / "string_constant_damping_shifted.json").read_text())
         cfg["spectral_shifts"] = cfg["spectral_shifts"][:2]
         cfg["output"] = None
         rs = run_solve(write_config(tmp_path, "c.json", cfg))
+        assert built == [16, 16, 16]
         assert len(rs.metadata["grid"]) == 3
-        assert all(g["degree"] <= 40 for g in rs.metadata["grid"])
+        assert all(g["degree"] <= 40 and g["truncation"] <= 48
+                   for g in rs.metadata["grid"])
         assert len(rs.records) == 5
         exact = [complex(-1.0, s * math.sqrt(n**2 * math.pi**2 - 1))
                  for n in range(1, 5) for s in (1, -1)]
         for r in rs.records:
             z = complex(r["re"], r["im"])
             assert min(abs(z - m) for m in exact) <= 1e-13 * abs(z)
+
+    def test_single_center_table_keeps_its_ceiling(self, tmp_path):
+        """A single center keeps no disc, so its table runs to M."""
+        rs = run_solve(str(CONFIGS / "klaus_shaw_surface.json"))
+        assert [g["truncation"] for g in rs.metadata["grid"]] == [100]
 
     def test_x2_chain_matches_stored_reference(self, tmp_path):
         """Center 0 and three shifts give a record within 1e-10 of every mode
@@ -790,6 +807,20 @@ class TestParticularSolutionChoice:
         assert len([z for z in scaled if abs(z) <= 20.0]) == len(near)
         for z in near:
             assert min(abs(w - z) for w in scaled) <= 1e-10 * abs(z)
+
+    def test_vanishing_closed_form_u0_names_center_0(self, tmp_path, capsys):
+        """Q = P = 30i sech(x): the closed-form u0 exp(i int Q) decays by
+        exp(-30 pi) across the interval, and the error names that u0, center
+        0 and the x where it is smallest."""
+        path = write_config(tmp_path, "zs.json", {
+            "problem": "zakharov_shabat", "n_nodes": 5001, "truncation": 100,
+            "potential": {"kind": "expression", "Q": "30*i*sech(x)",
+                          "P": "30*i*sech(x)", "half_width": 16},
+            "search_region": {"re": [0.01, 2.0], "im": [-1.0, 1.0]}})
+        assert main(["solve", path]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"^solver error: center 0 u0: the closed-form u0 falls to "
+                         r"\S+ of its maximum modulus, at x = 16\.0$", err, re.M), err
 
     def test_chained_u0_error_names_its_center(self, tmp_path, monkeypatch, capsys):
         """When every candidate falls below the floor at a chained center,

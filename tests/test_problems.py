@@ -376,3 +376,60 @@ class TestDirac:
                 SampledFunction(g, lam * u.values - vmE * w.values)).values
             res = u.values - u.values[0] - rhs
             assert np.max(np.abs(res)) <= 1e-8 * np.max(np.abs(u.values))
+
+
+class TestStoppedTable:
+    """A table given the radius R of the disc it serves stops at the first
+    order where the Rouche tail at R falls below rounding."""
+
+    SHIFT = -1.1 - 3.0j  # the first shift of the shipped constant-damping chain
+    KEEP = 2.0 * abs(SHIFT)  # the chain's keep radius, 6.39
+
+    def chain_tables(self):
+        """Center 0 of the constant-damping string and the center at SHIFT,
+        u0 chained from the first: (stopped, ceiling, center) for each, the
+        two tables on the same grid."""
+        g = Grid.uniform(0.0, 1.0, 16)
+        base = string_pencil(constant(g, 1.0), constant(g, 1.0))
+        unit = ParticularSolution.unit(g)
+        first = build_formal_powers(base, unit, 100, eval_points=(self.SHIFT,),
+                                    radius=self.KEEP)
+        pencil = shift_pencil(base, self.SHIFT)
+        u0 = chain_particular_solution(first, self.SHIFT, pencil.p, pencil.q)
+        return [(first, build_formal_powers(base, unit, 100), 0j),
+                (build_formal_powers(pencil, u0, 100, radius=self.KEEP),
+                 build_formal_powers(pencil, u0, 100), self.SHIFT)]
+
+    def test_stopped_series_within_its_tail_of_the_ceiling(self):
+        """On the keep circle, Phi_d - Phi_100 lies below the stopped series'
+        own Rouche tail and below 1e-13 of its largest term there."""
+        for stopped, full, center in self.chain_tables():
+            assert stopped.truncation < 100
+            lo, hi = (two_point_series(t, center=center) for t in (stopped, full))
+            z = center + self.KEEP * np.exp(2j * np.pi * np.arange(64) / 64)
+            diff = np.abs(np.asarray(hi(z)) - np.asarray(lo(z)))
+            assert diff.max() <= lo.tail(self.KEEP)
+            assert diff.max() <= 1e-13 * lo.term_scale(center + self.KEEP)
+
+    def test_stopped_table_is_the_ceiling_cut(self):
+        """The stopped table's end values are the ceiling's first 2M + 2,
+        bit for bit, and its last orders end at its own top order."""
+        for stopped, full, _ in self.chain_tables():
+            m = stopped.truncation
+            assert stopped.xtilde_end.shape == stopped.x_end.shape == (2 * m + 2,)
+            assert np.array_equal(stopped.xtilde_end, full.xtilde_end[:2 * m + 2])
+            assert np.array_equal(stopped.x_end, full.x_end[:2 * m + 2])
+            assert stopped.last_orders[0][-1][-1] == stopped.xtilde_end[-1]
+
+    def test_overflowing_radius_keeps_the_ceiling(self):
+        """A radius whose powers overflow stops nowhere, with no warning (an
+        error under this suite's settings), and the table is the one a single
+        center builds."""
+        g = Grid.uniform(0.0, 1.0, 16)
+        sp = string_pencil(constant(g, 1.0), constant(g, 1.0))
+        unit = ParticularSolution.unit(g)
+        far = build_formal_powers(sp, unit, 100, radius=1e200)
+        full = build_formal_powers(sp, unit, 100)
+        assert far.truncation == full.truncation == 100
+        assert np.array_equal(far.xtilde_end, full.xtilde_end)
+        assert np.array_equal(far.x_end, full.x_end)
