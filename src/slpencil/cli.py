@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -104,14 +104,14 @@ def _build_assembly(cfg: dict) -> _Assembly:
     ceiling = cfg["n_nodes"]
     grid = Grid.uniform(a, b, min(INITIAL_PANELS, (ceiling - 1) // (P - 1)))
 
-    def build(g: Grid):
+    def build(g: Grid, items: list[int]):
         asm = _assemble(cfg, g)
         pencil, u0 = asm.base_pencil, asm.initial_u0
-        return asm, unresolved(g, *(f.values for f in (
-            pencil.p, pencil.q, *pencil.r, u0.u0, u0.u0_prime)))
+        return [(asm, unresolved(g, *(f.values for f in (
+            pencil.p, pencil.q, *pencil.r, u0.u0, u0.u0_prime))))]
 
     try:
-        return refine(grid, build, ceiling, "center 0 coefficients")
+        return refine([grid], build, ceiling, ["center 0 coefficients"])[0]
     except ParticularSolutionError as err:  # every u0 rule vanishes somewhere
         raise SolverError(f"center 0 u0: {err}") from err
 
@@ -176,8 +176,12 @@ def run_solve(config_path: str, *, output_override: dict | None = None) -> Resul
     """Execute the solve described by a config file; returns the result set
     and writes any configured output targets.
 
-    Records come in order of Re, those whose Re agree to within the merge
-    tolerance (a vertical line of modes) in order of Im; see `_record_key`."""
+    The runs of a sweep, one per value, are solved in lockstep
+    (_solve_runs); a config without a sweep is a batch of one run.  An error
+    raised for a sweep run names its value.  Records come in order of the
+    runs, and within a run in order of Re, those whose Re agree to within
+    the merge tolerance (a vertical line of modes) in order of Im; see
+    `_record_key`."""
     cfg = load_config(config_path)
     if output_override is not None:
         cfg["output"] = {**(cfg.get("output") or {}), **output_override}
@@ -185,13 +189,13 @@ def run_solve(config_path: str, *, output_override: dict | None = None) -> Resul
         _check_output_dir(path)
     t0 = time.monotonic()
     sweep = cfg.get("sweep")
-    runs = [({}, cfg)] if not sweep else [
-        ({"sweep_value": float(v)},
+    runs = [({}, "", cfg)] if not sweep else [
+        ({"sweep_value": float(v)}, f"sweep {sweep['parameter']} = {float(v)!r}: ",
          {**cfg, "potential": {**cfg["potential"], sweep["parameter"]: float(v)}})
         for v in sweep["values"]]
     records, spurious, grids, excluded = [], [], [], 0
-    for tag, run in runs:
-        recs, spur, excl, grid = _solve_single(run)
+    solved = _solve_runs([(prefix, run) for _, prefix, run in runs])
+    for (tag, _, _), (recs, spur, excl, grid) in zip(runs, solved):
         records += [{**tag, **rec} for rec in recs]
         spurious += [{**tag, **rec} for rec in spur]
         grids += [{**tag, **g} for g in grid]
@@ -207,33 +211,87 @@ def run_solve(config_path: str, *, output_override: dict | None = None) -> Resul
     return rs
 
 
-def _resolved_table(pencil: PencilSpec, u0: ParticularSolution, m: int,
-                    eval_points: tuple, radius: float, ceiling: int, where: str):
-    """The formal-power table on the coarsest split of the pencil's grid that
-    resolves it, with the pencil and u0 interpolated onto the split panels.
+@contextlib.contextmanager
+def _run_errors(prefix: str):
+    """An error raised for one run of a sweep, as a SolverError that starts
+    with the run's prefix (its value); a run with no prefix raises it as it
+    is."""
+    try:
+        yield
+    except SLPencilError as err:
+        if not prefix:
+            raise
+        raise SolverError(f"{prefix}{err}") from err
 
-    Kernels first: a grid on which the recursion kernels g = 1/(u0^2 p) and
-    u0^2 r_k are not resolved is split on their flags alone, and no table is
-    built on it.  Only a grid whose kernels pass gets a table, which is split
-    again where its top-order integrands are not resolved.  The table stops
-    below m where its tails at radius fall below rounding
+
+def _resolved_tables(pencils: list[PencilSpec], u0s: list[ParticularSolution], m: int,
+                     eval_points: tuple, radius: float, ceiling: int, where: str,
+                     prefixes: list[str]) -> list:
+    """For each (pencil, u0), the formal-power table on the coarsest split of
+    the pencil's grid that resolves it, with the pencil and u0 interpolated
+    onto the split panels.  The items on one grid are carried there and built
+    together (grids.refine), each split on its own flags; an error names the
+    item's prefix and where.
+
+    Kernels first: a grid on which an item's recursion kernels g = 1/(u0^2 p)
+    and u0^2 r_k are not resolved is split on their flags alone, and no table
+    is built for it there.  Only the items whose kernels pass get a table,
+    which is split again where its top-order integrands are not resolved.  A
+    table stops below m where its tails at radius fall below rounding
     (build_formal_powers)."""
-    def build(grid: Grid):
-        spec, u = pencil.on(grid), u0.on(grid)
-        bad = recursion_kernels(spec, u)[2]
-        if bad.any():
-            return None, bad
-        table = build_formal_powers(spec, u, m, eval_points=eval_points, radius=radius)
-        return table, table.unresolved
+    def build(grid: Grid, items: list[int]):
+        specs = PencilSpec.on([pencils[i] for i in items], grid)
+        sols = ParticularSolution.on([u0s[i] for i in items], grid)
+        flags = []
+        for i, spec, u in zip(items, specs, sols):
+            with _run_errors(prefixes[i]):
+                flags.append(recursion_kernels(spec, u)[2])
+        ready = [(spec, u) for spec, u, bad in zip(specs, sols, flags) if not bad.any()]
+        tables = iter(build_formal_powers(ready, m, eval_points=eval_points,
+                                          radius=radius) if ready else ())
+        out = []
+        for bad in flags:
+            table = None if bad.any() else next(tables)
+            out.append((None, bad) if table is None else (table, table.unresolved))
+        return out
 
-    return refine(pencil.grid, build, ceiling, where)
+    return refine([pencil.grid for pencil in pencils], build, ceiling,
+                  [f"{prefix}{where}" for prefix in prefixes])
 
 
-def _solve_single(cfg: dict) -> tuple[list[dict], list[dict], int, list[dict]]:
-    """Records, spurious roots, the residual-excluded count and, for each
-    center, its grid (panels and nodes), the order its table stopped at and
-    the degree its roots were found at."""
-    asm = _build_assembly(cfg)
+@dataclass
+class _Run:
+    """One run of a solve (one sweep value), as the lockstep carries it from
+    center to center."""
+
+    prefix: str  # what an error raised for the run starts with
+    asm: _Assembly
+    pencil: PencilSpec  # the current center's pencil and u0
+    u0: ParticularSolution
+    # (record, relative residual, distance from its center), as _merge_records takes them
+    candidates: list[tuple[EigenvalueRecord, float, float]] = field(default_factory=list)
+    spurious: list[dict] = field(default_factory=list)
+    grids: list[dict] = field(default_factory=list)
+
+
+def _solve_runs(runs: list[tuple[str, dict]]
+                ) -> list[tuple[list[dict], list[dict], int, list[dict]]]:
+    """For each run (an error prefix and a config; the runs of a sweep differ
+    only in the swept parameter), its records, spurious roots, the
+    residual-excluded count and, for each center, its grid (panels and
+    nodes), the order its table stopped at, whether its tail test passed
+    there and the degree its roots were found at.
+
+    The runs go in lockstep: each is assembled on its own, then every
+    center's tables come from one batched refinement (_resolved_tables), and
+    each run finds, certifies and merges its own roots and chains its own u0
+    to the next center, as a run solved alone would."""
+    state = []
+    for prefix, run_cfg in runs:
+        with _run_errors(prefix):
+            asm = _build_assembly(run_cfg)
+        state.append(_Run(prefix, asm, asm.base_pencil, asm.initial_u0))
+    cfg = runs[0][1]
     m = cfg["truncation"]
     tol = cfg["tolerances"]
     box = cfg.get("search_region")
@@ -251,53 +309,57 @@ def _solve_single(cfg: dict) -> tuple[list[dict], list[dict], int, list[dict]]:
         keep_radius, keep_radius)
     merge_eps = tol["merge"] if tol["merge"] is not None else 10.0 * tol["localize"]
 
-    # (record, relative residual, distance from its center), as _merge_records takes them
-    candidates: list[tuple[EigenvalueRecord, float, float]] = []
-    spurious: list[dict] = []
-    grids: list[dict] = []
-    pencil, u0 = asm.base_pencil, asm.initial_u0
     for j, center in enumerate(centers):
         next_rel = centers[j + 1] - center if j + 1 < len(centers) else None
         eval_points = (next_rel,) if next_rel is not None else ()
-        table = _resolved_table(pencil, u0, m, eval_points, disc, cfg["n_nodes"],
-                                f"center {j} at {center}")
-        grids.append({"center": [center.real, center.imag],
-                      "panels": table.grid.panels, "nodes": table.grid.n_nodes,
-                      "truncation": table.truncation})
-        series = two_point_series(table, left=asm.left, right=asm.right,
-                                  center=center)
+        tables = _resolved_tables([run.pencil for run in state], [run.u0 for run in state],
+                                  m, eval_points, disc, cfg["n_nodes"],
+                                  f"center {j} at {center}", [run.prefix for run in state])
+        for run, table in zip(state, tables):
+            run.grids.append({"center": [center.real, center.imag],
+                              "panels": table.grid.panels, "nodes": table.grid.n_nodes,
+                              "truncation": table.truncation,
+                              "tail_converged": table.tail_converged})
+            with _run_errors(run.prefix):
+                series = two_point_series(table, left=run.asm.left, right=run.asm.right,
+                                          center=center)
+                if cfg["method"] == "poly_roots":
+                    recs, run.grids[-1]["degree"] = _poly_records(
+                        series, center, keep_radius, region, run.spurious)
+                else:
+                    recs, run.grids[-1]["degree"] = _arg_records(
+                        series, center, keep_radius, region, tol["localize"])
+                for rec in recs:
+                    if cfg["certify"]:
+                        rect = Rectangle.around(rec.value, CERTIFY_HALF_WIDTH)
+                        rec = certify(rec, series, series.tail(rect.max_abs_from(center)),
+                                      rect)
+                    run.candidates.append(
+                        (rec, _relative_residual(series, rec), abs(rec.value - center)))
+                if next_rel is not None:
+                    # the next center's pencil, and its u0 chained from this table
+                    run.pencil = shift_pencil(
+                        PencilSpec.on([run.asm.base_pencil], table.grid)[0], centers[j + 1])
+                    try:
+                        run.u0 = chain_particular_solution(table, next_rel, run.pencil.p,
+                                                           run.pencil.q)
+                    # the series sums overflow that far out, or every candidate vanishes
+                    except (NodeValueError, ParticularSolutionError) as err:
+                        raise SolverError(
+                            f"chaining u0 to center {j + 1} at {centers[j + 1]}: "
+                            f"{err}") from err
 
-        if cfg["method"] == "poly_roots":
-            recs, grids[-1]["degree"] = _poly_records(
-                series, center, keep_radius, region, spurious)
-        else:
-            recs, grids[-1]["degree"] = _arg_records(
-                series, center, keep_radius, region, tol["localize"])
-        for rec in recs:
-            if cfg["certify"]:
-                rect = Rectangle.around(rec.value, CERTIFY_HALF_WIDTH)
-                rec = certify(rec, series, series.tail(rect.max_abs_from(center)), rect)
-            candidates.append(
-                (rec, _relative_residual(series, rec), abs(rec.value - center)))
-
-        if next_rel is not None:
-            # the next center's pencil, and its u0 chained from this table
-            pencil = shift_pencil(asm.base_pencil.on(table.grid), centers[j + 1])
-            try:
-                u0 = chain_particular_solution(table, next_rel, pencil.p, pencil.q)
-            # the series sums overflow that far out, or every candidate vanishes
-            except (NodeValueError, ParticularSolutionError) as err:
-                raise SolverError(f"chaining u0 to center {j + 1} at {centers[j + 1]}: "
-                                  f"{err}") from err
-
-    final, excluded = [], 0
-    for rec, rel_res in _merge_records(candidates, merge_eps):
-        if rel_res <= tol["residual"]:
-            final.append(_record_dict(rec, asm.back_map_scale))
-        else:
-            excluded += 1
-    final.sort(key=lambda r: _record_key(r, merge_eps))
-    return final, spurious, excluded, grids
+    out = []
+    for run in state:
+        final, excluded = [], 0
+        for rec, rel_res in _merge_records(run.candidates, merge_eps):
+            if rel_res <= tol["residual"]:
+                final.append(_record_dict(rec, run.asm.back_map_scale))
+            else:
+                excluded += 1
+        final.sort(key=lambda r: _record_key(r, merge_eps))
+        out.append((final, run.spurious, excluded, run.grids))
+    return out
 
 
 def _record_key(rec: dict, merge_eps: float) -> tuple:
@@ -485,8 +547,8 @@ def emit_surface(config_path: str, *, out_path: str | None = None) -> str:
     _check_output_dir(target)
 
     asm = _build_assembly(cfg)
-    table = _resolved_table(asm.base_pencil, asm.initial_u0, cfg["truncation"], (),
-                            math.inf, cfg["n_nodes"], "center 0")
+    table, = _resolved_tables([asm.base_pencil], [asm.initial_u0], cfg["truncation"],
+                              (), math.inf, cfg["n_nodes"], "center 0", [""])
     series = two_point_series(table, left=asm.left, right=asm.right)
 
     nx, ny = surf["nx"], surf["ny"]

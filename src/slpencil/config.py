@@ -25,7 +25,8 @@ dirac {"v", "energy": 0.0}.  zakharov_shabat adds
 potential* {"kind": a zakharov.POTENTIALS name, its numeric parameters,
 "half_width"}, where the "expression" kind gives "Q" and may give "P" and the
 half-width defaults to zakharov.potential_half_width; and sweep- {"parameter":
-a numeric parameter of the potential, "values": [...]}, one solve per value.
+a numeric parameter of the potential, "values": [...]}, one run per value,
+the runs solved in lockstep with the records of each as if solved alone.
 
 A complex number (a shift, a boundary alpha, the energy) may be written as a
 number or as an [re, im] pair.  `load_config` returns the config in normal

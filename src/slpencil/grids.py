@@ -10,12 +10,15 @@ matrix per panel plus a running sum of the panel totals (Greengard, SINUM 28,
 are exact for anything the panels resolve.  A panel resolves a function when
 the last two of its P Chebyshev coefficients are below TAIL_TOL times the
 function's sup norm, or within its known rounding error (:func:`unresolved`);
-:func:`refine` splits the panels that fail until they pass, and
-:func:`interpolate` carries resolved samples onto another grid.
+:func:`refine` splits the panels that fail until they pass, for a batch of
+items at once (the items on one grid are built together), and
+:func:`interpolate` carries resolved samples onto another grid, those of one
+grid in one stacked pass.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -224,42 +227,62 @@ def unresolved(grid: Grid, *values: np.ndarray,
     return bad
 
 
-def interpolate(f: SampledFunction, grid: Grid) -> SampledFunction:
-    """f at the nodes of another grid on [a, b]: each node gets the
+def interpolate(fs: Sequence[SampledFunction], grid: Grid) -> list[SampledFunction]:
+    """Each f at the nodes of another grid on [a, b]: each node gets the
     interpolant of the panel of f's grid that holds it, exact for anything
-    that panel resolves."""
-    if grid == f.grid:
-        return f
-    src = np.asarray(f.grid.breaks)
+    that panel resolves.  The functions that share a grid are carried in one
+    stacked pass, each with the operations of a pass of its own."""
+    out = list(fs)
+    by_source: dict[Grid, list[int]] = {}
+    for i, f in enumerate(fs):
+        if f.grid != grid:
+            by_source.setdefault(f.grid, []).append(i)
     x = grid.nodes
-    k = np.clip(np.searchsorted(src, x, side="right") - 1, 0, f.grid.panels - 1)
-    t = np.clip((x - 0.5 * (src[k] + src[k + 1])) / f.grid.half_widths[k], -1.0, 1.0)
-    coef = _COEF @ f.values[f.grid.panel_index]
-    # sum_m coef[m] T_m(t) by the three-term recurrence of the T_m
-    T_prev, T = np.ones_like(t), t
-    vals = coef[0, k] + coef[1, k] * t
-    for m in range(2, P):
-        T_prev, T = T, 2 * t * T - T_prev
-        vals += coef[m, k] * T
-    return SampledFunction(grid, vals)
+    for source, idx in by_source.items():
+        src = np.asarray(source.breaks)
+        k = np.clip(np.searchsorted(src, x, side="right") - 1, 0, source.panels - 1)
+        t = np.clip((x - 0.5 * (src[k] + src[k + 1])) / source.half_widths[k], -1.0, 1.0)
+        # one (P, panels) matmul per function, as its own pass makes
+        coef = _COEF @ np.stack([fs[i].values for i in idx])[:, source.panel_index]
+        # sum_m coef[m] T_m(t) by the three-term recurrence of the T_m
+        T_prev, T = np.ones_like(t), t
+        vals = coef[:, 0, k] + coef[:, 1, k] * t
+        for m in range(2, P):
+            T_prev, T = T, 2 * t * T - T_prev
+            vals += coef[:, m, k] * T
+        for i, v in zip(idx, vals):
+            out[i] = SampledFunction(grid, v)
+    return out
 
 
-def refine(grid: Grid, build, max_nodes: int, where: str):
-    """build(g) for the first g, reached from grid by splitting panels, on
-    which build(g) = (result, unresolved panel mask) flags no panel.
+def refine(grids: Sequence[Grid], build, max_nodes: int, wheres: Sequence[str]) -> list:
+    """For each item i, build's result on the first grid, reached from
+    grids[i] by splitting panels, on which that result flags no panel.
 
-    Raises GridError naming `where` and the failing panel once a split grid
-    would exceed max_nodes.
+    build(g, items) takes a grid and the indices of the items now on it, and
+    returns one (result, unresolved panel mask) per item, in that order: the
+    items that share a grid are built together, once per refinement level,
+    and each is split on its own flags.  Raises GridError naming the item's
+    where and the failing panel once a split grid would exceed max_nodes.
     """
-    while True:
-        result, bad = build(grid)
-        if not bad.any():
-            return result
-        finer = grid.split(bad)
-        if finer.n_nodes > max_nodes:
-            k = int(np.flatnonzero(bad)[0])
-            raise GridError(
-                f"{where}: the panel [{grid.breaks[k]!r}, {grid.breaks[k + 1]!r}] is "
-                f"unresolved and splitting it needs {finer.n_nodes} nodes, above the "
-                f"n_nodes ceiling {max_nodes}")
-        grid = finer
+    results: list = [None] * len(grids)
+    pending = dict(enumerate(grids))
+    while pending:
+        groups: dict[Grid, list[int]] = {}
+        for i, grid in pending.items():
+            groups.setdefault(grid, []).append(i)
+        for grid, items in groups.items():
+            for i, (result, bad) in zip(items, build(grid, items)):
+                if not bad.any():
+                    results[i] = result
+                    del pending[i]
+                    continue
+                finer = grid.split(bad)
+                if finer.n_nodes > max_nodes:
+                    k = int(np.flatnonzero(bad)[0])
+                    raise GridError(
+                        f"{wheres[i]}: the panel [{grid.breaks[k]!r}, "
+                        f"{grid.breaks[k + 1]!r}] is unresolved and splitting it needs "
+                        f"{finer.n_nodes} nodes, above the n_nodes ceiling {max_nodes}")
+                pending[i] = finer
+    return results

@@ -4,22 +4,25 @@ The pencil is (p u')' + q u = u * sum_k lambda^k r_k, k = 1..N.  Given a
 non-vanishing particular solution u0 of the lambda = 0 equation, the general
 solution is a power series in lambda whose coefficients (the "formal powers")
 are recursively computed integrals anchored at the grid's left end, each one
-spectral integration over the grid's panels.  This module builds a table of
-their right-end values and of their series sums at requested lambdas, running
-both families of formal powers in one loop in panel layout (each order one
-(2, P, panels) array), checks the recursion kernels 1/(u0^2 p) and u0^2 r_k
-on a grid before a table is built on it (recursion_kernels), flags the panels
-on which the table's integrands are not resolved, evaluates the two
-fundamental solutions u1, u2 and their derivatives there, constructs u0 when
-it is not supplied, and bounds the series-truncation tails by Gronwall's
-inequality, restarted from the last orders the table computed.  Its
-truncation is a ceiling: a table told the radius of the disc it serves stops
-at the first order where those bounds at that radius fall below rounding.
+spectral integration over the grid's panels.  This module builds tables of
+their right-end values and of their series sums at requested lambdas, for a
+batch of pencils on one grid at once, running every item and both families of
+formal powers in one loop in panel layout (each order one (items, 2, P,
+panels) array, each table bit for bit that of a batch of one), checks the
+recursion kernels 1/(u0^2 p) and u0^2 r_k on a grid before a table is built on
+it (recursion_kernels), flags the panels on which the table's integrands are
+not resolved, evaluates the two fundamental solutions u1, u2 and their
+derivatives there, constructs u0 when it is not supplied, and bounds the
+series-truncation tails by Gronwall's inequality, restarted from the last
+orders the table computed.  Its truncation is a ceiling: a table told the
+radius of the disc it serves stops at the first order where those bounds at
+that radius fall below rounding, and leaves its batch there.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -70,10 +73,13 @@ class PencilSpec:
     def degree(self) -> int:
         return len(self.r)
 
-    def on(self, grid: Grid) -> "PencilSpec":
-        """The coefficients interpolated onto another grid of their interval."""
-        return PencilSpec(p=interpolate(self.p, grid), q=interpolate(self.q, grid),
-                          r=tuple(interpolate(rk, grid) for rk in self.r))
+    @staticmethod
+    def on(specs: Sequence["PencilSpec"], grid: Grid) -> list["PencilSpec"]:
+        """Each pencil's coefficients interpolated onto another grid of their
+        interval, all in one stacked grids.interpolate pass."""
+        fs = iter(interpolate([f for s in specs for f in (s.p, s.q, *s.r)], grid))
+        return [PencilSpec(p=next(fs), q=next(fs), r=tuple(next(fs) for _ in s.r))
+                for s in specs]
 
 
 @dataclass(frozen=True)
@@ -111,14 +117,18 @@ class ParticularSolution:
         res = _ode_residual(u0, u0_prime, p, q)
         return ParticularSolution(u0, u0_prime, provenance, res, ratio)
 
-    def on(self, grid: Grid) -> "ParticularSolution":
-        """u0 and u0' (and their noise) interpolated onto another grid of
-        their interval."""
-        noise = self.noise
-        if noise is not None:
-            noise = interpolate(SampledFunction(self.u0.grid, noise), grid).values.real
-        return replace(self, u0=interpolate(self.u0, grid),
-                       u0_prime=interpolate(self.u0_prime, grid), noise=noise)
+    @staticmethod
+    def on(sols: Sequence["ParticularSolution"], grid: Grid
+           ) -> list["ParticularSolution"]:
+        """Each u0 and u0' (and its noise) interpolated onto another grid of
+        their interval, all in one stacked grids.interpolate pass."""
+        fs = iter(interpolate([f for sol in sols for f in (
+            sol.u0, sol.u0_prime,
+            *(() if sol.noise is None else (SampledFunction(sol.u0.grid, sol.noise),)))],
+            grid))
+        return [replace(sol, u0=next(fs), u0_prime=next(fs),
+                        noise=None if sol.noise is None else next(fs).values.real)
+                for sol in sols]
 
 
 def _min_modulus_ratio(f: SampledFunction) -> float:
@@ -180,6 +190,9 @@ class FormalPowerTable:
     # the last (up to 2N) whole-grid powers of the Xtilde and the X family,
     # oldest first and ending at order 2M+1, which tail_components restarts from
     last_orders: tuple[list[np.ndarray], list[np.ndarray]]
+    # with a finite radius, whether the table stopped where its tails fell
+    # below rounding (False: it reached truncation first); None without one
+    tail_converged: bool | None
 
     @property
     def grid(self) -> Grid:
@@ -215,119 +228,150 @@ def _unresolved_within_noise(grid: Grid, u0: ParticularSolution,
     return bad
 
 
-def build_formal_powers(spec: PencilSpec, u0: ParticularSolution,
+def build_formal_powers(items: Sequence[tuple[PencilSpec, ParticularSolution]],
                         truncation: int, *, eval_points: tuple[complex, ...] = (),
-                        radius: float = math.inf) -> FormalPowerTable:
-    """Run the recursive-integral scheme from the left end up to index
-    2M + 1, M = truncation or the order where it stops.
+                        radius: float = math.inf) -> list[FormalPowerTable]:
+    """The table of each (pencil, u0) item, all on one grid and of one
+    degree: run the recursive-integral scheme from the left end up to index
+    2M + 1, M = truncation or the order where the item stops.
 
     Odd Xtilde integrates u0^2 * sum_k Xtilde^(n-2k+1) r_k, even Xtilde
     integrates Xtilde^(n-1)/(u0^2 p); the X family swaps the parities.
     Negative indices contribute nothing, Xtilde^(0) = X^(0) = 1, and every
-    higher power vanishes at the left end.  The table keeps the right-end
+    higher power vanishes at the left end.  Each table keeps the right-end
     values and the series sums at each lambda in eval_points, the only lambdas
     evaluate_solution accepts.
 
-    Both families run in one loop in panel layout: each order is one
-    (2, P, panels) array, Xtilde first and X second, integrated by one
-    grids._cumulative_panels call.  Each node value is the product or sum,
-    of the same operands in the same order, that a recursion of one family
+    The items and both families run in one loop in panel layout: each order
+    is one (B, 2, P, panels) array, B the items still running, Xtilde first
+    and X second, integrated by one grids._cumulative_panels call, which
+    keeps the batch on its leading axes and so makes the products of a
+    build of one item.  Each node value is the product or sum, of the same
+    operands in the same order, that a recursion of one item and one family
     at the nodes forms (up to the sign of a zero, which no later nonzero
-    value sees), so the table does not depend on the layout; node layout
-    appears only in what the table keeps.
+    value sees), so a table does not depend on the layout or on the batch
+    it ran in; node layout appears only in what the table keeps.
 
-    With a finite radius R, the table tries to stop at orders m = STOP_FROM,
+    With a finite radius R, each item tries to stop at orders m = STOP_FROM,
     STOP_FROM + STOP_EVERY, ... and stops at the first m where
     tail_components(table, R), restarted from the orders built so far,
     bounds each family's tail by eps max_(n<=m) |F_n(b)| R^n, and at each
     eval point bounds every family's by eps times the least modulus sum of
-    the series there, its rounding scale.  A table stopped at m is the
-    table of truncation m: its end values, sums, last orders and unresolved
-    flags are those of order 2m + 1.  Where some R^n overflows, or the
-    tails never fall, it runs to truncation; R = inf, the default, never
-    stops, for a caller that keeps every root.  STOP_FROM leaves the
-    truncation-drift test (cli.DRIFT_ORDERS lower) orders to drop.
+    the series there, its rounding scale.  A table stopped at m is made from
+    the state at its stop, and is the table of truncation m: its end values,
+    sums, last orders and unresolved flags are those of order 2m + 1; the
+    item then leaves the batch.  Where some R^n overflows, or the tails never
+    fall, it runs to truncation; R = inf, the default, never stops, for a
+    caller that keeps every root.  STOP_FROM leaves the truncation-drift test
+    (cli.DRIFT_ORDERS lower) orders to drop.
     """
-    grid = spec.grid
+    if not items:
+        return []
+    grid, N = items[0][0].grid, items[0][0].degree
+    if any(spec.grid != grid or spec.degree != N for spec, _ in items):
+        raise GridError("a batch of formal-power tables needs one grid and one degree")
     n_top = 2 * truncation + 1
-    N = spec.degree
     cols = grid.panel_index
-    g, rho, bad = recursion_kernels(spec, u0)
-    kernels = (g, rho)
+    checked = [recursion_kernels(spec, u0) for spec, u0 in items]
     eval_points = tuple(complex(lam) for lam in eval_points)
+    tables: list[FormalPowerTable | None] = [None] * len(items)
+    # the item in each row of the batch
+    live = list(range(len(items)))
 
     # what multiplies the last order, by the parity of n: the family that
     # integrates against r at n (Xtilde at odd n) takes rho_1, the rho_k with
     # k >= 2 reaching further back, and the other family takes g
-    rho_cols = [rk[cols] for rk in rho]
-    kernel = (np.stack((g[cols], rho_cols[0])), np.stack((rho_cols[0], g[cols])))
-    one = np.ones((2, P, grid.panels), dtype=np.complex128)
+    g_cols = np.stack([g[cols] for g, _, _ in checked])
+    rho_cols = [np.stack([rho[k][cols] for _, rho, _ in checked]) for k in range(N)]
+    kernel = (np.stack((g_cols, rho_cols[0]), axis=1),
+              np.stack((rho_cols[0], g_cols), axis=1))
+    one = np.ones((len(items), 2, P, grid.panels), dtype=np.complex128)
     hist: list[np.ndarray] = [one]
-    ends = np.empty((2, n_top + 1), dtype=np.complex128)
-    ends[:, 0] = 1.0
+    ends = np.empty((len(items), 2, n_top + 1), dtype=np.complex128)
+    ends[..., 0] = 1.0
     even_sums = {lam: one.copy() for lam in eval_points}
     odd_sums = {lam: np.zeros_like(one) for lam in eval_points}
     mag_sums = {lam: np.ones(one.shape) for lam in eval_points}
     lam_power = {lam: 1.0 + 0.0j for lam in eval_points}
-    # buffers for the integrand and for one product, reused across orders
-    acc = np.empty_like(one)
-    term = np.empty_like(one)
-    mag = np.empty(one.shape)
 
     def nodes(a: np.ndarray) -> list[np.ndarray]:
-        """The Xtilde and the X part of a panel-layout array, at the nodes."""
+        """The Xtilde and the X part of one row's panel-layout array, at the
+        nodes."""
         return [_nodewise(grid, part) for part in a]
 
-    def last_orders() -> tuple[list[np.ndarray], list[np.ndarray]]:
-        last = [nodes(h) for h in hist]
+    def last_orders(row: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        last = [nodes(h[row]) for h in hist]
         return [xt for xt, _ in last], [x for _, x in last]
 
-    def converged(m: int) -> bool:
-        """Whether the tails past order m fall below rounding: at radius,
-        each family's against eps times its largest term there, and at each
-        eval point, every family's against the rounding that the sums carry.
+    def converged(row: int, m: int) -> bool:
+        """Whether the tails of a row's item past order m fall below
+        rounding: at radius, each family's against eps times its largest
+        term there, and at each eval point, every family's against the
+        rounding that the sums carry.
 
         The Gronwall bounds (_tails) run only behind a gate that the loop's
         next Xtilde order, one term of their forcing F, already decides: a
         table whose tail stays large pays a few products per try."""
+        g, rho, _ = checked[live[row]]
         n = 2 * m + 1
         w = power[:m + 2]
         # the largest terms |F_k(b)| R^k, k <= m, of the two Xtilde families,
         # and Xtilde^(2m+1)(b) R^(m+1), a term of their forcing F
-        xt = np.abs(ends[0, :n + 1])
+        xt = np.abs(ends[row, 0, :n + 1])
         even, lag = (xt[0:n:2] * w[:-1]).max(), (xt[1:n - 1:2] * w[1:-1]).max()
         forced = xt[n] * w[-1]
-        c, gamma, spread = growth
+        c, gamma, spread = growth[live[row]]
         if not (forced * gamma * spread <= EPS * even and forced * c <= EPS * lag
                 and math.isfinite(even) and math.isfinite(lag)):
             return False
-        x = np.abs(ends[1, :n + 1])
+        x = np.abs(ends[row, 1, :n + 1])
         # each family's largest term, in tail_components' order
         scales = EPS * np.array([even, lag, (x[1::2] * w[:-1]).max(),
                                  (x[0::2] * w[:-1]).max()])
         if not np.isfinite(scales).all():
             return False
-        last = last_orders()
-        if not all(np.array(_tails(grid, kernels, last, m, radius)) <= scales):
+        last = last_orders(row)
+        if not all(np.array(_tails(grid, (g, rho), last, m, radius)) <= scales):
             return False
-        return all(max(_tails(grid, kernels, last, m, abs(lam)))
-                   <= EPS * np.min(mag_sums[lam][0] + mag_sums[lam][1])
+        return all(max(_tails(grid, (g, rho), last, m, abs(lam)))
+                   <= EPS * np.min(mag_sums[lam][row, 0] + mag_sums[lam][row, 1])
                    for lam in eval_points)
+
+    def table(row: int, m: int, stopped: bool) -> FormalPowerTable:
+        """The table of a row's item at truncation m, from the loop's state."""
+        i = live[row]
+        spec, u0 = items[i]
+        g, rho, bad = checked[i]
+        sums = {}
+        for lam in eval_points:
+            (st_even, s_even), (st_odd, s_odd) = (nodes(even_sums[lam][row]),
+                                                  nodes(odd_sums[lam][row]))
+            st_mag, s_mag = nodes(mag_sums[lam][row])
+            sums[lam] = PowerSums(lam, st_even, st_odd, s_even, s_odd, st_mag + s_mag)
+        return FormalPowerTable(
+            pencil=spec, u0=u0, truncation=m,
+            xtilde_end=ends[row, 0, :2 * m + 2], x_end=ends[row, 1, :2 * m + 2],
+            sums=sums, kernels=(g, rho), last_orders=last_orders(row),
+            unresolved=bad | _unresolved_within_noise(grid, u0, *nodes(acc[row])),
+            tail_converged=stopped if math.isfinite(radius) else None)
 
     # powers that overflow are reported by the characteristic series built
     # from them, which names its center
     with np.errstate(over="ignore", invalid="ignore"):
-        growth = _growth(grid, kernels, np.float64(radius))
+        growth = [_growth(grid, (g, rho), np.float64(radius)) for g, rho, _ in checked]
         power = np.float64(radius) ** np.arange(truncation + 2)
+        # buffers for the integrand and for one product, reused across orders
+        acc, term, mag = np.empty_like(one), np.empty_like(one), np.empty(one.shape)
         for n in range(1, n_top + 1):
             np.multiply(hist[-1], kernel[n % 2], out=acc)
             fam = 1 - n % 2  # the family that integrates against r
             for k in range(2, min(N, (n + 1) // 2) + 1):
                 # reach back to entry n - 2k + 1 of the trimmed history
                 prev = hist[len(hist) - 2 * k + 1]
-                acc[fam] += np.multiply(prev[fam], rho_cols[k - 1], out=term[fam])
+                acc[:, fam] += np.multiply(prev[:, fam], rho_cols[k - 1],
+                                           out=term[:, fam])
             F = _cumulative_panels(grid, acc)
-            ends[:, n] = F[:, -1, -1]
+            ends[..., n] = F[..., -1, -1]
             for lam in even_sums:
                 if n % 2 == 0:
                     lam_power[lam] *= lam
@@ -340,22 +384,34 @@ def build_formal_powers(spec: PencilSpec, u0: ParticularSolution,
             if len(hist) > 2 * N:
                 del hist[0]
             m = n // 2
-            if (n % 2 and m >= STOP_FROM and (m - STOP_FROM) % STOP_EVERY == 0
-                    and math.isfinite(radius) and converged(m)):
-                truncation, n_top = m, n
+            if not (n % 2 and m >= STOP_FROM and (m - STOP_FROM) % STOP_EVERY == 0
+                    and math.isfinite(radius)):
+                continue
+            keep = []
+            for row in range(len(live)):
+                if converged(row, m):
+                    tables[live[row]] = table(row, m, True)
+                else:
+                    keep.append(row)
+            if len(keep) == len(live):
+                continue
+            # the stopped items leave the batch
+            live = [live[row] for row in keep]
+            hist = [h[keep] for h in hist]
+            kernel = tuple(kn[keep] for kn in kernel)
+            rho_cols = [rk[keep] for rk in rho_cols]
+            ends = ends[keep]
+            for by_lam in (even_sums, odd_sums, mag_sums):
+                for lam in by_lam:
+                    by_lam[lam] = by_lam[lam][keep]
+            acc = acc[keep]
+            term, mag = np.empty_like(acc), np.empty(acc.shape)
+            if not live:
                 break
 
-    sums = {}
-    for lam in eval_points:
-        (st_even, s_even), (st_odd, s_odd) = nodes(even_sums[lam]), nodes(odd_sums[lam])
-        st_mag, s_mag = nodes(mag_sums[lam])
-        sums[lam] = PowerSums(lam, st_even, st_odd, s_even, s_odd, st_mag + s_mag)
-    bad |= _unresolved_within_noise(grid, u0, *nodes(acc))
-
-    return FormalPowerTable(pencil=spec, u0=u0, truncation=truncation,
-                            xtilde_end=ends[0, :n_top + 1], x_end=ends[1, :n_top + 1],
-                            sums=sums, unresolved=bad, kernels=kernels,
-                            last_orders=last_orders())
+    for row in range(len(live)):
+        tables[live[row]] = table(row, truncation, False)
+    return tables
 
 
 def evaluate_solution(table: FormalPowerTable, lam: complex, c1: complex,
@@ -392,8 +448,8 @@ def build_particular_solution(p: SampledFunction, q: SampledFunction, *,
     """
     grid = p.grid
     aux = PencilSpec(p=p, q=constant(grid, 0.0), r=(SampledFunction(grid, -q.values),))
-    table = build_formal_powers(aux, ParticularSolution.unit(grid), truncation,
-                                eval_points=(1.0 + 0.0j,))
+    table, = build_formal_powers([(aux, ParticularSolution.unit(grid))], truncation,
+                                 eval_points=(1.0 + 0.0j,))
     return chain_particular_solution(table, 1.0, p, q)
 
 

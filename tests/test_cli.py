@@ -596,6 +596,22 @@ def x2_chain_cfg(shifts=3, **overrides):
     return cfg
 
 
+def constant_chain_cfg(shifts):
+    """The shipped constant-damping chain, center 0 and its first `shifts`
+    shifts."""
+    cfg = json.loads((CONFIGS / "string_constant_damping_shifted.json").read_text())
+    cfg["spectral_shifts"] = cfg["spectral_shifts"][:shifts]
+    cfg["output"] = None
+    return cfg
+
+
+def klaus_shaw_sweep_cfg(**overrides):
+    cfg = json.loads((CONFIGS / "klaus_shaw_sweep.json").read_text())
+    cfg["output"] = None
+    cfg.update(overrides)
+    return cfg
+
+
 class TestPanelGrid:
     def test_ceiling_too_small_for_a_chained_center(self, tmp_path, capsys):
         """A ceiling that admits center 0 but not a later center raises a
@@ -641,9 +657,10 @@ class TestPanelGrid:
             checked.append((spec.grid.panels, bool(kernels[2].any())))
             return kernels
 
-        def counted_build(spec, u0, m, **kwargs):
-            built.append((spec.grid.panels, bool(check(spec, u0)[2].any())))
-            return build_formal_powers(spec, u0, m, **kwargs)
+        def counted_build(items, m, **kwargs):
+            built.extend((spec.grid.panels, bool(check(spec, u0)[2].any()))
+                         for spec, u0 in items)
+            return build_formal_powers(items, m, **kwargs)
 
         monkeypatch.setattr(cli, "recursion_kernels", counted_check)
         monkeypatch.setattr(cli, "build_formal_powers", counted_build)
@@ -674,15 +691,12 @@ class TestPanelGrid:
         -1 +- i sqrt(n^2 pi^2 - 1)."""
         built = []
 
-        def counted_build(spec, u0, m, **kwargs):
-            built.append(spec.grid.panels)
-            return build_formal_powers(spec, u0, m, **kwargs)
+        def counted_build(items, m, **kwargs):
+            built.extend(spec.grid.panels for spec, _ in items)
+            return build_formal_powers(items, m, **kwargs)
 
         monkeypatch.setattr(cli, "build_formal_powers", counted_build)
-        cfg = json.loads((CONFIGS / "string_constant_damping_shifted.json").read_text())
-        cfg["spectral_shifts"] = cfg["spectral_shifts"][:2]
-        cfg["output"] = None
-        rs = run_solve(write_config(tmp_path, "c.json", cfg))
+        rs = run_solve(write_config(tmp_path, "c.json", constant_chain_cfg(shifts=2)))
         assert built == [16, 16, 16]
         assert len(rs.metadata["grid"]) == 3
         assert all(g["degree"] <= 40 and g["truncation"] <= 48
@@ -693,6 +707,21 @@ class TestPanelGrid:
         for r in rs.records:
             z = complex(r["re"], r["im"])
             assert min(abs(z - m) for m in exact) <= 1e-13 * abs(z)
+
+    def test_tail_converged_marks_truncation_limited_centers(self, tmp_path):
+        """The x^2 chain's tables reach M = 50 with their tail test failing,
+        the first three constant-damping centers stop where theirs passes, and a single
+        center, with no disc radius, has no test."""
+        runs = {name: run_solve(write_config(tmp_path, f"{name}.json", cfg))
+                for name, cfg in (
+                    ("x2", x2_chain_cfg()),
+                    ("constant", constant_chain_cfg(shifts=2)),
+                    ("single", klaus_shaw_sweep_cfg()))}
+        converged = {name: [g["tail_converged"] for g in rs.metadata["grid"]]
+                     for name, rs in runs.items()}
+        assert converged["x2"] == [False] * 4
+        assert converged["constant"] == [True] * 3
+        assert converged["single"] == [None] * 5
 
     def test_single_center_table_keeps_its_ceiling(self, tmp_path):
         """A single center keeps no disc, so its table runs to M."""
@@ -751,6 +780,70 @@ def pencil_records(tmp_path, p, q, r, interval, left, right, region):
                      coefficients={"p": p, "q": q, "r": r},
                      boundary={"left": left, "right": right}, search_region=region)
     return [complex(rec["re"], rec["im"]) for rec in run_solve(path).records]
+
+
+class TestSweep:
+    """A sweep's runs are solved in lockstep; each value gives the rows, the
+    spurious roots and the grids it gives solved alone."""
+
+    @staticmethod
+    def assert_runs_alone_match(tmp_path, cfg):
+        swept = run_solve(write_config(tmp_path, "sweep.json", cfg))
+        param = cfg["sweep"]["parameter"]
+        lines = cli._csv_lines(swept)[1:]
+
+        def of(rows, v):
+            return [{k: x for k, x in row.items() if k != "sweep_value"}
+                    for row in rows if row["sweep_value"] == v]
+
+        for v in cfg["sweep"]["values"]:
+            alone_cfg = {k: x for k, x in cfg.items() if k != "sweep"}
+            alone_cfg["potential"] = {**cfg["potential"], param: v}
+            alone = run_solve(write_config(tmp_path, "alone.json", alone_cfg))
+            prefix = f"{float(v)!r},"
+            assert [line[len(prefix):] for line in lines if line.startswith(prefix)] \
+                == cli._csv_lines(alone)[1:]
+            assert of(swept.spurious, v) == alone.spurious
+            assert of(swept.metadata["grid"], v) == alone.metadata["grid"]
+        return swept
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"method": "arg_principle"}, {"certify": True}],
+        ids=["poly_roots", "arg_principle", "certify"])
+    def test_shipped_sweep_equals_its_runs_alone(self, tmp_path, overrides):
+        swept = self.assert_runs_alone_match(tmp_path, klaus_shaw_sweep_cfg(**overrides))
+        assert len(swept.records) == 15
+
+    def test_runs_that_stop_at_different_orders(self, tmp_path):
+        """With spectral shifts, the runs at s = 0.2, 0.4 and 0.6 are built
+        in one batch on 16 panels at some center, where s = 0.4 stops at a
+        lower order than the other two."""
+        cfg = klaus_shaw_sweep_cfg(sweep={"parameter": "s", "values": [0.2, 0.4, 0.6]},
+                                   spectral_shifts=[[0.6, 0.0], [1.2, 0.0]], truncation=60)
+        grid = self.assert_runs_alone_match(tmp_path, cfg).metadata["grid"]
+        by_center = {}
+        for g in grid:
+            by_center.setdefault(tuple(g["center"]), []).append(g)
+        assert any(len({g["panels"] for g in gs}) == 1 and len({g["truncation"] for g in gs}) > 1
+                   for gs in by_center.values())
+
+    def test_runs_that_end_on_different_grids(self, tmp_path):
+        """s = 4 needs more panels than s = 0.5 and 0.956, so the batch
+        splits."""
+        cfg = klaus_shaw_sweep_cfg(sweep={"parameter": "s", "values": [0.5, 0.956, 4.0]})
+        grid = self.assert_runs_alone_match(tmp_path, cfg).metadata["grid"]
+        assert grid[0]["panels"] == grid[1]["panels"] < grid[2]["panels"]
+
+    @pytest.mark.parametrize("n_nodes,where", [
+        (260, "center 0 at 0j: the panel [0.75, 0.875] is unresolved"),
+        (16, "center 0 coefficients: the panel [-1.0, 1.0] is unresolved")],
+        ids=["tables", "coefficients"])
+    def test_error_names_the_sweep_value(self, tmp_path, capsys, n_nodes, where):
+        """A ceiling too low for the tables (or for the coefficients) fails
+        the first value, and the error says which."""
+        path = write_config(tmp_path, "c.json", klaus_shaw_sweep_cfg(n_nodes=n_nodes))
+        assert main(["solve", path]) == 2
+        assert capsys.readouterr().err.startswith(f"solver error: sweep s = 0.956: {where}")
 
 
 class TestParticularSolutionChoice:
@@ -971,10 +1064,10 @@ class TestOutputs:
 
     def test_unwritable_output_found_before_solving(self, tmp_path, capsys,
                                                     monkeypatch):
-        def solve(cfg):
+        def solve(runs):
             raise AssertionError("solved before checking the output path")
 
-        monkeypatch.setattr(cli, "_solve_single", solve)
+        monkeypatch.setattr(cli, "_solve_runs", solve)
         base = tmp_path / "missing" / "x"
         config = str(CONFIGS / "string_constant_damping_shifted.json")
         assert main(["solve", config, "--out", str(base)]) == 1
@@ -995,10 +1088,10 @@ class TestOutputs:
                                                               capsys, monkeypatch):
         """A report path that is a directory fails before the solve, and a
         CSV that already exists keeps its contents."""
-        def solve(cfg):
+        def solve(runs):
             raise AssertionError("solved before checking the output path")
 
-        monkeypatch.setattr(cli, "_solve_single", solve)
+        monkeypatch.setattr(cli, "_solve_runs", solve)
         csv = tmp_path / "out.csv"
         csv.write_text("earlier\n")
         path = intro_cfg(tmp_path, output={"csv": str(csv), "report": str(tmp_path)})

@@ -28,6 +28,11 @@ def random_polys(rng, count, degree=grids.P - 1):
             for _ in range(count)]
 
 
+def batch_of_one(build):
+    """A refine build of one item from build(g) = (result, unresolved mask)."""
+    return lambda g, items: [build(g)]
+
+
 class TestGridInvariants:
     def test_rejects_reversed_interval(self):
         with pytest.raises(GridError):
@@ -116,7 +121,7 @@ class TestCumulativeIntegral:
             f = sample(g, lambda y: np.exp(1j * k * y))
             return f, grids.unresolved(g, f.values)
 
-        f = grids.refine(grid01(), build, 10**5, "test")
+        f, = grids.refine([grid01()], batch_of_one(build), 10**5, ["test"])
         exact = (np.exp(1j * k * f.grid.nodes) - 1.0) / (1j * k)
         err = np.max(np.abs(cumulative_integral(f).values - exact))
         assert err <= 8 * EPS
@@ -181,7 +186,7 @@ class TestDerivative:
             f = sample(g, lambda y: np.exp(1j * 30.0 * y))
             return f, grids.unresolved(g, f.values)
 
-        f = grids.refine(Grid.uniform(0.0, 2.0, 1), build, 10**5, "test")
+        f, = grids.refine([Grid.uniform(0.0, 2.0, 1)], batch_of_one(build), 10**5, ["test"])
         exact = 30.0j * np.exp(1j * 30.0 * f.grid.nodes)
         err = np.max(np.abs(derivative(f).values - exact))
         assert err <= self.bound(f, grids.TAIL_TOL + 4 * EPS)
@@ -197,7 +202,7 @@ class TestRefinement:
             f = sample(g, lambda y: 1.0 / (y - pole))
             return f, grids.unresolved(g, f.values)
 
-        f = grids.refine(grid01(8), build, 10**5, "test")
+        f, = grids.refine([grid01(8)], batch_of_one(build), 10**5, ["test"])
         g = f.grid
         assert not grids.unresolved(g, f.values).any()
         # the pole's panel and its neighbour are split, the other six are kept
@@ -212,7 +217,51 @@ class TestRefinement:
             return f, grids.unresolved(g, f.values)
 
         with pytest.raises(GridError, match=r"center 3: the panel \[0\.0, 0\.125\]"):
-            grids.refine(grid01(8), build, 150, "center 3")
+            grids.refine([grid01(8)], batch_of_one(build), 150, ["center 3"])
+
+    def test_batch_splits_each_item_on_its_own_flags(self):
+        """Two items start on one grid and are built together there; each
+        splits only where its own function needs it, items on one grid are
+        built in one call, and each ends on the grid it reaches alone."""
+        poles = (0.05 + 0.01j, 0.93 + 0.02j)
+        calls = []
+
+        def build(g, items):
+            calls.append((g.panels, tuple(items)))
+            fs = [sample(g, lambda y, z=poles[i]: 1.0 / (y - z)) for i in items]
+            return [(f, grids.unresolved(g, f.values)) for f in fs]
+
+        got = grids.refine([grid01(8)] * 2, build, 10**5, ["a", "b"])
+        alone = [grids.refine([grid01(8)], lambda g, items, i=i: build(g, [i]),
+                              10**5, ["a"])[0] for i in (0, 1)]
+        assert [f.grid for f in got] == [f.grid for f in alone]
+        assert got[0].grid != got[1].grid
+        assert calls[0] == (8, (0, 1))
+        assert all(len(items) == 1 for _, items in calls[1:])
+
+    def test_batch_ceiling_names_the_failing_item(self):
+        def build(g, items):
+            fs = [sample(g, lambda y, i=i: 1.0 / (y - 0.5 - 0.3j) if i == 0
+                         else 1.0 / (y - 0.9 - 0.001j)) for i in items]
+            return [(f, grids.unresolved(g, f.values)) for f in fs]
+
+        with pytest.raises(GridError, match=r"^second item: the panel \[0\.625, 0\.75\]"):
+            grids.refine([grid01(8)] * 2, build, 150, ["first item", "second item"])
+
+    def test_stacked_interpolation_is_each_pass_bit_for_bit(self):
+        """Functions on two source grids carried in one call get the bits of
+        a call of their own, and a function already on the grid is kept."""
+        g = Grid.uniform(0.0, 1.0, 3)
+        h = g.split(np.array([False, True, False]))
+        finer = h.split(np.array([True, False, False, True]))
+        fs = [sample(grid, fn) for grid in (g, h, finer)
+              for fn in (np.exp, lambda y: 1.0 / (y + 0.2j))]
+        got = grids.interpolate(fs, finer)
+        for f, out in zip(fs, got):
+            alone = grids.interpolate([f], finer)[0]
+            assert out.grid == finer
+            assert np.array_equal(out.values.view(np.uint64), alone.values.view(np.uint64))
+        assert got[4] is fs[4]
 
     def test_interpolate_onto_split_panels_is_exact_when_resolved(self):
         rng = np.random.default_rng(11)
@@ -221,7 +270,7 @@ class TestRefinement:
         assert finer.panels == 6
         for c in random_polys(rng, 5):
             f = SampledFunction(g, np.polyval(c, g.nodes))
-            got = grids.interpolate(f, finer).values
+            got = grids.interpolate([f], finer)[0].values
             exact = np.polyval(c, finer.nodes)
             assert np.max(np.abs(got - exact)) <= 16 * EPS * np.max(np.abs(exact))
 

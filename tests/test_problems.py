@@ -133,12 +133,13 @@ class TestShiftPencil:
         exact = np.cosh(np.sqrt(lam + 2 * lam**2))
 
         lam0 = 1.0
-        table0 = build_formal_powers(spec, ParticularSolution.unit(g), 60, eval_points=(lam, lam0))
+        table0 = build_formal_powers([(spec, ParticularSolution.unit(g))],
+                                     60, eval_points=(lam, lam0))[0]
         u_direct, _ = evaluate_solution(table0, lam, 1.0, 0.0)
 
         sh = shift_pencil(spec, lam0)
         u0s = chain_particular_solution(table0, lam0, sh.p, sh.q)
-        table1 = build_formal_powers(sh, u0s, 40, eval_points=(lam - lam0,))
+        table1 = build_formal_powers([(sh, u0s)], 40, eval_points=(lam - lam0,))[0]
         # match the initial conditions u(0) = 1, u'(0) = 0 in the shifted frame
         c1 = 1.0 / u0s.u0.values[0]
         c2 = -c1 * u0s.u0_prime.values[0] * u0s.u0.values[0] * spec.p.values[0]
@@ -152,7 +153,7 @@ def string_series(sp, truncation, center=0.0, u0=None):
     """The Dirichlet series `slpencil solve` builds for a string at one center:
     the string pencil, shifted to center, through two_point_series."""
     pencil = sp if center == 0 else shift_pencil(sp, center)
-    table = build_formal_powers(pencil, u0 or ParticularSolution.unit(sp.grid), truncation)
+    table = build_formal_powers([(pencil, u0 or ParticularSolution.unit(sp.grid))], truncation)[0]
     return two_point_series(table, center=center)
 
 
@@ -198,7 +199,7 @@ class TestStringCharacteristic:
         g = Grid.uniform(0.0, 1.0, 32)
         sp = string_pencil(constant(g, 1.0), constant(g, 1.0))
         lam0 = -1.0 - 3.0j
-        table = build_formal_powers(sp, ParticularSolution.unit(g), 100, eval_points=(lam0,))
+        table = build_formal_powers([(sp, ParticularSolution.unit(g))], 100, eval_points=(lam0,))[0]
         base = two_point_series(table)
         pencil = shift_pencil(sp, lam0)
         u0 = chain_particular_solution(table, lam0, pencil.p, pencil.q)
@@ -216,7 +217,7 @@ class TestStringCharacteristic:
         g = Grid.uniform(0.0, 1.0, 32)
         sp = string_pencil(constant(g, 1.0), constant(g, 1.0))
         lam1 = complex(-1 + np.sqrt(complex(1 - np.pi**2)))
-        table = build_formal_powers(sp, ParticularSolution.unit(g), 60, eval_points=(lam1,))
+        table = build_formal_powers([(sp, ParticularSolution.unit(g))], 60, eval_points=(lam1,))[0]
         y, _ = evaluate_solution(table, lam1, 0.0, 1.0)
         assert abs(y.values[-1]) <= 1e-6 * np.max(np.abs(y.values))
 
@@ -269,7 +270,7 @@ class TestStringCharacteristic:
                               (shift_pencil(damped, 1 + 2j), 6,
                                {**right, "center": 1 + 2j})):
             u0 = build_particular_solution(pencil.p, pencil.q)
-            lo, hi = (two_point_series(build_formal_powers(pencil, u0, t), **kw)
+            lo, hi = (two_point_series(build_formal_powers([(pencil, u0)], t)[0], **kw)
                       for t in (m, m + 40))
             errors = []
             for lam in (0.5 + 0.5j, -1 + 2j, 2.0, 8j):
@@ -297,10 +298,11 @@ class TestTwoPointSeries:
         pencil = damped_end_string(g)
         line = 0.5 * np.log(abs((alpha - 1) / (alpha + 1)))
         far = 0.5 * np.log(1 / 3) + 3j * np.pi
-        table = build_formal_powers(pencil, ParticularSolution.unit(g), 60, eval_points=(far,))
+        table = build_formal_powers([(pencil, ParticularSolution.unit(g))],
+                                    60, eval_points=(far,))[0]
         shifted = shift_pencil(pencil, far)
         u0 = chain_particular_solution(table, far, shifted.p, shifted.q)
-        for center, tab in ((0.0, table), (far, build_formal_powers(shifted, u0, 60))):
+        for center, tab in ((0.0, table), (far, build_formal_powers([(shifted, u0)], 60)[0])):
             series = two_point_series(tab, left=(1.0, 0.0),
                                       right=((0.0, alpha), 1.0), center=center)
             modes = [line + 1j * np.pi * (k + half) for k in range(-3, 7)]
@@ -318,7 +320,7 @@ class TestTwoPointSeries:
         g = Grid.uniform(0.0, 1.0, 32)
         spec = PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0),
                           r=(constant(g, 1.0),))
-        table = build_formal_powers(spec, ParticularSolution.unit(g), 60)
+        table = build_formal_powers([(spec, ParticularSolution.unit(g))], 60)[0]
         series = two_point_series(table, left=(1.0, 0.0), right=(0.0, 1.0))
         roots = np.array(poly_roots(series))
         for n in range(3):
@@ -330,7 +332,7 @@ class TestTwoPointSeries:
         g = Grid.uniform(0.0, 1.0, 16)
         spec = PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0),
                           r=(constant(g, 1.0),))
-        table = build_formal_powers(spec, ParticularSolution.unit(g), 30)
+        table = build_formal_powers([(spec, ParticularSolution.unit(g))], 30)[0]
         series = two_point_series(table, left=(1.0, 0.0), right=(0.5, 1.5))
         t = series.tail(2.0)
         assert 0 < t < 1e-10
@@ -366,7 +368,7 @@ class TestDirac:
         from slpencil.spps import build_particular_solution
         u0 = build_particular_solution(pencil.p, pencil.q, truncation=60)
         lams = (0.2, 0.5 + 0.3j)
-        table = build_formal_powers(pencil, u0, 40, eval_points=lams)
+        table = build_formal_powers([(pencil, u0)], 40, eval_points=lams)[0]
         for lam in lams:
             w, wp = evaluate_solution(table, lam, 1.0, 0.5)
             vmE = v.values - complex(energy)
@@ -392,13 +394,13 @@ class TestStoppedTable:
         g = Grid.uniform(0.0, 1.0, 16)
         base = string_pencil(constant(g, 1.0), constant(g, 1.0))
         unit = ParticularSolution.unit(g)
-        first = build_formal_powers(base, unit, 100, eval_points=(self.SHIFT,),
-                                    radius=self.KEEP)
+        first = build_formal_powers([(base, unit)], 100, eval_points=(self.SHIFT,),
+                                    radius=self.KEEP)[0]
         pencil = shift_pencil(base, self.SHIFT)
         u0 = chain_particular_solution(first, self.SHIFT, pencil.p, pencil.q)
-        return [(first, build_formal_powers(base, unit, 100), 0j),
-                (build_formal_powers(pencil, u0, 100, radius=self.KEEP),
-                 build_formal_powers(pencil, u0, 100), self.SHIFT)]
+        return [(first, build_formal_powers([(base, unit)], 100)[0], 0j),
+                (build_formal_powers([(pencil, u0)], 100, radius=self.KEEP)[0],
+                 build_formal_powers([(pencil, u0)], 100)[0], self.SHIFT)]
 
     def test_stopped_series_within_its_tail_of_the_ceiling(self):
         """On the keep circle, Phi_d - Phi_100 lies below the stopped series'
@@ -428,8 +430,8 @@ class TestStoppedTable:
         g = Grid.uniform(0.0, 1.0, 16)
         sp = string_pencil(constant(g, 1.0), constant(g, 1.0))
         unit = ParticularSolution.unit(g)
-        far = build_formal_powers(sp, unit, 100, radius=1e200)
-        full = build_formal_powers(sp, unit, 100)
+        far = build_formal_powers([(sp, unit)], 100, radius=1e200)[0]
+        full = build_formal_powers([(sp, unit)], 100)[0]
         assert far.truncation == full.truncation == 100
         assert np.array_equal(far.xtilde_end, full.xtilde_end)
         assert np.array_equal(far.x_end, full.x_end)

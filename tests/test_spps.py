@@ -37,7 +37,7 @@ def intro_pencil(panels=16):
 
 def even_tail(spec, u0, lam_abs, truncation):
     """Bound on the right-end tail of sum lam^n Xtilde^(2n) past order M."""
-    return tail_components(build_formal_powers(spec, u0, truncation), lam_abs)[0]
+    return tail_components(build_formal_powers([(spec, u0)], truncation)[0], lam_abs)[0]
 
 
 def sum_scale(refs, lam):
@@ -59,7 +59,8 @@ class TestFormalPowers:
     def test_base_cases(self):
         spec = intro_pencil(4)
         lams = (0.37 + 0.2j, -1.5, 2.0j)
-        t = build_formal_powers(spec, ParticularSolution.unit(spec.grid), 3, eval_points=lams)
+        t = build_formal_powers([(spec, ParticularSolution.unit(spec.grid))],
+                                3, eval_points=lams)[0]
         assert t.xtilde_end[0] == 1.0 and t.x_end[0] == 1.0
         assert t.xtilde_end.shape == t.x_end.shape == (8,)
         # every power of order >= 1 vanishes at the anchor, so at the left end
@@ -74,7 +75,8 @@ class TestFormalPowers:
         spec = intro_pencil(16)
         x = spec.grid.nodes
         lam = 0.6 - 0.45j
-        t = build_formal_powers(spec, ParticularSolution.unit(spec.grid), 3, eval_points=(lam,))
+        t = build_formal_powers([(spec, ParticularSolution.unit(spec.grid))],
+                                3, eval_points=(lam,))[0]
         expected = {
             2: x**2 / 2,
             4: x**2 + x**4 / 24,
@@ -91,7 +93,7 @@ class TestFormalPowers:
         g = Grid.uniform(0.0, 1.0, 8)
         spec = PencilSpec(p=constant(g, 1.0), q=constant(g, 0.0), r=(constant(g, 1.0),))
         lam = -2.0 + 1.0j
-        t = build_formal_powers(spec, ParticularSolution.unit(g), 5, eval_points=(lam,))
+        t = build_formal_powers([(spec, ParticularSolution.unit(g))], 5, eval_points=(lam,))[0]
         x = g.nodes
         refs = [x ** (2 * n) / math.factorial(2 * n) for n in range(6)]
         for n in range(1, 6):
@@ -109,7 +111,7 @@ class TestFormalPowers:
         u0 = build_particular_solution(p, q, truncation=60)
         spec = PencilSpec(p=p, q=q, r=(r1,))
         lams = (0.8 - 0.3j, -4.0)
-        t = build_formal_powers(spec, u0, 6, eval_points=lams)
+        t = build_formal_powers([(spec, u0)], 6, eval_points=lams)[0]
 
         # classical scheme: alternate multiply-integrate against u0^2 r and 1/(u0^2 p)
         def classic(seed_parity_r_first: bool):
@@ -143,7 +145,7 @@ class TestFormalPowers:
                                        constant(g, 2.0 - 1.0j)))
         u0 = build_particular_solution(p, q, truncation=20)
         lams = (0.37 + 0.2j, -1.0 + 3.0j)
-        first, second = (build_formal_powers(spec, u0, 20, eval_points=lams)
+        first, second = (build_formal_powers([(spec, u0)], 20, eval_points=lams)[0]
                          for _ in range(2))
         assert first.xtilde_end.tobytes() == second.xtilde_end.tobytes()
         assert first.x_end.tobytes() == second.x_end.tobytes()
@@ -200,7 +202,7 @@ class TestPanelLayoutRecursion:
 
     @staticmethod
     def assert_same_bits(spec, u0, M, lam):
-        table = build_formal_powers(spec, u0, M, eval_points=(lam,))
+        table = build_formal_powers([(spec, u0)], M, eval_points=(lam,))[0]
         grid = spec.grid
         u0sq = u0.u0.values * u0.u0.values
         g = 1.0 / (u0sq * spec.p.values)
@@ -242,30 +244,91 @@ class TestPanelLayoutRecursion:
         lam = 0.7 + 0.3j
         self.assert_same_bits(spec, u0, 40, lam)
 
-        table = build_formal_powers(spec, u0, 40, eval_points=(lam,))
+        table = build_formal_powers([(spec, u0)], 40, eval_points=(lam,))[0]
         shifted = shift_pencil(spec, lam)
         chained = chain_particular_solution(table, lam, shifted.p, shifted.q)
         assert chained.noise is not None
         self.assert_same_bits(shifted, chained, 40, 0.25 - 0.5j)
 
 
+def bits(a):
+    """The bits of an array of complex or float values, for an exact compare."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestBatchedBuild:
+    """Tables built in one batch are the tables of builds of one item each,
+    bit for bit, whatever order each item stops at."""
+
+    @staticmethod
+    def items():
+        """y'' - q y = lambda c y + lambda^2 c (1 + x) y, q = cos(x)/2, with
+        the scale c of the r_k in an order that stops the first item neither
+        first nor last at a finite radius."""
+        g = Grid.uniform(0.0, 1.0, 16)
+        p, q = constant(g, 1.0), sample(g, lambda x: 0.5 * np.cos(x))
+        u0 = build_particular_solution(p, q, truncation=20)
+        return [(PencilSpec(p, q, (constant(g, c), sample(g, lambda x, c=c: c * (1 + x)))), u0)
+                for c in (4.0, 0.25, 64.0, 1.0, 16.0)]
+
+    @pytest.mark.parametrize("radius,stops", [
+        (3.0, [48, 24, 60, 32, 60]), (math.inf, [60] * 5)])
+    def test_batch_equals_solo_builds(self, radius, stops):
+        items, lam = self.items(), 0.5 - 0.25j
+        batch = build_formal_powers(items, 60, eval_points=(lam,), radius=radius)
+        assert [t.truncation for t in batch] == stops
+        for item, table in zip(items, batch):
+            solo, = build_formal_powers([item], 60, eval_points=(lam,), radius=radius)
+            assert table.truncation == solo.truncation
+            assert table.tail_converged == solo.tail_converged
+            assert np.array_equal(bits(table.xtilde_end), bits(solo.xtilde_end))
+            assert np.array_equal(bits(table.x_end), bits(solo.x_end))
+            assert np.array_equal(table.unresolved, solo.unresolved)
+            for got, want in zip(table.last_orders, solo.last_orders):
+                assert len(got) == len(want) == 4
+                assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(got, want))
+            for part in ("s_tilde_even", "s_tilde_odd", "s_even", "s_odd", "magnitude"):
+                assert np.array_equal(bits(getattr(table.sums[lam], part)),
+                                      bits(getattr(solo.sums[lam], part)))
+
+    def test_tail_converged_says_why_a_table_stopped(self):
+        """True where the tail test stopped a table, False where it reached
+        its ceiling with the test failing, None without a radius."""
+        items = self.items()
+        stopped = build_formal_powers(items, 60, radius=3.0)
+        assert [t.tail_converged for t in stopped] == [True, True, False, True, False]
+        assert [t.tail_converged for t in build_formal_powers(items, 60)] == [None] * 5
+
+    def test_batch_needs_one_grid_and_degree(self):
+        (spec, u0), *_ = self.items()
+        other = intro_pencil(8)
+        with pytest.raises(GridError, match="one grid and one degree"):
+            build_formal_powers([(spec, u0), (PencilSpec(spec.p, spec.q, spec.r[:1]), u0)], 5)
+        with pytest.raises(GridError, match="one grid and one degree"):
+            build_formal_powers([(spec, u0), (other, ParticularSolution.unit(other.grid))], 5)
+        assert build_formal_powers([], 5) == []
+
+
 class TestEvaluateSolution:
     def test_lambda_zero_returns_u0(self):
         spec = intro_pencil(4)
-        table = build_formal_powers(spec, ParticularSolution.unit(spec.grid), 5, eval_points=(0.0,))
+        table = build_formal_powers([(spec, ParticularSolution.unit(spec.grid))],
+                                    5, eval_points=(0.0,))[0]
         u, up = evaluate_solution(table, 0.0, 1.0, 0.0)
         assert np.max(np.abs(u.values - 1.0)) == 0.0
         assert np.max(np.abs(up.values)) == 0.0
 
     def test_lambda_not_in_eval_points_rejected(self):
         spec = intro_pencil(4)
-        table = build_formal_powers(spec, ParticularSolution.unit(spec.grid), 5, eval_points=(0.5,))
+        table = build_formal_powers([(spec, ParticularSolution.unit(spec.grid))],
+                                    5, eval_points=(0.5,))[0]
         with pytest.raises(GridError, match="eval_points"):
             evaluate_solution(table, 0.25, 1.0, 0.0)
 
     def test_intro_example_cosh_value(self):
         spec = intro_pencil(32)
-        table = build_formal_powers(spec, ParticularSolution.unit(spec.grid), 30, eval_points=(0.1,))
+        table = build_formal_powers([(spec, ParticularSolution.unit(spec.grid))],
+                                    30, eval_points=(0.1,))[0]
         u, _ = evaluate_solution(table, 0.1, 1.0, 0.0)
         exact = np.cosh(np.sqrt(0.12))
         assert abs(u.values[-1] - exact) <= 1e-12
@@ -277,7 +340,7 @@ class TestEvaluateSolution:
         r = (sample(g, lambda x: 1.0 + 0 * x), sample(g, lambda x: np.exp(-x)))
         u0 = build_particular_solution(p, q, truncation=60)
         lam = 0.3 - 0.7j
-        table = build_formal_powers(PencilSpec(p, q, r), u0, 20, eval_points=(lam,))
+        table = build_formal_powers([(PencilSpec(p, q, r), u0)], 20, eval_points=(lam,))[0]
         u, up = evaluate_solution(table, lam, 0.0, 1.0)
         assert abs(u.values[0]) < 1e-13
         expected = 1.0 / (u0.u0.values[0] * p.values[0])
@@ -290,7 +353,7 @@ class TestEvaluateSolution:
         r = (sample(g, lambda x: 1.0 + 0 * x), sample(g, lambda x: 1.0 + x))
         u0 = build_particular_solution(p, q, truncation=80)
         lams = (0.0, 0.5, 1.0j, -0.3 + 0.8j)
-        table = build_formal_powers(PencilSpec(p, q, r), u0, 40, eval_points=lams)
+        table = build_formal_powers([(PencilSpec(p, q, r), u0)], 40, eval_points=lams)[0]
         for lam in lams:
             u1, u1p = evaluate_solution(table, lam, 1.0, 0.0)
             u2, u2p = evaluate_solution(table, lam, 0.0, 1.0)
@@ -302,7 +365,7 @@ class TestEvaluateSolution:
         spec = intro_pencil(16)
         g = spec.grid
         lams = (0.4, 1.0j, -0.5 + 0.5j)
-        table = build_formal_powers(spec, ParticularSolution.unit(g), 40, eval_points=lams)
+        table = build_formal_powers([(spec, ParticularSolution.unit(g))], 40, eval_points=lams)[0]
         for lam in lams:
             u, up = evaluate_solution(table, lam, 0.7, -0.3 + 1j)
             rhs = u.values * (lam * spec.r[0].values + lam**2 * spec.r[1].values
@@ -382,7 +445,8 @@ class TestParticularSolution:
         spec = intro_pencil(16)
         g = spec.grid
         lam0 = 1.0
-        table = build_formal_powers(spec, ParticularSolution.unit(g), 40, eval_points=(lam0,))
+        table = build_formal_powers([(spec, ParticularSolution.unit(g))],
+                                    40, eval_points=(lam0,))[0]
         # q_eff = q - (lam0 r1 + lam0^2 r2) = -3 for the intro pencil
         q_eff = constant(g, -3.0)
         u0 = chain_particular_solution(table, lam0, spec.p, q_eff)
@@ -411,8 +475,8 @@ class TestTailBound:
     def test_tail_is_a_true_bound_for_intro_example(self):
         spec = intro_pencil(16)
         u0 = ParticularSolution.unit(spec.grid)
-        t_small = build_formal_powers(spec, u0, 12)
-        t_big = build_formal_powers(spec, u0, 24)
+        t_small = build_formal_powers([(spec, u0)], 12)[0]
+        t_big = build_formal_powers([(spec, u0)], 24)[0]
         for lam in np.exp(1j * np.linspace(0, 2 * np.pi, 7)):
             small = sum(lam**n * t_small.xtilde_end[2 * n] for n in range(13))
             big = sum(lam**n * t_big.xtilde_end[2 * n] for n in range(25))

@@ -41,8 +41,8 @@ def zs_components(zs, table, lam, c1, c2):
 def dispersion_table(zs, truncation, eval_points=()):
     """The center-0 formal-power table `slpencil solve` builds."""
     v0 = zs_particular_solution(zs, truncation=truncation)
-    return build_formal_powers(zs_to_pencil(zs), v0, truncation,
-                               eval_points=eval_points)
+    return build_formal_powers([(zs_to_pencil(zs), v0)], truncation,
+                               eval_points=eval_points)[0]
 
 
 def zs_series(table, zs, center=0.0):
@@ -88,7 +88,7 @@ class TestPencilReduction:
         zs = ZSProblem(Q=Q, P=P, Q_prime=Qp)
         v0 = zs_particular_solution(zs, truncation=60)
         lams = (0.7 + 0.4j, -1.5)
-        table = build_formal_powers(zs_to_pencil(zs), v0, 5, eval_points=lams)
+        table = build_formal_powers([(zs_to_pencil(zs), v0)], 5, eval_points=lams)[0]
 
         # direct transcription of the ZS-specific recursion
         v0sq = v0.u0.values**2
@@ -161,7 +161,7 @@ class TestSolution:
     def test_lambda_zero_reduces_to_v0(self):
         zs = materialize_potential({"kind": "klaus_shaw", "s": 0.8}, panels=16)
         v0 = zs_particular_solution(zs)
-        table = build_formal_powers(zs_to_pencil(zs), v0, 10, eval_points=(0.0,))
+        table = build_formal_powers([(zs_to_pencil(zs), v0)], 10, eval_points=(0.0,))[0]
         v1, v2 = zs_components(zs, table, 0.0, 1.0, 0.0)
         assert np.max(np.abs(v2.values - v0.u0.values)) < 1e-12
         expected_v1 = -v0.u0_prime.values / zs.Q.values
@@ -171,7 +171,7 @@ class TestSolution:
         zs = materialize_potential({"kind": "klaus_shaw", "s": 0.8}, panels=16)
         v0 = zs_particular_solution(zs)
         lams = (0.3, 0.1 + 0.6j)
-        table = build_formal_powers(zs_to_pencil(zs), v0, 30, eval_points=lams)
+        table = build_formal_powers([(zs_to_pencil(zs), v0)], 30, eval_points=lams)[0]
         c1, c2 = 0.0, -complex(v0.u0.values[0])  # v1(-a) = 1, v2(-a) = 0
         for lam in lams:
             v1, v2 = zs_components(zs, table, lam, c1, c2)
@@ -184,7 +184,7 @@ class TestSolution:
         c = 1.3
         zs = constant_zs(c=c, a=1.0, panels=16)
         v0 = zs_particular_solution(zs)
-        table = build_formal_powers(zs_to_pencil(zs), v0, 10, eval_points=(0.0,))
+        table = build_formal_powers([(zs_to_pencil(zs), v0)], 10, eval_points=(0.0,))[0]
         v1, v2 = zs_components(zs, table, 0.0, 1.0, 0.0)
         x = zs.grid.nodes
         # v0 = exp(i c (x + a)) solves it; compare against the closed form
@@ -195,7 +195,7 @@ class TestSolution:
         zs = materialize_potential({"kind": "klaus_shaw", "s": 0.9}, panels=32)
         v0 = zs_particular_solution(zs)
         lams = (0.25, 0.05 + 0.5j)
-        table = build_formal_powers(zs_to_pencil(zs), v0, 40, eval_points=lams)
+        table = build_formal_powers([(zs_to_pencil(zs), v0)], 40, eval_points=lams)[0]
         g = zs.grid
         for lam in lams:
             v1, v2 = zs_components(zs, table, lam, 0.0, -complex(v0.u0.values[0]))
@@ -222,7 +222,7 @@ class TestDispersion:
         pencil = shift_pencil(zs_to_pencil(zs), 0.03)
         v0 = chain_particular_solution(base_table, 0.03, pencil.p, pencil.q)
         for center, table in ((0.0, base_table),
-                              (0.03, build_formal_powers(pencil, v0, 5))):
+                              (0.03, build_formal_powers([(pencil, v0)], 5)[0])):
             series = zs_series(table, zs, center)
             v0a, x, Qa = table.u0.u0.values[-1], table.x_end, zs.Q.values[-1]
             w = table.u0.u0_prime.values[-1] + center * v0a
@@ -257,7 +257,7 @@ class TestDispersion:
         base = zs_series(base_table, zs)
         pencil = shift_pencil(zs_to_pencil(zs), 0.03)
         v0 = chain_particular_solution(base_table, 0.03, pencil.p, pencil.q)
-        table = build_formal_powers(pencil, v0, 100)
+        table = build_formal_powers([(pencil, v0)], 100)[0]
         shifted = zs_series(table, zs, 0.03)
         assert shifted.center == 0.03
         b_roots = np.array(poly_roots(base))
