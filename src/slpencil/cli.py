@@ -236,21 +236,23 @@ def _resolved_tables(pencils: list[PencilSpec], u0s: list[ParticularSolution], m
     Kernels first: a grid on which an item's recursion kernels g = 1/(u0^2 p)
     and u0^2 r_k are not resolved is split on their flags alone, and no table
     is built for it there.  Only the items whose kernels pass get a table,
-    which is split again where its top-order integrands are not resolved.  A
+    built on the kernels it was checked with, and split again where its
+    top-order integrands are not resolved.  A
     table stops below m where its tails at radius fall below rounding
     (build_formal_powers)."""
     def build(grid: Grid, items: list[int]):
         specs = PencilSpec.on([pencils[i] for i in items], grid)
         sols = ParticularSolution.on([u0s[i] for i in items], grid)
-        flags = []
+        checked = []
         for i, spec, u in zip(items, specs, sols):
             with _run_errors(prefixes[i]):
-                flags.append(recursion_kernels(spec, u)[2])
-        ready = [(spec, u) for spec, u, bad in zip(specs, sols, flags) if not bad.any()]
-        tables = iter(build_formal_powers(ready, m, eval_points=eval_points,
-                                          radius=radius) if ready else ())
+                checked.append(recursion_kernels(spec, u))
+        ready = [k for k, (_, _, bad) in enumerate(checked) if not bad.any()]
+        tables = iter(build_formal_powers(
+            [(specs[k], sols[k]) for k in ready], m, eval_points=eval_points,
+            radius=radius, kernels=[checked[k] for k in ready]) if ready else ())
         out = []
-        for bad in flags:
+        for _, _, bad in checked:
             table = None if bad.any() else next(tables)
             out.append((None, bad) if table is None else (table, table.unresolved))
         return out

@@ -7,14 +7,15 @@ the series cut to the smallest degree d with
 sum_{k>d} |a_k| R^k <= eps max_k |a_k| R^k (disc_degree), R the radius of a
 disc about the center that holds every zero the caller keeps: on that disc
 the dropped terms are below the rounding of Phi_M.  The companion matrix
-(Edelman & Murakami 1995) is built from a_0..a_d; localize's windings and
-residues evaluate Phi_d, R the search rectangle's farthest corner.  What
-judges a zero, its rounding-noise floor, Newton polish and residual, uses
-Phi_M, and so does certify.  Every contour is sampled at SAMPLES points, and
-the residue formula's three Richardson levels are strides of one set four
-times as dense.  Localization bisects only until a rectangle holds a single
-zero, which the residue formula and Newton then pin: the bisection tolerance
-is a floor, not the record's precision.  Its rounding-noise floor is taken
+(Edelman & Murakami 1995) is built from a_0..a_d; localize's windings
+evaluate Phi_d, R the search rectangle's farthest corner.  What judges a
+zero, its rounding-noise floor, Newton polish and residual, uses Phi_M, and
+so does certify.  Every contour is evaluated once, at about SAMPLES points
+with a multiple of 4 on each side, and the residue formula reads the
+winding's samples: its three Richardson levels are strides 4, 2 and 1 of
+them.  Localization bisects only until a rectangle holds a single zero,
+which the residue formula and Newton then pin: the bisection tolerance is a
+floor, not the record's precision.  Its rounding-noise floor is taken
 where the sampled boundary |Phi_d| is smallest.
 Both routes end in a Newton polish in double precision that steers and ranks
 its iterates by the compensated Horner scheme, as accurate as Horner in twice
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,8 +41,8 @@ from .problems import CharacteristicSeries
 BOUNDARY_ABS_FLOOR = 1e-280
 MAX_PHASE_STEP = math.pi / 2
 MAX_LOCAL_REFINES = 10  # per-segment density doublings before giving up
-POLISH_STEPS = 5  # at most this many Newton steps from a companion root or residue estimate
-SAMPLES = 4000  # boundary samples per contour; residue_refine samples 4x, nesting 1x and 2x
+POLISH_STEPS = 5  # at most this many Newton steps from a companion root or the residue seed
+SAMPLES = 4000  # about this many boundary samples per contour; residue_refine reuses them
 _SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split of a binary64 into 26-bit halves
 
 
@@ -89,11 +90,20 @@ class Rectangle:
 
 @dataclass(frozen=True)
 class WindingResult:
+    """The winding of Phi on a rectangle's boundary, with the samples it was
+    counted from: residue_refine seeds Newton from them without evaluating
+    Phi again."""
+
     rectangle: Rectangle
     winding: int
     boundary_min_abs: float
     boundary_min_at: complex  # the sampled boundary point where |Phi| is smallest
     gap: float  # the largest distance between neighbouring samples
+    # the boundary samples in order, Phi at each, and the phase step from
+    # each to the next (the last closes the contour), locally refined
+    points: np.ndarray = field(repr=False, compare=False)
+    values: np.ndarray = field(repr=False, compare=False)
+    steps: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -299,12 +309,15 @@ def _refine_step(series, z1: complex, z2: complex, v1: complex, v2: complex,
 def winding_number(series, rect: Rectangle) -> WindingResult:
     """Winding of the series image of the rectangle boundary around 0.
 
-    Computed by summing phase differences along the contour sampled at SAMPLES
-    points; any pair turning by more than pi/2 is resampled locally (doubling
-    density up to 2^10) before the whole computation is declared unresolvable.
-    A boundary on which the series overflows has no winding.
+    Computed by summing phase differences along the contour sampled at about
+    SAMPLES points, a multiple of 4 on each side so that strides 4, 2 and 1
+    nest; any pair turning by more than pi/2 is resampled locally (doubling
+    density up to 2^10) before the whole computation is declared
+    unresolvable.  The result keeps the samples, their values and the phase
+    steps for residue_refine.  A boundary on which the series overflows has
+    no winding.
     """
-    pts = _boundary_points(rect, SAMPLES)
+    pts = _boundary_points(rect, SAMPLES // 4, fold=4)
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.asarray(series(pts), dtype=np.complex128)
     if not np.all(np.isfinite(vals)):
@@ -316,38 +329,42 @@ def winding_number(series, rect: Rectangle) -> WindingResult:
         raise RootLocalizationError(
             f"zero on the contour of {rect}: boundary |Phi| = {min_abs:g}"
         )
-    total = float(np.sum(_phase_steps(series, pts, vals)))
+    steps = _phase_steps(series, pts, vals)
+    total = float(np.sum(steps))
     winding = round(total / (2 * math.pi))
     if abs(total - 2 * math.pi * winding) > 0.25 * 2 * math.pi:
         raise RootLocalizationError(
             f"total argument change {total:.3f} is not close to a multiple of 2*pi"
         )
     gap = float(np.max(np.abs(np.diff(pts, append=pts[:1]))))
-    return WindingResult(rect, winding, min_abs, complex(pts[i_min]), gap)
+    return WindingResult(rect, winding, min_abs, complex(pts[i_min]), gap,
+                         pts, vals, steps)
 
 
-def residue_refine(series, rect: Rectangle, multiplicity: int) -> complex:
-    """Zero position by the residue formula (2*pi*i*N)^-1 contour-int z Phi'/Phi dz.
+def residue_refine(w: WindingResult) -> complex:
+    """Zero position by the residue formula (2*pi*i*m)^-1 contour-int z Phi'/Phi dz,
+    m = w.winding, from the winding's own samples: nothing is evaluated.
 
-    Trapezoid rule along the rectangle boundary on three nested levels:
-    Phi_M and Phi_M' are evaluated once, on the SAMPLES layout folded 4 times,
-    and strides 4, 2 and 1 of it (the first being winding_number's points)
-    are the levels, each with its own (next - prev)/2 weights.  The corners
-    leave an O(h^2) error expansion, so two Richardson levels push the rule
-    to O(h^6).
+    L = log Phi continued along the contour, log|Phi| plus the summed phase
+    steps, rises by 2*pi*i*m once round it, so by parts the integral is
+    2*pi*i*m z_0 - contour-int L dz, z_0 the first sample (a corner).  The
+    trapezoid rule takes that integral at strides 4, 2 and 1 of the samples;
+    each side starts at a corner of every level, so the corners leave an
+    O(h^2) error expansion, and two Richardson levels push the rule to O(h^6).
     """
-    pts = _boundary_points(rect, SAMPLES, fold=4)
-    f = pts * series.deriv(pts) / series(pts)
+    z = np.append(w.points, w.points[:1])
+    phase = np.concatenate(([0.0], np.cumsum(w.steps[:-1])))
+    L = np.log(np.abs(w.values)) + 1j * phase
+    L = np.append(L, L[0] + 2j * math.pi * w.winding)
     levels = []
     for stride in (4, 2, 1):
-        p = pts[::stride]
-        dz = (np.roll(p, -1) - np.roll(p, 1)) / 2.0
-        levels.append(complex(np.sum(f[::stride] * dz)))
+        zs, Ls = z[::stride], L[::stride]
+        levels.append(complex(np.dot(Ls[1:] + Ls[:-1], np.diff(zs))) / 2)
     t1, t2, t4 = levels
     r1 = (4 * t2 - t1) / 3
     r2 = (4 * t4 - t2) / 3
     integral = (16 * r2 - r1) / 15
-    return complex(integral / (2j * math.pi * multiplicity))
+    return complex(z[0] - integral / (2j * math.pi * w.winding))
 
 
 def _evaluation_noise(series: CharacteristicSeries, z: complex) -> float:
@@ -363,10 +380,10 @@ def _evaluation_noise(series: CharacteristicSeries, z: complex) -> float:
             * series.term_scale(z))
 
 
-def _finalize(series, cut, region: Rectangle, winding: int) -> EigenvalueRecord:
-    z = newton_polish(series, residue_refine(cut, region, winding))
+def _finalize(series, w: WindingResult) -> EigenvalueRecord:
+    z = newton_polish(series, residue_refine(w))
     return EigenvalueRecord(
-        value=z, multiplicity=winding, method="arg_principle",
+        value=z, multiplicity=w.winding, method="arg_principle",
         certified=False, residual=float(abs(series(z))),
     )
 
@@ -388,10 +405,11 @@ def localize(series, region: Rectangle, tol: float = 1e-10) -> list[EigenvalueRe
     multiple zero; clusters tighter than that come back as one record with
     the summed winding.  A series that vanishes identically is a SolverError.
 
-    The contour work (windings, their local refinement and the residue
-    formula) evaluates Phi_d, the series cut to d = contour_degree(series,
-    region): inside it Phi_d is Phi_M to rounding.  What judges a record uses
-    Phi_M: the evaluation noise, the Newton polish and the residual.
+    The windings and their local refinement evaluate Phi_d, the series cut
+    to d = contour_degree(series, region): inside it Phi_d is Phi_M to
+    rounding.  Each contour is evaluated once; the residue formula reads its
+    winding's samples.  What judges a record uses Phi_M: the evaluation
+    noise, the Newton polish and the residual.
     """
     _require_nonzero(series)
     cut = CharacteristicSeries(
@@ -410,9 +428,9 @@ def _localize(series, cut, w: WindingResult, tol: float) -> list[EigenvalueRecor
         )
     noise = _evaluation_noise(series, w.boundary_min_at)
     if region.diameter <= tol or w.boundary_min_abs < noise:
-        return [_finalize(series, cut, region, w.winding)]
+        return [_finalize(series, w)]
     if w.winding == 1:
-        rec = _finalize(series, cut, region, 1)
+        rec = _finalize(series, w)
         if region.contains(rec.value) and rec.residual <= min(
                 _evaluation_noise(series, rec.value), w.boundary_min_abs):
             return [rec]
@@ -442,7 +460,7 @@ def _localize(series, cut, w: WindingResult, tol: float) -> list[EigenvalueRecor
         return sorted(out, key=lambda rec: (rec.value.real, rec.value.imag))
     if w.boundary_min_abs < 16 * noise:
         # every cut line lands in the noise skirt of an (almost) multiple zero
-        return [_finalize(series, cut, region, w.winding)]
+        return [_finalize(series, w)]
     raise RootLocalizationError(
         f"could not split {region} without landing on a zero after 8 jitters"
     )

@@ -230,7 +230,8 @@ def _unresolved_within_noise(grid: Grid, u0: ParticularSolution,
 
 def build_formal_powers(items: Sequence[tuple[PencilSpec, ParticularSolution]],
                         truncation: int, *, eval_points: tuple[complex, ...] = (),
-                        radius: float = math.inf) -> list[FormalPowerTable]:
+                        radius: float = math.inf, kernels: Sequence[tuple] | None = None
+                        ) -> list[FormalPowerTable]:
     """The table of each (pencil, u0) item, all on one grid and of one
     degree: run the recursive-integral scheme from the left end up to index
     2M + 1, M = truncation or the order where the item stops.
@@ -264,6 +265,10 @@ def build_formal_powers(items: Sequence[tuple[PencilSpec, ParticularSolution]],
     fall, it runs to truncation; R = inf, the default, never stops, for a
     caller that keeps every root.  STOP_FROM leaves the truncation-drift test
     (cli.DRIFT_ORDERS lower) orders to drop.
+
+    kernels, when given, is each item's recursion_kernels, as a caller that
+    has checked them before the build computed them; otherwise they are
+    computed here.
     """
     if not items:
         return []
@@ -272,7 +277,8 @@ def build_formal_powers(items: Sequence[tuple[PencilSpec, ParticularSolution]],
         raise GridError("a batch of formal-power tables needs one grid and one degree")
     n_top = 2 * truncation + 1
     cols = grid.panel_index
-    checked = [recursion_kernels(spec, u0) for spec, u0 in items]
+    checked = (list(kernels) if kernels is not None
+               else [recursion_kernels(spec, u0) for spec, u0 in items])
     eval_points = tuple(complex(lam) for lam in eval_points)
     tables: list[FormalPowerTable | None] = [None] * len(items)
     # the item in each row of the batch

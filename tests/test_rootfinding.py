@@ -276,23 +276,48 @@ class TestResidueRefine:
     def test_power_zero_exact(self, mult):
         z0 = 0.3 - 0.2j
         s = series_from_roots([z0] * mult)
-        est = residue_refine(s, Rectangle(-0.4, 0.9, -0.8, 0.5), mult)
-        assert abs(est - z0) <= 1e-10
+        w = winding_number(s, Rectangle(-0.4, 0.9, -0.8, 0.5))
+        assert w.winding == mult
+        assert abs(residue_refine(w) - z0) <= 1e-10
 
-    def test_one_sample_set_nesting_the_winding_points(self, monkeypatch):
-        calls = {"__call__": [], "deriv": []}
+    def test_localize_evaluates_each_contour_once(self, monkeypatch):
+        """localize never differentiates the series on an array, and makes
+        one array evaluation per winding: the residue seeds read the
+        windings' samples."""
+        calls = {"__call__": 0, "deriv": 0}
         for name in calls:
             def counting(self, lam, _name=name, _orig=getattr(CharacteristicSeries, name)):
-                calls[_name].append(np.array(lam, copy=True))
+                if isinstance(lam, np.ndarray):
+                    calls[_name] += 1
                 return _orig(self, lam)
             monkeypatch.setattr(CharacteristicSeries, name, counting)
-        rect = Rectangle(-0.37, 0.9, -0.8, 0.41)  # sides of unequal length
-        residue_refine(series_from_roots([0.3 - 0.2j]), rect, 1)
-        assert [len(v) for v in calls.values()] == [1, 1]
-        pts = calls["__call__"][0]
-        assert pts.tobytes() == calls["deriv"][0].tobytes()
-        coarse = rootfinding._boundary_points(rect, rootfinding.SAMPLES)
-        assert pts[::4].tobytes() == coarse.tobytes()
+        windings = []
+        inner = rootfinding.winding_number
+
+        def spy(series, rect):
+            windings.append(rect)
+            return inner(series, rect)
+
+        monkeypatch.setattr(rootfinding, "winding_number", spy)
+        roots = [0.31 + 0.52j, -0.47 - 0.23j, 0.12 - 0.71j, 0.4 + 0.4j]
+        recs = localize(series_from_roots(roots), Rectangle(-1.0, 1.0, -1.0, 1.0))
+        assert len(recs) == len(roots)
+        assert calls == {"__call__": len(windings), "deriv": 0}
+
+    @pytest.mark.parametrize("rect", [
+        Rectangle(-0.37, 0.9, -0.8, 0.41),
+        Rectangle(0.0, 1e-3, -2.0, 3.0),  # the short sides at their floor
+        Rectangle(-1.0001, 1.0003, -1.0002, 1.0001),
+    ])
+    def test_every_side_has_a_multiple_of_four_points(self, rect):
+        """Strides 4, 2 and 1 of the winding's samples nest, and every level
+        has a point at each corner."""
+        pts = winding_number(series_from_roots([5.0]), rect).points
+        corners = [np.flatnonzero(pts == c) for c in rect.corners()]
+        assert all(len(k) == 1 for k in corners)
+        starts = [int(k[0]) for k in corners] + [len(pts)]
+        assert starts[0] == 0
+        assert all((b - a) % 4 == 0 and b > a for a, b in zip(starts, starts[1:]))
 
 
 class TestNewtonPolish:
