@@ -2,8 +2,8 @@
 
 Two routes to the eigenvalues: global polynomial root extraction through the
 companion matrix, and argument-principle localization on rectangles with
-winding numbers and residue-formula refinement.  Both locate zeros on Phi_d,
-the series cut to the smallest degree d with
+winding numbers and the moments of the zeros inside them.  Both locate
+zeros on Phi_d, the series cut to the smallest degree d with
 sum_{k>d} |a_k| R^k <= eps max_k |a_k| R^k (disc_degree), R the radius of a
 disc about the center that holds every zero the caller keeps: on that disc
 the dropped terms are below the rounding of Phi_M.  The companion matrix
@@ -11,11 +11,12 @@ the dropped terms are below the rounding of Phi_M.  The companion matrix
 evaluate Phi_d, R the search rectangle's farthest corner.  What judges a
 zero, its rounding-noise floor, Newton polish and residual, uses Phi_M, and
 so does certify.  Every contour is evaluated once, at about SAMPLES points
-with a multiple of 4 on each side, and the residue formula reads the
-winding's samples: its three Richardson levels are strides 4, 2 and 1 of
-them.  Localization bisects only until a rectangle holds a single zero,
-which the residue formula and Newton then pin: the bisection tolerance is a
-floor, not the record's precision.  Its rounding-noise floor is taken
+with a multiple of 4 on each side, and the power sums of the zeros inside
+read the winding's samples: their three Richardson levels are strides 4, 2
+and 1 of them.  A rectangle of winding m gives its m zeros from the power
+sums s_1..s_m (Delves & Lyness 1967), and Newton pins each; localization
+bisects only where those zeros fail a check, so the bisection tolerance is
+a floor, not the record's precision.  Its rounding-noise floor is taken
 where the sampled boundary |Phi_d| is smallest.
 Both routes end in a Newton polish in double precision that steers and ranks
 its iterates by the compensated Horner scheme, as accurate as Horner in twice
@@ -41,8 +42,9 @@ from .problems import CharacteristicSeries
 BOUNDARY_ABS_FLOOR = 1e-280
 MAX_PHASE_STEP = math.pi / 2
 MAX_LOCAL_REFINES = 10  # per-segment density doublings before giving up
-POLISH_STEPS = 5  # at most this many Newton steps from a companion root or the residue seed
-SAMPLES = 4000  # about this many boundary samples per contour; residue_refine reuses them
+POLISH_STEPS = 5  # at most this many Newton steps from a companion root or a moment seed
+SAMPLES = 4000  # about this many boundary samples per contour; the power sums reuse them
+WEIERSTRASS_SWEEPS = 50  # at most this many sweeps for the roots of the moment polynomial
 _SPLITTER = 134217729.0  # 2**27 + 1: Veltkamp's split of a binary64 into 26-bit halves
 
 
@@ -91,8 +93,8 @@ class Rectangle:
 @dataclass(frozen=True)
 class WindingResult:
     """The winding of Phi on a rectangle's boundary, with the samples it was
-    counted from: residue_refine seeds Newton from them without evaluating
-    Phi again."""
+    counted from: the power sums of the zeros inside, which seed Newton,
+    are read from them without evaluating Phi again."""
 
     rectangle: Rectangle
     winding: int
@@ -295,13 +297,15 @@ def _refine_step(series, z1: complex, z2: complex, v1: complex, v2: complex,
         return float(step)
     if depth >= MAX_LOCAL_REFINES:
         raise RootLocalizationError(
-            f"argument jump between {z1} and {z2} unresolved after "
-            f"{MAX_LOCAL_REFINES} density doublings (zero on or near the contour?)"
+            f"argument jump between {z1} and {z2} about center {series.center} "
+            f"unresolved after {MAX_LOCAL_REFINES} density doublings "
+            f"(zero on or near the contour?)"
         )
     zm = (z1 + z2) / 2
     vm = complex(series(zm))
     if vm == 0 or abs(vm) < BOUNDARY_ABS_FLOOR:
-        raise RootLocalizationError(f"characteristic function vanishes at {zm}")
+        raise RootLocalizationError(
+            f"characteristic function vanishes at {zm} about center {series.center}")
     return (_refine_step(series, z1, zm, v1, vm, depth + 1)
             + _refine_step(series, zm, z2, vm, v2, depth + 1))
 
@@ -314,7 +318,7 @@ def winding_number(series, rect: Rectangle) -> WindingResult:
     nest; any pair turning by more than pi/2 is resampled locally (doubling
     density up to 2^10) before the whole computation is declared
     unresolvable.  The result keeps the samples, their values and the phase
-    steps for residue_refine.  A boundary on which the series overflows has
+    steps for _power_sums.  A boundary on which the series overflows has
     no winding.
     """
     pts = _boundary_points(rect, SAMPLES // 4, fold=4)
@@ -327,44 +331,98 @@ def winding_number(series, rect: Rectangle) -> WindingResult:
     min_abs = float(abs(vals[i_min]))
     if min_abs < BOUNDARY_ABS_FLOOR:
         raise RootLocalizationError(
-            f"zero on the contour of {rect}: boundary |Phi| = {min_abs:g}"
+            f"zero on the contour of {rect} about center {series.center}: "
+            f"boundary |Phi| = {min_abs:g}"
         )
     steps = _phase_steps(series, pts, vals)
     total = float(np.sum(steps))
     winding = round(total / (2 * math.pi))
     if abs(total - 2 * math.pi * winding) > 0.25 * 2 * math.pi:
         raise RootLocalizationError(
-            f"total argument change {total:.3f} is not close to a multiple of 2*pi"
+            f"total argument change {total:.3f} on {rect} about center "
+            f"{series.center} is not close to a multiple of 2*pi"
         )
     gap = float(np.max(np.abs(np.diff(pts, append=pts[:1]))))
     return WindingResult(rect, winding, min_abs, complex(pts[i_min]), gap,
                          pts, vals, steps)
 
 
-def residue_refine(w: WindingResult) -> complex:
-    """Zero position by the residue formula (2*pi*i*m)^-1 contour-int z Phi'/Phi dz,
-    m = w.winding, from the winding's own samples: nothing is evaluated.
+def _power_sums(w: WindingResult, count: int) -> tuple[complex, float, list[complex]]:
+    """The power sums s_p = (2*pi*i)^-1 contour-int u^p Phi'/Phi dz,
+    p = 1..count, of the zeros inside w's rectangle in the scaled variable
+    u = (z - c)/rho, c the rectangle's center and rho half its diameter, from
+    the winding's own samples: nothing is evaluated.  Returns c, rho and the
+    sums (Delves & Lyness 1967).
 
     L = log Phi continued along the contour, log|Phi| plus the summed phase
-    steps, rises by 2*pi*i*m once round it, so by parts the integral is
-    2*pi*i*m z_0 - contour-int L dz, z_0 the first sample (a corner).  The
-    trapezoid rule takes that integral at strides 4, 2 and 1 of the samples;
-    each side starts at a corner of every level, so the corners leave an
-    O(h^2) error expansion, and two Richardson levels push the rule to O(h^6).
+    steps, rises by 2*pi*i*m once round it, m = w.winding, so by parts
+    s_p = m u_0^p - (p/(2*pi*i)) contour-int u^(p-1) L du, u_0 the first
+    sample (a corner).  The trapezoid rule takes that integral at strides 4,
+    2 and 1 of the samples; each side starts at a corner of every level, so
+    the corners leave an O(h^2) error expansion, and two Richardson levels
+    push the rule to O(h^6).
     """
-    z = np.append(w.points, w.points[:1])
+    rect = w.rectangle
+    c = complex((rect.re_min + rect.re_max) / 2, (rect.im_min + rect.im_max) / 2)
+    rho = rect.diameter / 2
+    u = (np.append(w.points, w.points[:1]) - c) / rho
     phase = np.concatenate(([0.0], np.cumsum(w.steps[:-1])))
     L = np.log(np.abs(w.values)) + 1j * phase
-    L = np.append(L, L[0] + 2j * math.pi * w.winding)
-    levels = []
-    for stride in (4, 2, 1):
-        zs, Ls = z[::stride], L[::stride]
-        levels.append(complex(np.dot(Ls[1:] + Ls[:-1], np.diff(zs))) / 2)
-    t1, t2, t4 = levels
-    r1 = (4 * t2 - t1) / 3
-    r2 = (4 * t4 - t2) / 3
-    integral = (16 * r2 - r1) / 15
-    return complex(z[0] - integral / (2j * math.pi * w.winding))
+    g = np.append(L, L[0] + 2j * math.pi * w.winding)  # u^(p-1) L, from p = 1
+    sums = []
+    for p in range(1, count + 1):
+        levels = []
+        for stride in (4, 2, 1):
+            us, gs = u[::stride], g[::stride]
+            levels.append(complex(np.dot(gs[1:] + gs[:-1], np.diff(us))) / 2)
+        t1, t2, t4 = levels
+        r1 = (4 * t2 - t1) / 3
+        r2 = (4 * t4 - t2) / 3
+        integral = (16 * r2 - r1) / 15
+        sums.append(complex(w.winding * u[0] ** p - p * integral / (2j * math.pi)))
+        g = g * u
+    return c, rho, sums
+
+
+def residue_refine(w: WindingResult) -> complex:
+    """The centroid of the zeros inside w's rectangle, c + rho s_1/m, from
+    the first power sum of _power_sums (m = w.winding): the zero itself
+    where m is 1, and the seed of a cluster's record."""
+    c, rho, (s1,) = _power_sums(w, 1)
+    return c + rho * s1 / w.winding
+
+
+def _moment_seeds(w: WindingResult) -> list[complex]:
+    """The m = w.winding zeros inside w's rectangle from its power sums
+    s_1..s_m: Newton's identities give the elementary symmetric functions
+    e_k, k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} s_i, so the zeros are the
+    roots of u^m - e_1 u^(m-1) + e_2 u^(m-2) - ..., which Weierstrass
+    (Durand-Kerner) sweeps find in plain complex arithmetic, without
+    LAPACK; Newton on Phi_M then polishes them."""
+    m = w.winding
+    c, rho, s = _power_sums(w, m)
+    e = [1 + 0j]
+    for k in range(1, m + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * s[i - 1] for i in range(1, k + 1)) / k)
+    a = [(-1) ** k * e[k] for k in range(m + 1)]  # monic, leading coefficient first
+    roots = [(0.4 + 0.9j) ** k for k in range(m)]
+    for _ in range(WEIERSTRASS_SWEEPS):
+        moved = 0.0
+        for i, r in enumerate(roots):
+            p = 0j
+            for coef in a:
+                p = p * r + coef
+            q = 1 + 0j
+            for j, other in enumerate(roots):
+                if j != i:
+                    q *= r - other
+            if q == 0:
+                continue
+            roots[i] = r - p / q
+            moved = max(moved, abs(p / q))
+        if moved <= 1e-14:
+            break
+    return [c + rho * r for r in roots]
 
 
 def _evaluation_noise(series: CharacteristicSeries, z: complex) -> float:
@@ -388,28 +446,66 @@ def _finalize(series, w: WindingResult) -> EigenvalueRecord:
     )
 
 
-def localize(series, region: Rectangle, tol: float = 1e-10) -> list[EigenvalueRecord]:
-    """Zeros in region by winding numbers, bisecting only until a rectangle
-    holds a single zero.
+def _accepted(series, w: WindingResult) -> list[EigenvalueRecord] | None:
+    """The m = w.winding zeros inside w's rectangle as m simple records, or
+    None when the moments cannot be trusted and the rectangle is bisected.
 
-    Rectangles with winding zero are discarded.  On winding one the zero is
-    pinned by the residue formula and a few Newton steps, and the record is
-    kept if it lies in the rectangle with |Phi_M| at or below both its own
-    evaluation noise and the boundary minimum of |Phi_d|: by the
-    minimum-modulus principle the sublevel component holding it cannot reach
-    the boundary, so it holds the rectangle's only zero (Delves & Lyness
-    1967; Kravanja & Van Barel 2000).  Otherwise the longer side is bisected.
-    tol is the diameter at which bisection gives up, not the precision of a
-    record.  Bisection also stops once the boundary minimum sinks into the
-    rounding noise taken at that boundary point, the resolution limit of a
-    multiple zero; clusters tighter than that come back as one record with
-    the summed winding.  A series that vanishes identically is a SolverError.
+    The seeds are the residue seed for m = 1 and _moment_seeds otherwise.
+    A seed outside the rectangle rejects them all before anything is
+    evaluated.  Each polished value must lie in the rectangle with |Phi_M|
+    at or below both its own evaluation noise and the boundary minimum of
+    |Phi_d|: by the minimum-modulus principle the sublevel component
+    holding it cannot reach the boundary.  For m >= 2 the polished values
+    must also lie pairwise farther apart than 2^10 rounding radii
+    noise/|Phi_M'|, the largest of theirs, so that no two polish onto one
+    zero and a cluster tighter than its rounding allows is bisected.
+    """
+    region = w.rectangle
+    seeds = [residue_refine(w)] if w.winding == 1 else _moment_seeds(w)
+    if not all(region.contains(z) for z in seeds):
+        return None
+    recs = []
+    for seed in seeds:
+        z = newton_polish(series, seed)
+        residual = float(abs(series(z)))
+        if not (region.contains(z) and residual <= min(
+                _evaluation_noise(series, z), w.boundary_min_abs)):
+            return None
+        recs.append(EigenvalueRecord(value=z, multiplicity=1, method="arg_principle",
+                                     certified=False, residual=residual))
+    if len(recs) > 1:
+        slopes = [abs(series.deriv(rec.value)) for rec in recs]
+        if 0 in slopes:
+            return None
+        radius = max(_evaluation_noise(series, rec.value) / d
+                     for rec, d in zip(recs, slopes))
+        gap = min(abs(a.value - b.value)
+                  for i, a in enumerate(recs) for b in recs[i + 1:])
+        if not gap > 2 ** 10 * radius:
+            return None
+    return sorted(recs, key=lambda rec: (rec.value.real, rec.value.imag))
+
+
+def localize(series, region: Rectangle, tol: float = 1e-10) -> list[EigenvalueRecord]:
+    """Zeros in region by winding numbers, bisecting only where a
+    rectangle's moments fail.
+
+    Rectangles with winding zero are discarded.  On winding m the m zeros
+    come from the power sums of the winding's samples and a few Newton
+    steps each, and are kept as m records when _accepted's checks hold
+    (Delves & Lyness 1967; Kravanja & Van Barel 2000).  Otherwise the
+    longer side is bisected.  tol is the diameter at which bisection gives
+    up, not the precision of a record.  Bisection also stops once the
+    boundary minimum sinks into the rounding noise taken at that boundary
+    point, the resolution limit of a multiple zero; clusters tighter than
+    that come back as one record with the summed winding.  A series that
+    vanishes identically is a SolverError.
 
     The windings and their local refinement evaluate Phi_d, the series cut
     to d = contour_degree(series, region): inside it Phi_d is Phi_M to
-    rounding.  Each contour is evaluated once; the residue formula reads its
+    rounding.  Each contour is evaluated once; the power sums read its
     winding's samples.  What judges a record uses Phi_M: the evaluation
-    noise, the Newton polish and the residual.
+    noise, the Newton polish, the residual and the rounding radius.
     """
     _require_nonzero(series)
     cut = CharacteristicSeries(
@@ -418,22 +514,23 @@ def localize(series, region: Rectangle, tol: float = 1e-10) -> list[EigenvalueRe
 
 
 def _localize(series, cut, w: WindingResult, tol: float) -> list[EigenvalueRecord]:
-    """localize on w.rectangle, whose winding of cut w already holds."""
+    """localize on w.rectangle, whose winding of cut w already holds: the
+    noise-floor or tol cluster record, else the moments' records, else
+    the records of the two halves."""
     region = w.rectangle
     if w.winding == 0:
         return []
     if w.winding < 0:
         raise RootLocalizationError(
-            f"negative winding {w.winding} on {region}: not a polynomial image"
+            f"negative winding {w.winding} on {region} about center "
+            f"{series.center}: not a polynomial image"
         )
     noise = _evaluation_noise(series, w.boundary_min_at)
     if region.diameter <= tol or w.boundary_min_abs < noise:
         return [_finalize(series, w)]
-    if w.winding == 1:
-        rec = _finalize(series, w)
-        if region.contains(rec.value) and rec.residual <= min(
-                _evaluation_noise(series, rec.value), w.boundary_min_abs):
-            return [rec]
+    recs = _accepted(series, w)
+    if recs is not None:
+        return recs
 
     wide = (region.re_max - region.re_min) >= (region.im_max - region.im_min)
     lo, hi = (region.re_min, region.re_max) if wide else (region.im_min, region.im_max)
@@ -462,7 +559,8 @@ def _localize(series, cut, w: WindingResult, tol: float) -> list[EigenvalueRecor
         # every cut line lands in the noise skirt of an (almost) multiple zero
         return [_finalize(series, w)]
     raise RootLocalizationError(
-        f"could not split {region} without landing on a zero after 8 jitters"
+        f"could not split {region} about center {series.center} without "
+        f"landing on a zero after 8 jitters"
     )
 
 

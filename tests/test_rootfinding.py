@@ -110,6 +110,15 @@ class TestWinding:
             # the zero at 1 is the midpoint of a side, so a sample point
             winding_number(s, Rectangle(-1.0, 1.0, -1.0, 1.0))
 
+    def test_zero_on_contour_names_the_center(self):
+        """localize's failure on a contour through a zero names the series
+        center, so a chain's failure says which center failed."""
+        s = series_from_roots([1.0, 0.2j], center=0.25)
+        with pytest.raises(RootLocalizationError, match=re.escape(
+                f"zero on the contour of {Rectangle(-1.0, 1.0, -1.0, 1.0)} "
+                f"about center (0.25+0j)")):
+            localize(s, Rectangle(-1.0, 1.0, -1.0, 1.0))
+
     def test_overflow_on_contour_detected(self):
         """|Phi| overflows on a contour 1e300 wide: a RootLocalizationError
         naming the rectangle and the center, and no numpy warning (warnings
@@ -246,7 +255,7 @@ class TestEarlyStop:
 
         monkeypatch.setattr(rootfinding, "winding_number", counting)
         recs = localize(s, Rectangle(-1.0, 1.0, -1.0, 1.0), tol=1e-10)
-        assert len(calls) <= 20
+        assert len(calls) == 1
         assert len(recs) == 3
         for root in roots:
             assert min(abs(r.value - root) for r in recs) < 1e-13
@@ -269,6 +278,112 @@ class TestEarlyStop:
         assert len(recs) == 1
         assert recs[0].multiplicity == 1
         assert abs(recs[0].value - root) < 1e-10
+
+
+class TestMoments:
+    """A rectangle of winding m gives its m zeros from the power sums of
+    its own samples; bisection runs only where they fail."""
+
+    REGION = Rectangle(-1.0, 1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("roots", [
+        [0.31 + 0.52j, -0.47 - 0.23j],
+        [0.31 + 0.52j, -0.47 - 0.23j, 0.12 - 0.71j],
+        [0.31 + 0.52j, -0.47 - 0.23j, 0.12 - 0.71j, 0.8 + 0.1j],
+        [0.31 + 0.52j, -0.47 - 0.23j, 0.12 - 0.71j, 0.8 + 0.1j, -0.6 + 0.75j],
+    ])
+    def test_seeds_of_separated_zeros(self, roots):
+        """Each seed lies within 1e-10 of its own zero."""
+        w = winding_number(series_from_roots(roots), self.REGION)
+        seeds = rootfinding._moment_seeds(w)
+        assert len(seeds) == w.winding == len(roots)
+        for z in roots:
+            assert min(abs(seed - z) for seed in seeds) <= 1e-10
+        for seed in seeds:
+            assert min(abs(seed - z) for z in roots) <= 1e-10
+
+    @staticmethod
+    def counted_localize(monkeypatch, s, *, moments=True):
+        """localize's records on REGION and its winding count; without
+        moments, every seed set of winding 2 or more lies outside its
+        rectangle, so those rectangles are bisected."""
+        kwargs = {} if moments else {
+            "_moment_seeds": lambda w: [complex(math.inf, 0.0)] * w.winding}
+        recs, lengths = TestLocalize.spied_localize(
+            monkeypatch, s, TestMoments.REGION, **kwargs)
+        return recs, len(lengths)
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4, 1e-6])
+    def test_close_pair_takes_one_winding(self, monkeypatch, gap):
+        """A pair gap apart at 0.3+0.2i and a third zero: one winding, and
+        the records of the bisection path within 1e-13."""
+        pair = 0.3 + 0.2j
+        s = series_from_roots([pair, pair + gap, -0.5 - 0.4j])
+        recs, windings = self.counted_localize(monkeypatch, s)
+        bisected, more = self.counted_localize(monkeypatch, s, moments=False)
+        assert windings == 1 and more > 1
+        assert len(recs) == len(bisected) == 3
+        for a, b in zip(recs, bisected, strict=True):
+            assert a.multiplicity == b.multiplicity == 1
+            assert abs(a.value - b.value) <= 1e-13
+
+    def test_pair_below_rounding_falls_back(self, monkeypatch):
+        """A pair 1e-8 apart is closer than 2^10 rounding radii: the
+        moments are refused, and bisection gives the one multiplicity-2
+        record it gives without them."""
+        pair = 0.3 + 0.2j
+        s = series_from_roots([pair, pair + 1e-8, -0.5 - 0.4j])
+        recs, windings = self.counted_localize(monkeypatch, s)
+        bisected, _ = self.counted_localize(monkeypatch, s, moments=False)
+        assert windings > 1
+        assert [r.multiplicity for r in recs] == [1, 2]
+        assert abs(recs[1].value - pair) <= 1e-7
+        assert recs == bisected
+
+    def test_seed_outside_is_never_polished(self, monkeypatch):
+        """A moment seed outside its rectangle (here 1.3e13, where Phi_M
+        overflows) rejects the rectangle before any polish."""
+        roots = [0.31 + 0.52j, -0.47 - 0.23j, 0.12 - 0.71j]
+        far = complex(1.3e13, 0.0)
+        inner_seeds = rootfinding._moment_seeds
+        monkeypatch.setattr(rootfinding, "_moment_seeds",
+                            lambda w: [far] + inner_seeds(w)[1:])
+        polished = []
+        inner = rootfinding.newton_polish
+
+        def spy(series, z0, **kwargs):
+            polished.append(z0)
+            return inner(series, z0, **kwargs)
+
+        monkeypatch.setattr(rootfinding, "newton_polish", spy)
+        recs = localize(series_from_roots(roots), self.REGION, tol=1e-10)
+        assert far not in polished and len(polished) == 3
+        assert len(recs) == 3
+        for z in roots:
+            assert min(abs(r.value - z) for r in recs) < 1e-13
+
+    def test_polished_outside_falls_back(self, monkeypatch):
+        """m = 2: the first polish lands on the zero outside the rectangle,
+        where the residual alone would pass, so the rectangle is bisected
+        and both zeros inside still come back."""
+        outside = 3.0 - 2.0j
+        roots = [0.31 + 0.52j, -0.47 - 0.23j]
+        polishes = []
+        inner = rootfinding.newton_polish
+
+        def first_call_lands_outside(series, z0, **kwargs):
+            polishes.append(z0)
+            if len(polishes) == 1:
+                return outside
+            return inner(series, z0, **kwargs)
+
+        monkeypatch.setattr(rootfinding, "newton_polish", first_call_lands_outside)
+        recs, windings = self.counted_localize(
+            monkeypatch, series_from_roots(roots + [outside]))
+        assert windings == 3 and len(polishes) == 3
+        assert [r.multiplicity for r in recs] == [1, 1]
+        for z in roots:
+            assert min(abs(r.value - z) for r in recs) < 1e-13
 
 
 class TestResidueRefine:
