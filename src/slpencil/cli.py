@@ -238,8 +238,9 @@ def _resolved_tables(pencils: list[PencilSpec], u0s: list[ParticularSolution], m
     is built for it there.  Only the items whose kernels pass get a table,
     built on the kernels it was checked with, and split again where its
     top-order integrands are not resolved.  A
-    table stops below m where its tails at radius fall below rounding
-    (build_formal_powers)."""
+    table stops below m where its tails at radius, that of the disc its
+    roots are looked for in, fall below rounding (build_formal_powers), so
+    it is judged and split on the integrands of that lower order."""
     def build(grid: Grid, items: list[int]):
         specs = PencilSpec.on([pencils[i] for i in items], grid)
         sols = ParticularSolution.on([u0s[i] for i in items], grid)
@@ -304,9 +305,9 @@ def _solve_runs(runs: list[tuple[str, dict]]
             centers.append(c)
     keep_radius = 2.0 * max((abs(b - a) for a, b in zip(centers, centers[1:])),
                             default=math.inf)
-    # the radius of the disc each table serves, what the route's degree rule
-    # reads without the search region: the keep radius under poly_roots, the
-    # keep box's farthest corner under arg_principle
+    # the radius of the disc the route searches about a center without the
+    # search region: the keep radius under poly_roots, the keep box's
+    # farthest corner under arg_principle
     disc = keep_radius if cfg["method"] == "poly_roots" else math.hypot(
         keep_radius, keep_radius)
     merge_eps = tol["merge"] if tol["merge"] is not None else 10.0 * tol["localize"]
@@ -314,12 +315,17 @@ def _solve_runs(runs: list[tuple[str, dict]]
     for j, center in enumerate(centers):
         next_rel = centers[j + 1] - center if j + 1 < len(centers) else None
         eval_points = (next_rel,) if next_rel is not None else ()
+        # cut to the region's farthest corner; the table stops at this radius
+        # and the route reads it, and it is inf, a table to m, only without a
+        # region and without shifts
+        radius = disc if region is None else min(disc, region.max_abs_from(center))
         tables = _resolved_tables([run.pencil for run in state], [run.u0 for run in state],
-                                  m, eval_points, disc, cfg["n_nodes"],
+                                  m, eval_points, radius, cfg["n_nodes"],
                                   f"center {j} at {center}", [run.prefix for run in state])
         for run, table in zip(state, tables):
             run.grids.append({"center": [center.real, center.imag],
                               "panels": table.grid.panels, "nodes": table.grid.n_nodes,
+                              "radius": radius if math.isfinite(radius) else None,
                               "truncation": table.truncation,
                               "tail_converged": table.tail_converged})
             with _run_errors(run.prefix):
@@ -327,7 +333,7 @@ def _solve_runs(runs: list[tuple[str, dict]]
                                           center=center)
                 if cfg["method"] == "poly_roots":
                     recs, run.grids[-1]["degree"] = _poly_records(
-                        series, center, keep_radius, region, run.spurious)
+                        series, center, radius, keep_radius, region, run.spurious)
                 else:
                     recs, run.grids[-1]["degree"] = _arg_records(
                         series, center, keep_radius, region, tol["localize"])
@@ -379,25 +385,24 @@ def _relative_residual(series: CharacteristicSeries, rec: EigenvalueRecord) -> f
     return rec.residual / scale if 0 < scale < math.inf else math.inf
 
 
-def _poly_records(series, center, keep_radius, region, spurious
+def _poly_records(series, center, radius, keep_radius, region, spurious
                   ) -> tuple[list[EigenvalueRecord], int]:
     """Records from the companion-matrix roots within keep_radius of center
     that pass the truncation-drift test, and the companion's degree.
 
     Every root that can be kept lies in the disc about center of radius
-    min(keep_radius, the region's farthest corner from center), so
-    poly_roots cuts the companion to the degree that disc needs; the drift
-    test, the polish and the residual use the full series.  The region is
-    checked on the raw root, so no root outside it is polished, and again on
-    the polished value, which may have moved out."""
+    min(keep_radius, the region's farthest corner from center), the radius
+    the table stopped at, so poly_roots cuts the companion to the degree
+    that disc needs; the drift test, the polish and the residual use the
+    full series.  The region is checked on the raw root, so no root outside
+    it is polished, and again on the polished value, which may have moved
+    out."""
     def outside(z: complex, reason: str) -> bool:
         if region is None or region.contains(z):
             return False
         spurious.append({"re": z.real, "im": z.imag, "reason": reason})
         return True
 
-    radius = keep_radius if region is None else min(
-        keep_radius, region.max_abs_from(center))
     companion = poly_roots(series, radius)
     roots = [z for z in companion if abs(z - center) <= keep_radius]
     recs = []

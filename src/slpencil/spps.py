@@ -15,8 +15,8 @@ not resolved, evaluates the two fundamental solutions u1, u2 and their
 derivatives there, constructs u0 when it is not supplied, and bounds the
 series-truncation tails by Gronwall's inequality, restarted from the last
 orders the table computed.  Its truncation is a ceiling: a table told the
-radius of the disc it serves stops at the first order where those bounds at
-that radius fall below rounding, and leaves its batch there.
+radius of the disc its roots are looked for in stops at the first order where
+those bounds at that radius fall below rounding, and leaves its batch there.
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ def build_formal_powers(items: Sequence[tuple[PencilSpec, ParticularSolution]],
     sums, last orders and unresolved flags are those of order 2m + 1; the
     item then leaves the batch.  Where some R^n overflows, or the tails never
     fall, it runs to truncation; R = inf, the default, never stops, for a
-    caller that keeps every root.  STOP_FROM leaves the truncation-drift test
+    caller whose roots are not confined to a disc.  STOP_FROM leaves the truncation-drift test
     (cli.DRIFT_ORDERS lower) orders to drop.
 
     kernels, when given, is each item's recursion_kernels, as a caller that

@@ -749,23 +749,80 @@ class TestPanelGrid:
 
     def test_tail_converged_marks_truncation_limited_centers(self, tmp_path):
         """The x^2 chain's tables reach M = 50 with their tail test failing,
-        the first three constant-damping centers stop where theirs passes, and a single
-        center, with no disc radius, has no test."""
+        the first three constant-damping centers and the Klaus-Shaw sweep's
+        single centers stop where theirs passes, and only a center with no
+        radius, a single one without a search region, has no test."""
         runs = {name: run_solve(write_config(tmp_path, f"{name}.json", cfg))
                 for name, cfg in (
                     ("x2", x2_chain_cfg()),
                     ("constant", constant_chain_cfg(shifts=2)),
-                    ("single", klaus_shaw_sweep_cfg()))}
+                    ("single", klaus_shaw_sweep_cfg()),
+                    ("no region", klaus_shaw_sweep_cfg(search_region=None)))}
         converged = {name: [g["tail_converged"] for g in rs.metadata["grid"]]
                      for name, rs in runs.items()}
         assert converged["x2"] == [False] * 4
         assert converged["constant"] == [True] * 3
-        assert converged["single"] == [None] * 5
+        assert converged["single"] == [True] * 5
+        assert converged["no region"] == [None] * 5
+        for rs in runs.values():
+            for g in rs.metadata["grid"]:
+                assert (g["tail_converged"] is None) == (g["radius"] is None)
 
     def test_single_center_table_keeps_its_ceiling(self, tmp_path):
-        """A single center keeps no disc, so its table runs to M."""
-        rs = run_solve(str(CONFIGS / "klaus_shaw_surface.json"))
-        assert [g["truncation"] for g in rs.metadata["grid"]] == [100]
+        """A single center without a search region has no disc, so its
+        table runs to M; with one, the table stops where its tails at the
+        region's farthest corner fall below rounding, and the report says
+        at which radius."""
+        cfg = json.loads((CONFIGS / "klaus_shaw_surface.json").read_text())
+        cfg["output"] = None
+        corner = Rectangle(*cfg["search_region"]["re"],
+                           *cfg["search_region"]["im"]).max_abs_from(0j)
+        for region, radius, truncation in ((cfg["search_region"], corner, 40),
+                                           (None, None, 100)):
+            rs = run_solve(write_config(tmp_path, "c.json", {**cfg, "search_region": region}))
+            assert [(g["radius"], g["truncation"]) for g in rs.metadata["grid"]] == [
+                (radius, truncation)]
+
+    @pytest.mark.parametrize("name,truncations", [
+        ("klaus_shaw_sweep", (60, 100, 140)), ("dirac_demo", (100, 140))])
+    def test_records_do_not_depend_on_the_ceiling_past_the_stop(
+            self, tmp_path, name, truncations):
+        """Every table that stops below its ceiling stops at the same order
+        whatever the ceiling (40 for Klaus-Shaw on 16 panels, 80 for
+        dirac_demo on 18), so raising the truncation past it changes no byte
+        of the CSV."""
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+        cfg["output"] = None
+        csvs = set()
+        for m in truncations:
+            base = tmp_path / f"m{m}"
+            path = write_config(tmp_path, f"m{m}.json", {**cfg, "truncation": m})
+            assert main(["solve", path, "--out", str(base)]) == 0
+            grid = json.loads(base.with_suffix(".json").read_text())["metadata"]["grid"]
+            assert all(g["tail_converged"] for g in grid)
+            csvs.add(base.with_suffix(".csv").read_bytes())
+        assert len(csvs) == 1
+
+    @pytest.mark.parametrize("method", ["poly_roots", "arg_principle"])
+    def test_stopped_table_gives_the_full_tables_records(self, tmp_path, monkeypatch,
+                                                         method):
+        """On 64 panels, which resolve the Klaus-Shaw tables both stopped at
+        the search region's radius (order 40) and run to M = 100 with radius
+        inf, the two give the same records bit for bit: the orders the
+        stopped table leaves out are below rounding on its disc."""
+        monkeypatch.setattr(cli, "INITIAL_PANELS", 64)
+        path = write_config(tmp_path, "c.json", klaus_shaw_sweep_cfg(method=method))
+        cut = run_solve(path)
+        resolved = cli._resolved_tables
+
+        def unbounded(pencils, u0s, m, eval_points, radius, *rest):
+            return resolved(pencils, u0s, m, eval_points, math.inf, *rest)
+
+        monkeypatch.setattr(cli, "_resolved_tables", unbounded)
+        full = run_solve(path)
+        assert [(g["panels"], g["truncation"]) for g in cut.metadata["grid"]] == [(64, 40)] * 5
+        assert [(g["panels"], g["truncation"]) for g in full.metadata["grid"]] == [(64, 100)] * 5
+        assert cut.records == full.records
 
     def test_x2_chain_matches_stored_reference(self, tmp_path):
         """Center 0 and three shifts give a record within 1e-10 of every mode
@@ -879,8 +936,11 @@ class TestSweep:
         ids=["tables", "coefficients"])
     def test_error_names_the_sweep_value(self, tmp_path, capsys, n_nodes, where):
         """A ceiling too low for the tables (or for the coefficients) fails
-        the first value, and the error says which."""
-        path = write_config(tmp_path, "c.json", klaus_shaw_sweep_cfg(n_nodes=n_nodes))
+        the first value, and the error says which.  Without a search region
+        the tables run to M = 100 and need 286 nodes; with the shipped one
+        they stop at order 40 and 241 nodes do."""
+        path = write_config(tmp_path, "c.json",
+                            klaus_shaw_sweep_cfg(n_nodes=n_nodes, search_region=None))
         assert main(["solve", path]) == 2
         assert capsys.readouterr().err.startswith(f"solver error: sweep s = 0.956: {where}")
 
